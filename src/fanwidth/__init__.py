@@ -41,13 +41,11 @@ from .embedding import (
     Embedding,
     TrimmedInstance,
     build_embedding,
-    delta_decompose,
     distortion_volume_report,
     project_order,
     theoretical_distortion_bound,
-    trim_to_J,
 )
-from .oracles import OracleReport, exact_bandwidth, exhaustive_local_density
+from .oracles import exact_bandwidth, exhaustive_local_density
 from .pipeline import (
     Crossing,
     DrawnGraph,

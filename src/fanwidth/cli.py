@@ -72,11 +72,14 @@ class RunConfig:
 
 
 def _parse_density(raw: str):
-    if "/" in raw:
-        return Fraction(raw)
-    if "." in raw or "e" in raw.lower():
-        return float(raw)
-    return int(raw)
+    try:
+        if "/" in raw:
+            return Fraction(raw)
+        if "." in raw or "e" in raw.lower():
+            return float(raw)
+        return int(raw)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"--D {raw!r} is not an integer, fraction p/q or float")
 
 
 def _read(path: str) -> str:
@@ -108,6 +111,13 @@ def _load_product(path: str):
     return host, td, rows, placements, g
 
 
+def _sparsify_product(path: str, D):
+    """Load a product document, complete its host and cut the strips."""
+    host, td, _, placements, g = _load_product(path)
+    sp = product_sparsify(ttree_complete(host, td), td, placements, D)
+    return g, td, placements, sp
+
+
 def _report_lines(pairs) -> str:
     return "\n".join(f"{key} {value}" for key, value in pairs) + "\n"
 
@@ -119,6 +129,8 @@ def cmd_sparsify(args) -> int:
     cfg = _config(args)
     if args.graph:
         g = formats.parse_graph(_read(args.graph))
+        if not g.num_vertices:
+            raise InputError("graph has no vertices; nothing to sparsify")
         layering = bfs_layering(g, min(g.vertices()))
         baker = baker_sparsify(g, BakerConfig(args.t, cfg.D, layering))
         gp = g.delete(baker.x)
@@ -139,9 +151,7 @@ def cmd_sparsify(args) -> int:
         formats.write_atomic(args.out, formats.serialize_vertex_set(baker.x))
         formats.write_atomic(args.out + ".report", _report_lines(pairs))
     else:
-        host, td, rows, placements, g = _load_product(args.product)
-        completed = ttree_complete(host, td)
-        sp = product_sparsify(completed, td, placements, cfg.D, rows=None)
+        g, td, placements, sp = _sparsify_product(args.product, cfg.D)
         removed = sorted(v for v in g.vertices() if sp.in_x(placements[v]))
         gp = g.delete(removed)
         pairs = [
@@ -164,16 +174,12 @@ def cmd_sparsify(args) -> int:
 
 def cmd_embed(args) -> int:
     cfg = _config(args)
-    host, td, rows, placements, g = _load_product(args.product)
-    completed = ttree_complete(host, td)
-    sp = product_sparsify(completed, td, placements, cfg.D)
+    g, _, placements, sp = _sparsify_product(args.product, cfg.D)
     ids = [v for v in g.vertices() if not sp.in_x(placements[v])]
     if not ids:
         raise InputError("sparsifier removed every vertex; nothing to embed")
     pvs = [placements[v] for v in ids]
-    sm = StarMetric(sp, pvs)
-    k = cfg.k if cfg.k is not None else max(2, math.ceil(math.log2(max(2, len(ids)))))
-    emb = build_embedding(ids, pvs, sm, k, cfg.a, cfg.seed, cfg.dims_cap)
+    emb = build_embedding(ids, pvs, sp, cfg.k, cfg.a, cfg.seed, cfg.dims_cap)
     formats.write_atomic(args.out, formats.serialize_embedding(emb))
     return 0
 
@@ -204,9 +210,9 @@ def cmd_order(args) -> int:
     return 0
 
 
-def cmd_certify(args) -> int:
-    cfg = _config(args)
-    g, result = _run_pipeline(args, cfg)
+def _certify_and_write(args, cfg: RunConfig, g, result) -> int:
+    """Certify ``result`` at ``--b`` (default: the smallest b it allows),
+    verify the certificate against ``g`` and write it to ``--out``."""
     b = args.b if args.b is not None else default_blowup_factor(result)
     cert = fan_certificate(g, result.x, result.ordering, b, seed=cfg.seed,
                            params=cfg.params())
@@ -215,6 +221,12 @@ def cmd_certify(args) -> int:
         raise VerificationFailure(violations[0])
     formats.write_atomic(args.out, formats.serialize_certificate(cert))
     return 0
+
+
+def cmd_certify(args) -> int:
+    cfg = _config(args)
+    g, result = _run_pipeline(args, cfg)
+    return _certify_and_write(args, cfg, g, result)
 
 
 def cmd_verify(args) -> int:
@@ -233,23 +245,24 @@ def cmd_verify(args) -> int:
     return 0
 
 
+def _reduce_config(args) -> RunConfig:
+    # the reductions run the planar pipeline with its default k, so a --k
+    # would be recorded in the certificate without having been used
+    if args.k is not None:
+        raise InputError(f"{args.command} does not take --k")
+    return _config(args)
+
+
 def cmd_reduce_kplanar(args) -> int:
-    cfg = _config(args)
+    cfg = _reduce_config(args)
     dg = formats.parse_drawing(_read(args.drawing))
     result = kplanar_reduce(dg, args.kk, cfg.D, cfg.seed, a=cfg.a,
                             restarts=cfg.restarts, dims_cap=cfg.dims_cap)
-    b = args.b if args.b is not None else default_blowup_factor(result)
-    cert = fan_certificate(dg.graph, result.x, result.ordering, b,
-                           seed=cfg.seed, params=cfg.params())
-    violations = verify_certificate(dg.graph, cert)
-    if violations:
-        raise VerificationFailure(violations[0])
-    formats.write_atomic(args.out, formats.serialize_certificate(cert))
-    return 0
+    return _certify_and_write(args, cfg, dg.graph, result)
 
 
 def cmd_reduce_gk(args) -> int:
-    cfg = _config(args)
+    cfg = _reduce_config(args)
     dg = formats.parse_drawing(_read(args.drawing))
     planarizing = None
     if args.planarizing:
@@ -257,14 +270,7 @@ def cmd_reduce_gk(args) -> int:
     result = gk_reduce(dg, args.genus, args.kk, cfg.D, cfg.seed,
                        planarizing_set=planarizing, a=cfg.a,
                        restarts=cfg.restarts, dims_cap=cfg.dims_cap)
-    b = args.b if args.b is not None else default_blowup_factor(result)
-    cert = fan_certificate(dg.graph, result.x, result.ordering, b,
-                           seed=cfg.seed, params=cfg.params())
-    violations = verify_certificate(dg.graph, cert)
-    if violations:
-        raise VerificationFailure(violations[0])
-    formats.write_atomic(args.out, formats.serialize_certificate(cert))
-    return 0
+    return _certify_and_write(args, cfg, dg.graph, result)
 
 
 def cmd_oracle(args) -> int:
@@ -282,9 +288,8 @@ def cmd_oracle(args) -> int:
             raise InputError("oracle metric-axioms needs --product")
         if args.D is None:
             raise InputError("oracle metric-axioms needs --D")
-        host, td, rows, placements, g = _load_product(args.product)
-        completed = ttree_complete(host, td)
-        sp = product_sparsify(completed, td, placements, _parse_density(args.D))
+        g, _, placements, sp = _sparsify_product(args.product,
+                                                 _parse_density(args.D))
         pvs = [placements[v] for v in g.vertices() if not sp.in_x(placements[v])]
         if not pvs:
             raise InputError("sparsifier removed every vertex; no metric to check")

@@ -113,21 +113,14 @@ class DecompInstance:
         return min(below, above, exit_dist[pv.h])
 
 
-def delta_decompose(host: Graph, layering: Layering, n_rows: int,
-                    delta: int, r_h: int, r_p: int) -> DecompInstance:
-    return DecompInstance(host, layering, n_rows, delta, r_h, r_p)
-
-
 class TrimmedInstance:
     """A block decomposition with every component trimmed by the vertical
     cuts of strips that fully contain it."""
 
-    def __init__(self, inst: DecompInstance, sp: StructuredSparsifier, alpha_fn):
+    def __init__(self, inst: DecompInstance, sp: StructuredSparsifier):
         self.inst = inst
         self.sp = sp
-        self._alpha_fn = alpha_fn
         self._trimmed: dict = {}
-        self._alphas: dict = {}
 
     def trimmed_component(self, a: int, b: int, root: int):
         """Removed host vertices and post-trim component labels for the block
@@ -169,26 +162,6 @@ class TrimmedInstance:
             )
         return a, b, jlabels[pv.h]
 
-    def alpha(self, jkey) -> float:
-        if jkey not in self._alphas:
-            self._alphas[jkey] = float(self._alpha_fn(jkey))
-        return self._alphas[jkey]
-
-    def coordinate(self, pv: ProductVertex) -> float:
-        return (1.0 + self.alpha(self.jcomp_key(pv))) * self.inst.boundary_distance(pv)
-
-
-def trim_to_J(inst: DecompInstance, sp: StructuredSparsifier,
-              seed: int, label: str = "trim") -> TrimmedInstance:
-    """Trimmed instance with one uniform [0, 1) draw per post-trim component,
-    derived from ``(seed, label, component key)`` so evaluation order does not
-    matter."""
-
-    def alpha_fn(jkey):
-        return stream(seed, f"{label}/alpha/{jkey[0]},{jkey[1]},{jkey[2]}").random()
-
-    return TrimmedInstance(inst, sp, alpha_fn)
-
 
 @dataclass
 class Embedding:
@@ -221,30 +194,31 @@ def _embedding_shape(n: int, k: int, a) -> tuple[int, int]:
     return scales, reps
 
 
-def build_embedding(point_ids, placements, sm: StarMetric, k: int, a,
-                    seed: int, dims_cap: int | None = None,
-                    layering: Layering | None = None) -> Embedding:
-    """Random coordinate matrix for the surviving points.
+def build_embedding(point_ids, placements, sp: StructuredSparsifier,
+                    k: int | None, a, seed: int,
+                    dims_cap: int | None = None) -> Embedding:
+    """Random coordinate matrix for the surviving points of ``sp``'s product.
 
     One coordinate per (scale i, repetition j): an independent block
     decomposition with block size 2^i and fresh offsets, trimmed, with fresh
-    per-component stretches.  ``dims_cap`` subsamples the coordinate set
-    uniformly for exploratory runs; certified use keeps the full dimension
+    per-component stretches.  ``k`` defaults to ``max(2, ceil(log2 n))``.
+    ``dims_cap`` subsamples the coordinate set uniformly for exploratory
+    runs; certified use keeps the full dimension
     ``floor(1 + log2 n) * ceil(a k ln n)``.
     """
-    if k < 2:
-        raise InputError("embedding needs k >= 2")
-    if a <= 0:
-        raise InputError("embedding needs a > 0")
     ids = list(point_ids)
     pvs = list(placements)
     if len(ids) != len(pvs) or not ids:
         raise InputError("point ids and placements must align and be nonempty")
     n = len(ids)
-    host = sm.host
-    if layering is None:
-        layering = bfs_layering(host, min(host.vertices()))
-    sp = sm.sp
+    if k is None:
+        k = max(2, math.ceil(math.log2(n)))
+    if k < 2:
+        raise InputError("embedding needs k >= 2")
+    if a <= 0:
+        raise InputError("embedding needs a > 0")
+    host = sp.host
+    layering = bfs_layering(host, min(host.vertices()))
 
     scales, reps = _embedding_shape(n, k, a)
     L_full = scales * reps
@@ -289,7 +263,7 @@ def _instance_geometry(host, layering, sp, delta, r_h, r_p, pvs):
     and the index of its post-trim component in the sorted key list.
     """
     inst = DecompInstance(host, layering, sp.N, delta, r_h, r_p)
-    trimmed = TrimmedInstance(inst, sp, lambda jkey: 0.0)
+    trimmed = TrimmedInstance(inst, sp)
     n = len(pvs)
     bdist = np.empty(n, dtype=np.float64)
     keys = []

@@ -40,9 +40,6 @@ class _Lines:
                 return row, self.pos
         raise InputError(f"line {self.pos + 1}: expected {what}, found end of file")
 
-    def skip_current(self):
-        self.pos += 1
-
 
 def _ints(row: str, lineno: int, count: int, what: str):
     parts = row.split()

@@ -2,21 +2,9 @@
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-
 from .errors import InputError
 from .graphs import Graph, graph_local_density
 from .starmetric import metric_local_density
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    instance: str
-    oracle_value: object
-    tested_value: object
-    verdict: bool
-    runtime: float
 
 
 def exact_bandwidth(g: Graph, max_vertices: int = 12) -> int:
@@ -89,15 +77,3 @@ def exhaustive_local_density(g_or_metric, max_points: int = 5000):
         raise InputError(f"density oracle is limited to {max_points} points")
     return metric_local_density(points, dist)
 
-
-def run_oracle(instance: str, oracle_value, tested_value, relation="eq",
-               started: float | None = None) -> OracleReport:
-    """Wrap a comparison in a report row."""
-    if relation == "eq":
-        verdict = oracle_value == tested_value
-    elif relation == "le":
-        verdict = tested_value <= oracle_value
-    else:
-        raise InputError(f"unknown relation {relation!r}")
-    runtime = time.perf_counter() - started if started is not None else 0.0
-    return OracleReport(instance, oracle_value, tested_value, verdict, runtime)

@@ -29,7 +29,6 @@ from .sparsify import (
     baker_sparsify,
     product_sparsify,
 )
-from .starmetric import StarMetric
 from .treedec import TreeDecomposition, minfill_decomposition, ttree_complete
 
 CENTER = 0  # fan node id of the center; path nodes are 1..fan_size-1
@@ -221,8 +220,7 @@ def _compressed_rows(vertices, layer_of) -> dict:
 
 
 def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=193,
-                    restarts: int = 5, dims_cap: int | None = None,
-                    decomp_cache: dict | None = None) -> PipelineResult:
+                    restarts: int = 5, dims_cap: int | None = None) -> PipelineResult:
     """Sparsify with the layered Baker cut, then order the survivors by
     random projections of the product-style embedding.
 
@@ -239,7 +237,7 @@ def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=193,
         return PipelineResult(set(), list(g.vertices()), 0, 0.0)
 
     layering = bfs_layering(g, min(g.vertices()))
-    baker = baker_sparsify(g, BakerConfig(3, D, layering), decomp_cache)
+    baker = baker_sparsify(g, BakerConfig(3, D, layering))
     gp = g.delete(baker.x)
     survivors = gp.vertices()
     info = {
@@ -258,9 +256,7 @@ def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=193,
     rows = _compressed_rows(survivors, layering.layer_of)
     placements = [ProductVertex(v, rows[v]) for v in survivors]
     sp = StructuredSparsifier(host, len(survivors), max(D, 2), {})
-    sm = StarMetric(sp, placements)
-    kk = k if k is not None else max(2, math.ceil(math.log2(len(survivors))))
-    emb = build_embedding(survivors, placements, sm, kk, a, seed, dims_cap)
+    emb = build_embedding(survivors, placements, sp, k, a, seed, dims_cap)
     ordering, bw, bw_med = _best_of_orderings(gp, emb, seed, restarts)
     info["host_width"] = td.width
     return PipelineResult(set(baker.x), ordering, bw, bw_med, info)
@@ -270,8 +266,8 @@ def product_pipeline(host: Graph, td: TreeDecomposition | None, g: Graph,
                      placements, D, k: int | None = None, a=193,
                      seed: int = 0, restarts: int = 5,
                      dims_cap: int | None = None) -> PipelineResult:
-    """Full product run: complete the host, cut the strips, build the
-    detour metric and the embedding, and keep the best of R projections."""
+    """Full product run: complete the host, cut the strips, embed the
+    survivors, and keep the best of R projections."""
     n = g.num_vertices
     if n == 0:
         return PipelineResult(set(), [], 0, 0.0)
@@ -305,9 +301,7 @@ def product_pipeline(host: Graph, td: TreeDecomposition | None, g: Graph,
         return PipelineResult(removed, survivors, 0, 0.0, info)
 
     surv_pvs = [shifted[v] for v in survivors]
-    sm = StarMetric(sp, surv_pvs)
-    kk = k if k is not None else max(2, math.ceil(math.log2(len(survivors))))
-    emb = build_embedding(survivors, surv_pvs, sm, kk, a, seed, dims_cap)
+    emb = build_embedding(survivors, surv_pvs, sp, k, a, seed, dims_cap)
     ordering, bw, bw_med = _best_of_orderings(gp, emb, seed, restarts)
     return PipelineResult(removed, ordering, bw, bw_med, info)
 

@@ -17,7 +17,3 @@ def stream(seed: int, label: str) -> np.random.Generator:
     digest = hashlib.sha256(f"{seed}\x1f{label}".encode()).digest()
     return np.random.default_rng(int.from_bytes(digest[:16], "big"))
 
-
-def stream_uniform(seed: int, label: str, count: int) -> np.ndarray:
-    """``count`` uniforms in [0, 1) drawn from the named stream."""
-    return stream(seed, label).random(count)

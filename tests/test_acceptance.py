@@ -166,7 +166,7 @@ def certified_embedding():
     pvs = [placements[v] for v in surv]
     sm = StarMetric(sp, pvs)
     k = math.ceil(math.log2(n))
-    emb = build_embedding(surv, pvs, sm, k=k, a=193, seed=1)
+    emb = build_embedding(surv, pvs, sp, k=k, a=193, seed=1)
     dstar = np.abs(
         np.arange(1, n + 1)[:, None] - np.arange(1, n + 1)[None, :]
     ).astype(float)
@@ -285,7 +285,7 @@ def test_c04_metric_sandwich(desk_instance):
 
 def test_c05_embedding_contraction(desk_instance, certified_embedding):
     completed, sp, g, placements, surv, pvs, sm, dstar = desk_instance
-    emb = build_embedding(surv, pvs, sm, k=3, a=2, seed=20)
+    emb = build_embedding(surv, pvs, sp, k=3, a=2, seed=20)
     for coords, mat, label in (
         (emb.scaled(), dstar, "desk"),
         (certified_embedding[2].scaled(), certified_embedding[3], "column-256"),
@@ -301,7 +301,7 @@ def test_c05_embedding_contraction(desk_instance, certified_embedding):
 
 def test_c06_per_coordinate_lipschitz(desk_instance, certified_embedding):
     completed, sp, g, placements, surv, pvs, sm, dstar = desk_instance
-    emb = build_embedding(surv, pvs, sm, k=3, a=2, seed=21)
+    emb = build_embedding(surv, pvs, sp, k=3, a=2, seed=21)
     n = len(pvs)
     for i in range(n):
         gap = np.abs(emb.coords - emb.coords[i]).max(axis=1)
@@ -316,7 +316,7 @@ def test_c06_per_coordinate_lipschitz(desk_instance, certified_embedding):
 
 
 def test_c07_component_diameters(desk_instance):
-    from fanwidth import DecompInstance, trim_to_J
+    from fanwidth import DecompInstance, TrimmedInstance
 
     completed, sp, g, placements, surv, pvs, sm, dstar = desk_instance
     layering = bfs_layering(completed, 0)
@@ -329,7 +329,7 @@ def test_c07_component_diameters(desk_instance):
         for _ in range(reps):
             rh, rp = int(rng.integers(0, delta)), int(rng.integers(0, delta))
             inst = DecompInstance(completed, layering, sp.N, delta, rh, rp)
-            trimmed = trim_to_J(inst, sp, seed=32)
+            trimmed = TrimmedInstance(inst, sp)
             icomp, jcomp = defaultdict(list), defaultdict(list)
             for t, pv in enumerate(pvs):
                 icomp[inst.icomp_key(pv)].append(t)
@@ -355,7 +355,7 @@ def test_c08_distortion_and_volumes(certified_embedding):
     passed = False
     for reseed in range(3):
         cur = emb if reseed == 0 else build_embedding(
-            emb.point_ids, emb.placements, sm, k=emb.k, a=emb.a, seed=1 + reseed
+            emb.point_ids, emb.placements, sm.sp, k=emb.k, a=emb.a, seed=1 + reseed
         )
         rep = distortion_volume_report(cur, sm, sample_size=1000, subset_size=3,
                                        seed=13, dstar_matrix=dstar)
@@ -500,8 +500,15 @@ def test_c14_bandwidth_trend():
             fh.write(",".join(repr(v) for v in row) + "\n")
     top = [row[-1] for row in required[-3:]]
     assert top[0] >= top[1] >= top[2], top
+    # with no survivors every ratio is 0, so the gate holds without testing
+    # anything; say so in the report
+    vacuous = all(row[4] == 0 for row in required[-3:])
     record(14, "bw / (D log^3 n) non-increasing over top grid sizes", True,
-           f"ratios {['%.4f' % r for r in top]}, table in artifacts/trend.csv")
+           f"{'vacuous: ' if vacuous else ''}"
+           f"ratios {['%.4f' % r for r in top]}, "
+           f"survivors required {[row[4] for row in required]}, "
+           f"survivable {[row[4] for row in informative]}, "
+           f"table in artifacts/trend.csv")
 
 
 def test_c15_kplanar_reduction():

@@ -1,6 +1,8 @@
 import pathlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fanwidth import grid_graph, path_graph
 from fanwidth.cli import main
@@ -63,6 +65,26 @@ class TestSparsifyCommand:
         bad.write_text("2 1\n0 5\n")
         assert run("sparsify", "--graph", bad, "--D", "2", "--out",
                    work / "x.txt") == 2
+
+    @pytest.mark.parametrize("graph, D", [
+        ("0 0\n", "2"),  # no vertices
+        (None, "abc"),    # not a number
+        (None, "1/0"),    # zero denominator
+    ], ids=["no-vertices", "not-a-number", "zero-denominator"])
+    def test_bad_input_exits_2_without_traceback(self, work, graph, D):
+        path = work / "g.txt"
+        if graph is not None:
+            path = work / "empty.txt"
+            path.write_text(graph)
+        assert run("sparsify", "--graph", path, f"--D={D}", "--out",
+                   work / "x.txt") == 2
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(D=st.text(max_size=12))
+    def test_any_density_text_ends_in_an_exit_code(self, work, D):
+        assert run("sparsify", "--graph", work / "g.txt", f"--D={D}", "--out",
+                   work / "x.txt") in (0, 1, 2)
 
     def test_diagnostics_carry_line_numbers(self, work, capsys):
         bad = work / "bad.txt"
@@ -153,8 +175,7 @@ class TestReduceCommands:
     def test_kplanar(self, work):
         cert = work / "cert.txt"
         assert run("reduce-kplanar", "--drawing", work / "d.txt", "--kk", "1",
-                   "--D", "5", "--seed", "3", "--a", "2", "--k", "3",
-                   "--out", cert) == 0
+                   "--D", "5", "--seed", "3", "--a", "2", "--out", cert) == 0
         assert run("verify", "--graph", work / "k5.txt", "--cert", cert) == 0
 
     def test_gk_requires_planarizer(self, work):
@@ -169,8 +190,19 @@ class TestReduceCommands:
         cert = work / "cert.txt"
         assert run("reduce-gk", "--drawing", drawing, "--genus", "1",
                    "--kk", "0", "--D", "4", "--planarizing", pset,
-                   "--a", "2", "--k", "3", "--out", cert) == 0
+                   "--a", "2", "--out", cert) == 0
         assert run("verify", "--graph", work / "k5.txt", "--cert", cert) == 0
+
+    @pytest.mark.parametrize("command", [
+        ("reduce-kplanar", "--kk", "1"),
+        ("reduce-gk", "--genus", "0", "--kk", "1"),
+    ])
+    def test_k_is_rejected(self, work, command):
+        # the reductions never use k, so a certificate must not record one
+        cert = work / "cert.txt"
+        assert run(*command, "--drawing", work / "d.txt", "--D", "5",
+                   "--k", "3", "--out", cert) == 2
+        assert not cert.exists()
 
 
 class TestCrossProcessDeterminism:

@@ -10,15 +10,14 @@ from fanwidth import (
     ProductVertex,
     StarMetric,
     StructuredSparsifier,
+    TrimmedInstance,
     bfs_layering,
     build_embedding,
-    delta_decompose,
     distortion_volume_report,
     minfill_decomposition,
     path_graph,
     product_sparsify,
     project_order,
-    trim_to_J,
     ttree_complete,
 )
 from fanwidth.embedding import Embedding, _embedding_shape
@@ -45,7 +44,7 @@ class TestDecompose:
         td = minfill_decomposition(host)
         completed = ttree_complete(host, td)
         layering = bfs_layering(completed, 0)
-        inst = delta_decompose(completed, layering, 8, 4, 2, 3)
+        inst = DecompInstance(completed, layering, 8, 4, 2, 3)
         for pv in placements:
             a, b = inst.cell(pv)
             s = layering.layer_of[pv.h]
@@ -57,7 +56,7 @@ class TestDecompose:
         td = minfill_decomposition(host)
         completed = ttree_complete(host, td)
         layering = bfs_layering(completed, 0)
-        inst = delta_decompose(completed, layering, 4, 16, 0, 0)
+        inst = DecompInstance(completed, layering, 4, 16, 0, 0)
         cells = {inst.cell(pv) for pv in placements}
         assert len(cells) == 1
 
@@ -82,9 +81,9 @@ class TestDecompose:
         completed = ttree_complete(host, minfill_decomposition(host))
         layering = bfs_layering(completed, 0)
         with pytest.raises(InputError):
-            delta_decompose(completed, layering, 4, 3, 0, 0)
+            DecompInstance(completed, layering, 4, 3, 0, 0)
         with pytest.raises(InputError):
-            delta_decompose(completed, layering, 4, 4, 4, 0)
+            DecompInstance(completed, layering, 4, 4, 4, 0)
 
 
 class TestTrim:
@@ -94,8 +93,8 @@ class TestTrim:
         completed = ttree_complete(host, td)
         sp = StructuredSparsifier(completed, 36, 4, {})
         layering = bfs_layering(completed, 0)
-        inst = delta_decompose(completed, layering, sp.N, 4, 1, 2)
-        tr = trim_to_J(inst, sp, seed=5)
+        inst = DecompInstance(completed, layering, sp.N, 4, 1, 2)
+        tr = TrimmedInstance(inst, sp)
         for pv in placements:
             a, b, root = inst.icomp_key(pv)
             removed, jlabels = tr.trimmed_component(a, b, root)
@@ -105,8 +104,8 @@ class TestTrim:
     def test_trimmed_component_never_meets_containing_cuts(self):
         completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
         layering = bfs_layering(completed, 0)
-        inst = delta_decompose(completed, layering, sp.N, 4, 2, 1)
-        tr = trim_to_J(inst, sp, seed=6)
+        inst = DecompInstance(completed, layering, sp.N, 4, 2, 1)
+        tr = TrimmedInstance(inst, sp)
         for pv in pvs:
             a, b, root = inst.icomp_key(pv)
             removed, jlabels = tr.trimmed_component(a, b, root)
@@ -120,7 +119,7 @@ class TestTrim:
             for _ in range(3):
                 rh, rp = int(rng.integers(0, delta)), int(rng.integers(0, delta))
                 inst = DecompInstance(completed, layering, sp.N, delta, rh, rp)
-                tr = trim_to_J(inst, sp, seed=7)
+                tr = TrimmedInstance(inst, sp)
                 groups = defaultdict(list)
                 for pv in pvs:
                     groups[tr.jcomp_key(pv)].append(pv)
@@ -135,25 +134,48 @@ class TestTrim:
         host = path_graph(3)
         sp = StructuredSparsifier(host, 16, 4, {(2, 0): frozenset({1})})
         layering = bfs_layering(host, 0)
-        inst = delta_decompose(host, layering, sp.N, 4, 0, 0)
-        tr = trim_to_J(inst, sp, seed=1)
+        inst = DecompInstance(host, layering, sp.N, 4, 0, 0)
+        tr = TrimmedInstance(inst, sp)
         with pytest.raises(RuntimeError):
             tr.jcomp_key(ProductVertex(1, 5))
 
     def test_alpha_uniform_and_order_independent(self):
-        host, g, placements = grid_in_product(4)
-        completed = ttree_complete(host, minfill_decomposition(host))
-        sp = StructuredSparsifier(completed, 16, 4, {})
+        # the stretches build_embedding draws: permuting the input points
+        # permutes the coordinate rows, and in every column all points of one
+        # trimmed component share one alpha in [0, 1)
+        completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
+        emb = build_embedding(surv, pvs, sp, k=2, a=1, seed=8)
+        assert not emb.capped
+        perm = stream(8, "test/permutation").permutation(len(surv))
+        shuffled = build_embedding([surv[t] for t in perm], [pvs[t] for t in perm],
+                                   sp, k=2, a=1, seed=8)
+        assert np.array_equal(shuffled.coords, emb.coords[perm])
+
         layering = bfs_layering(completed, 0)
-        inst = delta_decompose(completed, layering, sp.N, 4, 0, 0)
-        tr1 = trim_to_J(inst, sp, seed=8)
-        tr2 = trim_to_J(inst, sp, seed=8)
-        keys = sorted({tr1.jcomp_key(pv) for pv in placements})
-        # evaluate in opposite orders; keyed streams must agree
-        a1 = [tr1.alpha(k) for k in keys]
-        a2 = [tr2.alpha(k) for k in reversed(keys)][::-1]
-        assert a1 == a2
-        assert all(0.0 <= a < 1.0 for a in a1)
+        scales, reps = _embedding_shape(len(surv), 2, 1)
+        col = 0
+        for i in range(scales):
+            delta = 1 << i
+            for jr in range(1, reps + 1):
+                rng = stream(8, f"inst/i={i}/j={jr}/offsets")
+                rh, rp = int(rng.integers(0, delta)), int(rng.integers(0, delta))
+                inst = DecompInstance(completed, layering, sp.N, delta, rh, rp)
+                tr = TrimmedInstance(inst, sp)
+                groups = defaultdict(list)
+                for t, pv in enumerate(pvs):
+                    groups[tr.jcomp_key(pv)].append(t)
+                for members in groups.values():
+                    bdist = np.array([inst.boundary_distance(pvs[t]) for t in members])
+                    coords = emb.coords[members, col]
+                    assert (coords[bdist == 0] == 0).all()
+                    if (bdist > 0).any():
+                        t0 = int(np.argmax(bdist > 0))
+                        alpha = coords[t0] / bdist[t0] - 1.0
+                        assert 0.0 <= alpha < 1.0
+                        assert np.allclose(coords, (1.0 + alpha) * bdist,
+                                           rtol=1e-12, atol=0.0)
+                col += 1
+        assert col == emb.L
 
 
 class TestBuildEmbedding:
@@ -164,7 +186,7 @@ class TestBuildEmbedding:
     def test_coordinate_formula_endpoints(self):
         # coordinate = (1 + alpha) * boundary distance, alpha in [0, 1)
         completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
-        emb = build_embedding(surv, pvs, sm, k=2, a=1, seed=3)
+        emb = build_embedding(surv, pvs, sp, k=2, a=1, seed=3)
         layering = bfs_layering(completed, 0)
         scales, reps = _embedding_shape(len(surv), 2, 1)
         col = 0
@@ -181,14 +203,14 @@ class TestBuildEmbedding:
 
     def test_raw_coordinates_in_range(self):
         completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
-        emb = build_embedding(surv, pvs, sm, k=3, a=2, seed=9)
+        emb = build_embedding(surv, pvs, sp, k=3, a=2, seed=9)
         n = len(surv)
         assert emb.coords.min() >= 0.0
         assert emb.coords.max() <= 2 * (n - 1)
 
     def test_contraction_and_lipschitz(self):
         completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
-        emb = build_embedding(surv, pvs, sm, k=3, a=2, seed=10)
+        emb = build_embedding(surv, pvs, sp, k=3, a=2, seed=10)
         n = len(surv)
         dstar = np.zeros((n, n))
         for i in range(n):
@@ -203,14 +225,14 @@ class TestBuildEmbedding:
 
     def test_deterministic(self):
         completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
-        e1 = build_embedding(surv, pvs, sm, k=2, a=1, seed=12)
-        e2 = build_embedding(surv, pvs, sm, k=2, a=1, seed=12)
+        e1 = build_embedding(surv, pvs, sp, k=2, a=1, seed=12)
+        e2 = build_embedding(surv, pvs, sp, k=2, a=1, seed=12)
         assert np.array_equal(e1.coords, e2.coords)
 
     def test_dims_cap_subsamples(self):
         completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
-        full = build_embedding(surv, pvs, sm, k=2, a=1, seed=13)
-        capped = build_embedding(surv, pvs, sm, k=2, a=1, seed=13, dims_cap=7)
+        full = build_embedding(surv, pvs, sp, k=2, a=1, seed=13)
+        capped = build_embedding(surv, pvs, sp, k=2, a=1, seed=13, dims_cap=7)
         assert capped.L == 7 and capped.capped
         assert full.L == full.L_full and not full.capped
         # capped columns are a subset of the full matrix's columns
@@ -221,11 +243,11 @@ class TestBuildEmbedding:
     def test_rejects_bad_parameters(self):
         completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
         with pytest.raises(InputError):
-            build_embedding(surv, pvs, sm, k=1, a=1, seed=0)
+            build_embedding(surv, pvs, sp, k=1, a=1, seed=0)
         with pytest.raises(InputError):
-            build_embedding(surv, pvs, sm, k=2, a=0, seed=0)
+            build_embedding(surv, pvs, sp, k=2, a=0, seed=0)
         with pytest.raises(InputError):
-            build_embedding([], [], sm, k=2, a=1, seed=0)
+            build_embedding([], [], sp, k=2, a=1, seed=0)
 
 
 class TestProjectOrder:
@@ -244,7 +266,7 @@ class TestProjectOrder:
 
     def test_fixed_seed_reproducible(self):
         completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
-        emb = build_embedding(surv, pvs, sm, k=2, a=1, seed=14)
+        emb = build_embedding(surv, pvs, sp, k=2, a=1, seed=14)
         assert project_order(emb, 7) == project_order(emb, 7)
 
 
@@ -270,7 +292,7 @@ class TestBoundaryProbability:
 class TestDistortionReport:
     def test_contraction_never_violated(self):
         completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
-        emb = build_embedding(surv, pvs, sm, k=3, a=2, seed=15)
+        emb = build_embedding(surv, pvs, sp, k=3, a=2, seed=15)
         rep = distortion_volume_report(emb, sm, sample_size=150, seed=1)
         assert rep.contraction_violations == 0
         assert rep.max_distortion >= 1.0

@@ -27,7 +27,7 @@ from fanwidth import (
     verify_certificate,
     verify_metric_axioms,
 )
-from fanwidth.embedding import DecompInstance, trim_to_J
+from fanwidth.embedding import DecompInstance, TrimmedInstance
 from fanwidth.randomness import stream
 
 from conftest import random_connected_graph
@@ -102,7 +102,7 @@ def test_full_chain_on_random_instance(seed):
 
     # embedding contracts and respects the per-coordinate bound
     if len(surv) >= 2:
-        emb = build_embedding(surv, pvs, sm, k=2, a=1.5, seed=seed)
+        emb = build_embedding(surv, pvs, sp, k=2, a=1.5, seed=seed)
         scaled = emb.scaled()
         for a in range(len(pvs)):
             d2 = np.linalg.norm(scaled - scaled[a], axis=1)
@@ -116,7 +116,7 @@ def test_full_chain_on_random_instance(seed):
             prng = stream(seed, f"soak/diam/{delta}")
             rh, rp = int(prng.integers(0, delta)), int(prng.integers(0, delta))
             inst = DecompInstance(completed, layering, sp.N, delta, rh, rp)
-            trimmed = trim_to_J(inst, sp, seed=seed)
+            trimmed = TrimmedInstance(inst, sp)
             icomp, jcomp = defaultdict(list), defaultdict(list)
             for t, pv in enumerate(pvs):
                 icomp[inst.icomp_key(pv)].append(t)
