@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  All output
+Exit codes: 0 success, 1 verification failure, 2 input error, 3 broken
+internal invariant (an ``AssertionError`` or ``RuntimeError`` raised by an
+invariant check).  All output
 files are canonical text written atomically, so reruns with identical inputs
 and seeds are byte-identical.
 """
@@ -54,8 +56,10 @@ class RunConfig:
             raise InputError("certified mode forbids --dims-cap")
         if self.restarts < 1:
             raise InputError("--restarts must be at least 1")
-        if self.a <= 0:
-            raise InputError("--a must be positive")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise InputError(f"--a {self.a!r} is not a finite positive number")
+        if self.dims_cap is not None and self.dims_cap < 1:
+            raise InputError("--dims-cap must be at least 1")
 
     def params(self) -> dict:
         out = {
@@ -132,7 +136,7 @@ def cmd_sparsify(args) -> int:
         if not g.num_vertices:
             raise InputError("graph has no vertices; nothing to sparsify")
         layering = bfs_layering(g, min(g.vertices()))
-        baker = baker_sparsify(g, BakerConfig(args.t, cfg.D, layering))
+        baker = baker_sparsify(g, BakerConfig(3, cfg.D, layering))
         gp = g.delete(baker.x)
         pairs = [
             ("kind", "baker"),
@@ -274,6 +278,8 @@ def cmd_reduce_gk(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.trials < 1:
+        raise InputError("--trials must be at least 1")
     lines = []
     if args.what in ("bandwidth", "density"):
         if not args.graph:
@@ -382,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--graph")
     group.add_argument("--product")
-    sp.add_argument("--t", type=int, default=3)
     sp.add_argument("--out", required=True)
     _add_common(sp)
     sp.set_defaults(func=cmd_sparsify)
@@ -463,6 +468,9 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1
+    except (AssertionError, RuntimeError) as exc:
+        print(f"internal invariant failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,6 +27,63 @@ from .starmetric import StarMetric
 from .volumes import FiniteMetric, euclidean_volume, tree_volume
 
 INF = math.inf
+
+
+def _clipped_rows(b, delta: int, r_p: int, n_rows: int):
+    """Rows ``lo..hi`` of row cell ``b``, clipped to the padded path
+    ``-N+1..2N``; ints or integer arrays."""
+    lo = r_p + b * delta
+    return np.maximum(lo, 1 - n_rows), np.minimum(lo + delta - 1, 2 * n_rows)
+
+
+def _row_geometry(p, delta: int, r_p: int, n_rows: int):
+    """Row cell ``b`` of row ``p``, its clipped rows ``lo..hi`` and the row
+    exit distance: the rows to the nearer end of the cell that is not an end
+    of the padded path.  Works on an int and on an integer array alike."""
+    b = (p - r_p) // delta
+    lo, hi = _clipped_rows(b, delta, r_p, n_rows)
+    below = np.where(lo > 1 - n_rows, p - lo + 1, INF)
+    above = np.where(hi < 2 * n_rows, hi + 1 - p, INF)
+    return b, lo, hi, np.minimum(below, above)
+
+
+def _containing_cut(sp: StructuredSparsifier, lo: int, hi: int) -> frozenset:
+    """Host vertices of the vertical cuts whose strips fully contain rows
+    ``lo..hi``: they trim every block component in those rows."""
+    cut: set = set()
+    for i in range(sp.num_scales):
+        slo = sp.strip_of(lo, i)
+        shi = sp.strip_of(hi, i)
+        for j in range(max(0, shi - 1), min(sp.strips_at(i) - 1, slo + 1) + 1):
+            if slo >= j - 1 and shi <= j + 1:
+                cut |= sp.cells.get((i, j), frozenset())
+    return frozenset(cut)
+
+
+def _block_components(host: Graph, block: list, cut) -> np.ndarray:
+    """Host-sized array of the least id of each vertex's component in the
+    graph of same-block edges with ``cut`` deleted; -1 for the vertices of
+    ``cut`` and for removed vertices."""
+    root = [-1] * host.n
+    for s in host.vertices():
+        if root[s] >= 0 or s in cut:
+            continue
+        root[s] = s
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in host.neighbors(u):
+                if root[w] < 0 and block[w] == block[u] and w not in cut:
+                    root[w] = s
+                    queue.append(w)
+    return np.array(root, dtype=np.int64)
+
+
+def _deleted_point(pv: ProductVertex) -> RuntimeError:
+    return RuntimeError(
+        f"embedded point {pv} was deleted by a trim cut; it should be in the "
+        "sparsifying set"
+    )
 
 
 class DecompInstance:
@@ -45,72 +103,71 @@ class DecompInstance:
         self.delta = delta
         self.r_h = r_h
         self.r_p = r_p
-        self.pad_lo = -n_rows + 1
-        self.pad_hi = 2 * n_rows
-        self._blocks: dict = {}
+        self._trims: dict = {}
+
+    @cached_property
+    def host_part(self):
+        """Host-sized arrays ``(block, root, exit)``: the layer block ``a`` of
+        each host vertex, the least id of its block component, and its host
+        distance to the nearest live vertex outside its block component (inf
+        if none).  They depend on ``r_h`` only.
+
+        One multi-source BFS gives every exit distance.  Distinct components
+        of a block are not adjacent, so a shortest exit path leaves its
+        component through a vertex outside the block; the vertex before that
+        has a neighbor in another block and lies in the same block as the
+        path's start.  Seeding the BFS with those vertices at distance 1 thus
+        gives each vertex its own block's exit distance.
+        """
+        host = self.host
+        live = host.vertices()
+        block = [0] * host.n
+        for v in live:
+            block[v] = (self.layer_of[v] - self.r_h) // self.delta
+        exit_dist = [INF] * host.n
+        queue = deque()
+        for v in live:
+            if any(block[w] != block[v] for w in host.neighbors(v)):
+                exit_dist[v] = 1
+                queue.append(v)
+        while queue:
+            u = queue.popleft()
+            for w in host.neighbors(u):
+                if exit_dist[w] is INF:
+                    exit_dist[w] = exit_dist[u] + 1
+                    queue.append(w)
+        roots = _block_components(host, block, frozenset())
+        return (np.array(block, dtype=np.int64), roots,
+                np.array(exit_dist, dtype=np.float64))
+
+    def trim_labels(self, cut: frozenset) -> np.ndarray:
+        """Host-sized post-trim component labels: the least id of each
+        vertex's component in its block with ``cut`` deleted, -1 for a
+        deleted vertex."""
+        labels = self._trims.get(cut)
+        if labels is None:
+            block = self.host_part[0].tolist()
+            labels = self._trims[cut] = _block_components(self.host, block, cut)
+        return labels
 
     def cell(self, pv: ProductVertex):
-        a = (self.layer_of[pv.h] - self.r_h) // self.delta
-        b = (pv.p - self.r_p) // self.delta
-        return a, b
+        b = _row_geometry(pv.p, self.delta, self.r_p, self.N)[0]
+        return int(self.host_part[0][pv.h]), int(b)
 
     def cell_rows(self, b: int):
-        lo = self.r_p + b * self.delta
-        return max(lo, self.pad_lo), min(lo + self.delta - 1, self.pad_hi)
-
-    def block_data(self, a: int):
-        """Component labels and host exit distances for layer block ``a``.
-
-        Returns ``(labels, exit_dist)`` where labels maps block vertices to
-        their component root and exit_dist[h] is the host distance from h to
-        the nearest vertex outside its component (inf if none).
-        """
-        if a in self._blocks:
-            return self._blocks[a]
-        lo = self.r_h + a * self.delta
-        hi = lo + self.delta - 1
-        members = [v for v in self.host.vertices() if lo <= self.layer_of[v] <= hi]
-        member_set = set(members)
-        labels = {}
-        for comp in self.host.delete(set(self.host.vertices()) - member_set).components():
-            root = comp[0]
-            for v in comp:
-                labels[v] = root
-        exit_dist = {}
-        by_root: dict = {}
-        for v, r in labels.items():
-            by_root.setdefault(r, []).append(v)
-        for root, comp in by_root.items():
-            comp_set = set(comp)
-            dist = {v: 0 for v in self.host.vertices() if v not in comp_set}
-            queue = deque(dist)
-            while queue:
-                u = queue.popleft()
-                du = dist[u] + 1
-                for w in self.host.neighbors(u):
-                    if w not in dist:
-                        dist[w] = du
-                        queue.append(w)
-            for v in comp:
-                exit_dist[v] = dist.get(v, INF)
-        self._blocks[a] = (labels, exit_dist)
-        return self._blocks[a]
+        lo, hi = _clipped_rows(b, self.delta, self.r_p, self.N)
+        return int(lo), int(hi)
 
     def icomp_key(self, pv: ProductVertex):
         a, b = self.cell(pv)
-        labels, _ = self.block_data(a)
-        return a, b, labels[pv.h]
+        return a, b, int(self.host_part[1][pv.h])
 
     def boundary_distance(self, pv: ProductVertex):
         """Product distance from ``pv`` to the complement of its block
         component: the cheaper of exiting through the rows or through the
         host graph."""
-        a, b = self.cell(pv)
-        _, exit_dist = self.block_data(a)
-        lo, hi = self.cell_rows(b)
-        below = pv.p - lo + 1 if lo > self.pad_lo else INF
-        above = hi + 1 - pv.p if hi < self.pad_hi else INF
-        return min(below, above, exit_dist[pv.h])
+        row_exit = _row_geometry(pv.p, self.delta, self.r_p, self.N)[3]
+        return min(float(row_exit), float(self.host_part[2][pv.h]))
 
 
 class TrimmedInstance:
@@ -120,47 +177,27 @@ class TrimmedInstance:
     def __init__(self, inst: DecompInstance, sp: StructuredSparsifier):
         self.inst = inst
         self.sp = sp
-        self._trimmed: dict = {}
+
+    def _labels(self, b: int) -> np.ndarray:
+        return self.inst.trim_labels(_containing_cut(self.sp, *self.inst.cell_rows(b)))
 
     def trimmed_component(self, a: int, b: int, root: int):
         """Removed host vertices and post-trim component labels for the block
         component ``(a, b, root)``."""
-        key = (a, b, root)
-        if key in self._trimmed:
-            return self._trimmed[key]
-        labels, _ = self.inst.block_data(a)
-        members = {v for v, r in labels.items() if r == root}
-        lo_c, hi_c = self.inst.cell_rows(b)
-        removed: set = set()
-        sp = self.sp
-        for i in range(sp.num_scales):
-            slo = sp.strip_of(lo_c, i)
-            shi = sp.strip_of(hi_c, i)
-            for j in range(max(0, shi - 1), min(sp.strips_at(i) - 1, slo + 1) + 1):
-                if slo >= j - 1 and shi <= j + 1:
-                    y = sp.cells.get((i, j))
-                    if y:
-                        removed |= y & members
-        jlabels = {}
-        survivors = members - removed
-        if survivors:
-            masked = self.inst.host.delete(set(self.inst.host.vertices()) - survivors)
-            for comp in masked.components():
-                jroot = comp[0]
-                for v in comp:
-                    jlabels[v] = jroot
-        self._trimmed[key] = (removed, jlabels)
-        return self._trimmed[key]
+        block, roots, _ = self.inst.host_part
+        members = [v for v in self.inst.host.vertices()
+                   if block[v] == a and roots[v] == root]
+        labels = self._labels(b)
+        removed = {v for v in members if labels[v] < 0}
+        jlabels = {v: int(labels[v]) for v in members if labels[v] >= 0}
+        return removed, jlabels
 
     def jcomp_key(self, pv: ProductVertex):
-        a, b, root = self.inst.icomp_key(pv)
-        removed, jlabels = self.trimmed_component(a, b, root)
-        if pv.h in removed:
-            raise RuntimeError(
-                f"embedded point {pv} was deleted by a trim cut; it should be "
-                "in the sparsifying set"
-            )
-        return a, b, jlabels[pv.h]
+        a, b = self.inst.cell(pv)
+        jroot = int(self._labels(b)[pv.h])
+        if jroot < 0:
+            raise _deleted_point(pv)
+        return a, b, jroot
 
 
 @dataclass
@@ -232,9 +269,12 @@ def build_embedding(point_ids, placements, sp: StructuredSparsifier,
         capped = False
 
     coords = np.empty((n, int(selected.sum())), dtype=np.float64)
+    hosts = np.array([pv.h for pv in pvs], dtype=np.int64)
+    rows = np.array([pv.p for pv in pvs], dtype=np.int64)
     col = 0
     for i in range(scales):
         delta = 1 << i
+        geometry = _ScaleGeometry(host, layering, sp, delta, hosts, rows)
         memoize = delta * delta <= reps
         geom_memo: dict = {}
         for jr in range(1, reps + 1):
@@ -246,34 +286,74 @@ def build_embedding(point_ids, placements, sp: StructuredSparsifier,
             key = (r_h, r_p)
             geom = geom_memo.get(key)
             if geom is None:
-                geom = _instance_geometry(host, layering, sp, delta, r_h, r_p, pvs)
+                geom = geometry.instance(r_h, r_p)
                 if memoize:
                     geom_memo[key] = geom
-            bdist, jidx, jkeys = geom
-            alphas = stream(seed, f"inst/i={i}/j={jr}/alpha").random(len(jkeys))
+            bdist, jidx, components = geom
+            alphas = stream(seed, f"inst/i={i}/j={jr}/alpha").random(components)
             coords[:, col] = (1.0 + alphas[jidx]) * bdist
             col += 1
     return Embedding(ids, pvs, coords, k, a, seed, L_full, capped)
 
 
-def _instance_geometry(host, layering, sp, delta, r_h, r_p, pvs):
-    """Per-point boundary distances and component indices for one instance.
+class _ScaleGeometry:
+    """Geometry of the points' coordinates at block size ``delta``.
 
-    Returns ``(bdist, jidx, jkeys)``: for each point its boundary distance
-    and the index of its post-trim component in the sorted key list.
+    An instance's geometry is a host part that depends only on ``r_h`` (the
+    block ``a``, block component and host exit distance of each point) and a
+    row part that depends only on ``r_p`` (the row cell ``b``, the row exit
+    distance and the trimming cut of each point).  Each part is computed once
+    per offset; an instance combines them with array operations.
     """
-    inst = DecompInstance(host, layering, sp.N, delta, r_h, r_p)
-    trimmed = TrimmedInstance(inst, sp)
-    n = len(pvs)
-    bdist = np.empty(n, dtype=np.float64)
-    keys = []
-    for t, pv in enumerate(pvs):
-        bdist[t] = inst.boundary_distance(pv)
-        keys.append(trimmed.jcomp_key(pv))
-    jkeys = sorted(set(keys))
-    index = {key: t for t, key in enumerate(jkeys)}
-    jidx = np.array([index[key] for key in keys], dtype=np.int64)
-    return bdist, jidx, jkeys
+
+    def __init__(self, host: Graph, layering: Layering, sp: StructuredSparsifier,
+                 delta: int, hosts: np.ndarray, rows: np.ndarray):
+        self.host = host
+        self.layering = layering
+        self.sp = sp
+        self.delta = delta
+        self.hosts = hosts
+        self.rows = rows
+        self._host_parts: dict = {}
+        self._row_parts: dict = {}
+
+    def _host_part(self, r_h: int):
+        part = self._host_parts.get(r_h)
+        if part is None:
+            # the host part and the trim labels do not depend on r_p
+            inst = DecompInstance(self.host, self.layering, self.sp.N, self.delta, r_h, 0)
+            block, _, exit_dist = inst.host_part
+            part = self._host_parts[r_h] = (inst, block[self.hosts], exit_dist[self.hosts])
+        return part
+
+    def _row_part(self, r_p: int):
+        part = self._row_parts.get(r_p)
+        if part is None:
+            b, lo, hi, row_exit = _row_geometry(self.rows, self.delta, r_p, self.sp.N)
+            # cell_of ranks the points' row cells in the order of b
+            _, first, cell_of = np.unique(b, return_index=True, return_inverse=True)
+            cuts = [_containing_cut(self.sp, int(lo[t]), int(hi[t])) for t in first]
+            part = self._row_parts[r_p] = (row_exit, cell_of, cuts)
+        return part
+
+    def instance(self, r_h: int, r_p: int):
+        """``(bdist, jidx, components)`` of the instance with offsets
+        ``(r_h, r_p)``: each point's boundary distance and the index of its
+        trimmed component among the instance's ``components`` trimmed
+        components, in sorted ``(a, b, jroot)`` order."""
+        inst, a, host_exit = self._host_part(r_h)
+        row_exit, cell_of, cuts = self._row_part(r_p)
+        bdist = np.minimum(row_exit, host_exit)
+        labels = np.stack([inst.trim_labels(cut) for cut in cuts])
+        jroot = labels[cell_of, self.hosts]
+        deleted = np.flatnonzero(jroot < 0)
+        if deleted.size:
+            t = int(deleted[0])
+            raise _deleted_point(ProductVertex(int(self.hosts[t]), int(self.rows[t])))
+        # one int64 key per point whose order is the order of (a, b, jroot)
+        key = ((a - a.min()) * len(cuts) + cell_of) * self.host.n + jroot
+        keys, jidx = np.unique(key, return_inverse=True)
+        return bdist, jidx, len(keys)
 
 
 def project_order(emb: Embedding, seed: int) -> list:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fanwidth import grid_graph, path_graph
+from fanwidth import cli, grid_graph, path_graph
 from fanwidth.cli import main
 from fanwidth.formats import (
     parse_certificate,
@@ -86,6 +86,13 @@ class TestSparsifyCommand:
         assert run("sparsify", "--graph", work / "g.txt", f"--D={D}", "--out",
                    work / "x.txt") in (0, 1, 2)
 
+    def test_t_is_not_a_flag(self, work):
+        # the Baker sparsifier never read t, so the flag is gone
+        with pytest.raises(SystemExit) as exc:
+            run("sparsify", "--graph", work / "g.txt", "--D", "8", "--t", "3",
+                "--out", work / "x.txt")
+        assert exc.value.code == 2
+
     def test_diagnostics_carry_line_numbers(self, work, capsys):
         bad = work / "bad.txt"
         bad.write_text("3 2\n0 1\nnot an edge\n")
@@ -146,6 +153,38 @@ class TestCertifyAndVerify:
                    "--mode", "exploratory", "--dims-cap", "16", "--a", "2",
                    "--k", "3", "--out", cert) == 0
         assert "dims_cap 16" in cert.read_text()
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error", [AssertionError, RuntimeError])
+    def test_broken_invariant_exits_3(self, work, monkeypatch, capsys, error):
+        def broken(*args, **kwargs):
+            raise error("strip weight exceeds its bound")
+
+        monkeypatch.setattr(cli, "product_pipeline", broken)
+        assert run("certify", "--product", work / "p.txt", "--D", "8",
+                   "--out", work / "cert.txt") == 3
+        assert capsys.readouterr().err == (
+            "internal invariant failed: strip weight exceeds its bound\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("certify", "--a", "nan"),
+        ("certify", "--a", "inf"),
+        ("certify", "--mode", "exploratory", "--dims-cap", "-2"),
+        ("certify", "--mode", "exploratory", "--dims-cap", "0"),
+        ("oracle", "--what", "reciprocal", "--trials", "0"),
+        ("oracle", "--what", "volume-sandwich", "--trials", "-1"),
+    ], ids=["a-nan", "a-inf", "dims-cap-negative", "dims-cap-zero",
+            "reciprocal-no-trials", "volume-negative-trials"])
+    def test_bad_numeric_flag_exits_2(self, work, capsys, argv):
+        command, *flags = argv
+        if command == "certify":
+            flags += ["--graph", work / "g.txt", "--D", "8", "--out",
+                      work / "cert.txt"]
+        assert run(command, *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestOrderAndEmbed:

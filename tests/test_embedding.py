@@ -6,11 +6,13 @@ import pytest
 
 from fanwidth import (
     DecompInstance,
+    Graph,
     InputError,
     ProductVertex,
     StarMetric,
     StructuredSparsifier,
     TrimmedInstance,
+    bfs_distances,
     bfs_layering,
     build_embedding,
     distortion_volume_report,
@@ -248,6 +250,101 @@ class TestBuildEmbedding:
             build_embedding(surv, pvs, sp, k=2, a=0, seed=0)
         with pytest.raises(InputError):
             build_embedding([], [], sp, k=2, a=1, seed=0)
+
+
+def reference_coords(host, sp, pvs, k, a, seed):
+    """Coordinate matrix of ``build_embedding`` written from the definitions,
+    one point and one component at a time."""
+    layer = bfs_layering(host, min(host.vertices())).layer_of
+    live = set(host.vertices())
+    pad_lo, pad_hi = sp.pad_range()
+    scales, reps = _embedding_shape(len(pvs), k, a)
+    columns = []
+    for i in range(scales):
+        delta = 1 << i
+        for jr in range(1, reps + 1):
+            rng = stream(seed, f"inst/i={i}/j={jr}/offsets")
+            r_h, r_p = int(rng.integers(0, delta)), int(rng.integers(0, delta))
+            bdist, keys = [], []
+            for pv in pvs:
+                a_cell = (layer[pv.h] - r_h) // delta
+                b_cell = (pv.p - r_p) // delta
+                block = {v for v in live if (layer[v] - r_h) // delta == a_cell}
+                comp = next(set(c) for c in host.delete(live - block).components()
+                            if pv.h in c)
+                # host exit: plain BFS to the nearest vertex off the component
+                dist = bfs_distances(host, pv.h)
+                host_exit = min((dist[v] for v in live - comp), default=math.inf)
+                lo = max(r_p + b_cell * delta, pad_lo)
+                hi = min(r_p + (b_cell + 1) * delta - 1, pad_hi)
+                below = pv.p - lo + 1 if lo > pad_lo else math.inf
+                above = hi + 1 - pv.p if hi < pad_hi else math.inf
+                bdist.append(min(below, above, host_exit))
+                # trim by the cuts of every widened strip holding rows lo..hi
+                cut = set()
+                for si in range(sp.num_scales):
+                    for sj in range(sp.strips_at(si)):
+                        slo, shi = sp.plus_interval(si, sj)
+                        if slo <= lo and hi <= shi:
+                            cut |= sp.cells.get((si, sj), set())
+                assert pv.h not in cut
+                jcomp = next(c for c in host.delete(live - (comp - cut)).components()
+                             if pv.h in c)
+                keys.append((a_cell, b_cell, min(jcomp)))
+            jkeys = sorted(set(keys))
+            alphas = stream(seed, f"inst/i={i}/j={jr}/alpha").random(len(jkeys))
+            columns.append([(1.0 + alphas[jkeys.index(key)]) * d
+                            for key, d in zip(keys, bdist)])
+    return np.array(columns, dtype=np.float64).T
+
+
+def spider_instance(legs=3, length=3, rows=8, D=16):
+    """Every row of a spider host (legs joined at vertex 0): a layer block
+    holds one component per leg, joined only through vertices outside it."""
+    edges = []
+    for leg in range(legs):
+        prev = 0
+        for t in range(length):
+            v = 1 + leg * length + t
+            edges.append((prev, v))
+            prev = v
+    host = Graph(1 + legs * length, edges)
+    placements = [ProductVertex(h, p) for p in range(1, rows + 1)
+                  for h in range(host.n)]
+    td = minfill_decomposition(host)
+    sp = product_sparsify(ttree_complete(host, td), td, placements, D)
+    pvs = [pv for pv in placements if not sp.in_x(pv)]
+    return sp.host, sp, list(range(len(pvs))), pvs
+
+
+class TestGeometryDefinition:
+    @pytest.mark.parametrize("dims_cap", [None, 25])
+    @pytest.mark.parametrize("shape", ["grid", "spider"])
+    def test_coords_equal_reference(self, shape, dims_cap):
+        # with a=1 and k=2 only block sizes 1 and 2 have delta^2 <= reps, so
+        # both memoized and unmemoized scales are compared
+        if shape == "grid":
+            completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
+        else:
+            completed, sp, surv, pvs = spider_instance()
+        emb = build_embedding(surv, pvs, sp, k=2, a=1, seed=5, dims_cap=dims_cap)
+        scales, reps = _embedding_shape(len(surv), 2, 1)
+        assert reps < 16 and scales > 3
+        expected = reference_coords(completed, sp, pvs, 2, 1, 5)
+        if dims_cap is not None:
+            chosen = stream(5, "dims-cap").choice(emb.L_full, size=dims_cap,
+                                                  replace=False)
+            expected = expected[:, np.sort(chosen)]
+        assert np.array_equal(emb.coords, expected)
+
+    def test_point_of_x_is_rejected(self):
+        # at block size 1 every point of X lies inside a trim cut
+        host, g, placements = grid_in_product(16)
+        completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
+        inside = next(v for v in range(g.n) if sp.in_x(placements[v]))
+        with pytest.raises(RuntimeError, match="deleted by a trim cut"):
+            build_embedding(surv + [inside], pvs + [placements[inside]], sp,
+                            k=2, a=1, seed=5)
 
 
 class TestProjectOrder:

@@ -1,0 +1,34 @@
+"""Smoke test of the benchmark's layer tracer against the current package."""
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
+from fanwidth.formats import serialize_product_input
+
+from conftest import grid_in_product
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+
+
+def test_tracer_spans_the_embedding_layers(tmp_path):
+    # perfbench's per-layer metrics need DecompInstance to stay a class and
+    # every traced function to keep its module binding
+    host, g, placements = grid_in_product(4)
+    product = tmp_path / "p.txt"
+    product.write_text(serialize_product_input(host, None, 4, placements, g))
+    summary, spans = tmp_path / "summary.json", tmp_path / "spans.tsv"
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "tracer.py"), str(summary),
+         str(spans), "--", "certify", "--product", str(product), "--D", "16",
+         "--a", "1", "--seed", "1", "--out", str(tmp_path / "cert.txt")],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    traced = json.loads(summary.read_text())["spans"]
+    for name in ("embedding.build_embedding", "embedding.DecompInstance",
+                 "randomness.stream"):
+        assert traced.get(name, {}).get("calls", 0) >= 1, name
