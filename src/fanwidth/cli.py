@@ -130,19 +130,19 @@ def _report_lines(pairs) -> str:
 
 
 def cmd_sparsify(args) -> int:
-    cfg = _config(args)
+    D = _parse_density(args.D)
     if args.graph:
         g = formats.parse_graph(_read(args.graph))
         if not g.num_vertices:
             raise InputError("graph has no vertices; nothing to sparsify")
         layering = bfs_layering(g, min(g.vertices()))
-        baker = baker_sparsify(g, BakerConfig(3, cfg.D, layering))
+        baker = baker_sparsify(g, BakerConfig(3, D, layering))
         gp = g.delete(baker.x)
         pairs = [
             ("kind", "baker"),
             ("n", g.num_vertices),
             ("m", g.num_edges),
-            ("D", cfg.D),
+            ("D", D),
             ("x_size", len(baker.x)),
             ("x_bound", baker.size_bound),
             ("scales", baker.num_scales),
@@ -151,18 +151,18 @@ def cmd_sparsify(args) -> int:
         if gp.num_vertices and gp.num_vertices <= 5000:
             density = exhaustive_local_density(gp)
             pairs.append(("density_after", formats.format_density(density)))
-            pairs.append(("density_le_D", "yes" if density <= cfg.D else "no"))
+            pairs.append(("density_le_D", "yes" if density <= D else "no"))
         formats.write_atomic(args.out, formats.serialize_vertex_set(baker.x))
         formats.write_atomic(args.out + ".report", _report_lines(pairs))
     else:
-        g, td, placements, sp = _sparsify_product(args.product, cfg.D)
+        g, td, placements, sp = _sparsify_product(args.product, D)
         removed = sorted(v for v in g.vertices() if sp.in_x(placements[v]))
         gp = g.delete(removed)
         pairs = [
             ("kind", "product"),
             ("n", g.num_vertices),
             ("host_width", td.width),
-            ("D", cfg.D),
+            ("D", D),
             ("x_cylinder_size", sp.x_size()),
             ("removed_g_size", len(removed)),
             ("removed_g", " ".join(str(v) for v in removed)),
@@ -170,7 +170,7 @@ def cmd_sparsify(args) -> int:
         if gp.num_vertices and gp.num_vertices <= 5000:
             density = exhaustive_local_density(gp)
             pairs.append(("density_after", formats.format_density(density)))
-            pairs.append(("density_le_D", "yes" if density <= cfg.D else "no"))
+            pairs.append(("density_le_D", "yes" if density <= D else "no"))
         formats.write_atomic(args.out, sp.to_text())
         formats.write_atomic(args.out + ".report", _report_lines(pairs))
     return 0
@@ -363,12 +363,14 @@ def cmd_oracle(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _add_common(sub, need_d=True):
+def _add_seed_and_density(sub):
     sub.add_argument("--seed", type=int, default=0)
-    if need_d:
-        sub.add_argument("--D", type=str, default=None, required=True)
-    else:
-        sub.add_argument("--D", type=str, default=None)
+    sub.add_argument("--D", type=str, default=None, required=True)
+
+
+def _add_common(sub):
+    """``--seed``, ``--D`` and the flags of the embedding and ordering."""
+    _add_seed_and_density(sub)
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--a", type=float, default=193.0)
     sub.add_argument("--restarts", type=int, default=5)
@@ -389,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--graph")
     group.add_argument("--product")
     sp.add_argument("--out", required=True)
-    _add_common(sp)
+    _add_seed_and_density(sp)
     sp.set_defaults(func=cmd_sparsify)
 
     em = subs.add_parser("embed", help="dump embedding coordinates")

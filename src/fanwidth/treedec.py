@@ -7,10 +7,9 @@ separator inequality.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .errors import InputError
 from .graphs import Graph
@@ -111,6 +110,10 @@ def minfill_decomposition(g: Graph) -> TreeDecomposition:
     """Tree decomposition from min-fill elimination, lowest-id tie-break.
 
     Deterministic; the width is a heuristic upper bound on the treewidth.
+    Adjacency sets of the live vertices hold the eliminated graph, so memory
+    is O(n + fill edges).  Fill counts (non-adjacent neighbor pairs) change
+    by delta as edges come and go, and a lazy heap of ``(fill, local index)``
+    picks the next vertex; ``live`` is ascending, so ties go to the lowest id.
     """
     live = g.vertices()
     if not live:
@@ -118,46 +121,56 @@ def minfill_decomposition(g: Graph) -> TreeDecomposition:
     k = len(live)
     local = {v: i for i, v in enumerate(live)}
 
-    A = np.zeros((k, k), dtype=bool)
+    adj = [set() for _ in range(k)]
     for u, v in g.edges():
-        A[local[u], local[v]] = True
-        A[local[v], local[u]] = True
+        adj[local[u]].add(local[v])
+        adj[local[v]].add(local[u])
 
-    def fill_count(i):
-        nb = np.flatnonzero(A[i])
+    fills = []
+    for nb in adj:
         d = len(nb)
-        if d < 2:
-            return 0
-        present = int(A[np.ix_(nb, nb)].sum()) // 2
-        return d * (d - 1) // 2 - present
-
-    fills = np.array([fill_count(i) for i in range(k)], dtype=np.int64)
-    alive = np.ones(k, dtype=bool)
+        present = sum(len(adj[x] & nb) for x in nb) // 2
+        fills.append(d * (d - 1) // 2 - present)
+    heap = [(f, i) for i, f in enumerate(fills)]
+    heapq.heapify(heap)
+    alive = [True] * k
     order = []
     bags = []
 
-    for _ in range(k):
-        cand = np.flatnonzero(alive)
-        i = cand[int(np.argmin(fills[cand]))]  # ties: lowest local = lowest id
-        nb = np.flatnonzero(A[i])
+    while len(order) < k:
+        f, i = heapq.heappop(heap)
+        if not alive[i] or f != fills[i]:
+            continue  # eliminated, or its fill changed since this entry
+        nb = adj[i]
+        ordered = sorted(nb)
         order.append(live[i])
-        bags.append(frozenset([live[i]] + [live[j] for j in nb]))
-
-        if len(nb) >= 2:
-            block = A[np.ix_(nb, nb)]
-            if not block.all():
-                A[np.ix_(nb, nb)] = True
-                A[nb, nb] = False
-        A[i, :] = False
-        A[:, i] = False
+        bags.append(frozenset([live[i]] + [live[j] for j in ordered]))
         alive[i] = False
 
-        if len(nb):
-            touched = A[:, nb].any(axis=1)
-            touched[nb] = True
-            touched &= alive
-            for j in np.flatnonzero(touched):
-                fills[j] = fill_count(j)
+        # removing i drops the pairs (i, w) with w not adjacent to i
+        for j in ordered:
+            nj = adj[j]
+            nj.discard(i)
+            fills[j] -= len(nj) - len(nj & nb)
+        # completing N(i) to a clique: each fill edge (x, y) closes one pair
+        # at every common neighbor and opens new pairs at x and at y
+        touched = set(nb)
+        for t, x in enumerate(ordered):
+            nx = adj[x]
+            for y in ordered[t + 1:]:
+                if y in nx:
+                    continue
+                ny = adj[y]
+                common = nx & ny
+                for z in common:
+                    fills[z] -= 1
+                touched |= common
+                fills[x] += len(nx) - len(common)
+                fills[y] += len(ny) - len(common)
+                nx.add(y)
+                ny.add(x)
+        for j in touched:
+            heapq.heappush(heap, (fills[j], j))
 
     pos = {v: t for t, v in enumerate(order)}
     tree_edges = set()

@@ -93,6 +93,17 @@ class TestSparsifyCommand:
                 "--out", work / "x.txt")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flag", [
+        ("--k", "3"), ("--a", "2"), ("--restarts", "4"), ("--dims-cap", "5"),
+        ("--mode", "exploratory"),
+    ])
+    def test_pipeline_flags_are_not_flags(self, work, flag):
+        # sparsify reads only --D; these would be accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            run("sparsify", "--graph", work / "g.txt", "--D", "8", *flag,
+                "--out", work / "x.txt")
+        assert exc.value.code == 2
+
     def test_diagnostics_carry_line_numbers(self, work, capsys):
         bad = work / "bad.txt"
         bad.write_text("3 2\n0 1\nnot an edge\n")

@@ -1,14 +1,19 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fanwidth.sparsify
 from fanwidth import (
+    BakerConfig,
     Graph,
     InputError,
     TreeDecomposition,
+    baker_sparsify,
     bfs_layering,
+    grid_graph,
     minfill_decomposition,
     path_graph,
     separator_bag_union,
@@ -69,6 +74,75 @@ class TestValidate:
         assert any("tree" in v for v in violations)
 
 
+def _reference_minfill(g):
+    """Min-fill on a dense k x k boolean matrix, recomputing each touched
+    vertex's fill count from scratch: the definition the incremental
+    ``minfill_decomposition`` must reproduce bag for bag."""
+    live = g.vertices()
+    k = len(live)
+    local = {v: i for i, v in enumerate(live)}
+    A = np.zeros((k, k), dtype=bool)
+    for u, v in g.edges():
+        A[local[u], local[v]] = True
+        A[local[v], local[u]] = True
+
+    def fill_count(i):
+        nb = np.flatnonzero(A[i])
+        d = len(nb)
+        present = int(A[np.ix_(nb, nb)].sum()) // 2
+        return d * (d - 1) // 2 - present
+
+    fills = np.array([fill_count(i) for i in range(k)], dtype=np.int64)
+    alive = np.ones(k, dtype=bool)
+    order = []
+    bags = []
+    for _ in range(k):
+        cand = np.flatnonzero(alive)
+        i = cand[int(np.argmin(fills[cand]))]  # ties: lowest local = lowest id
+        nb = np.flatnonzero(A[i])
+        order.append(live[i])
+        bags.append(frozenset([live[i]] + [live[j] for j in nb]))
+        A[np.ix_(nb, nb)] = True
+        A[nb, nb] = False
+        A[i, :] = False
+        A[:, i] = False
+        alive[i] = False
+        touched = A[:, nb].any(axis=1)
+        touched[nb] = True
+        for j in np.flatnonzero(touched & alive):
+            fills[j] = fill_count(j)
+
+    pos = {v: t for t, v in enumerate(order)}
+    tree_edges = set()
+    for t, bag in enumerate(bags):
+        later = [pos[v] for v in bag if pos[v] > t]
+        if later:
+            tree_edges.add((t, min(later)))
+        elif t + 1 < k:
+            tree_edges.add((t, t + 1))
+    return TreeDecomposition(dict(enumerate(bags)), frozenset(tree_edges))
+
+
+def assert_same_as_reference(g):
+    td = minfill_decomposition(g)
+    ref = _reference_minfill(g)
+    assert td.bags == ref.bags
+    assert td.tree_edges == ref.tree_edges
+    assert td.width == ref.width
+
+
+@st.composite
+def masked_graphs(draw):
+    """Graphs of up to 18 vertices with a deletion mask that keeps at least
+    one vertex; low densities give isolated vertices and several components."""
+    n = draw(st.integers(1, 18))
+    p = draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.9, 1.0]))
+    bits = draw(st.lists(st.floats(0, 1), min_size=n * n, max_size=n * n))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if bits[u * n + v] < p]
+    removed = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    return Graph(n, edges).delete(removed)
+
+
 class TestMinFill:
     def test_tree_width_one(self):
         g = random_tree(15, seed=2)
@@ -103,6 +177,53 @@ class TestMinFill:
     def test_valid_on_random_graphs(self, seed):
         g = random_connected_graph(11, 0.3, seed)
         assert validate_decomposition(g, minfill_decomposition(g)) == []
+
+    def test_empty_masked_view_rejected(self):
+        with pytest.raises(InputError):
+            minfill_decomposition(path_graph(3).delete({0, 1, 2}))
+
+    @pytest.mark.parametrize("side, width", [(8, 10), (16, 23)])
+    def test_grid_width_is_pinned(self, side, width):
+        # min-fill widths depend on the tie-break, so a drift shows here
+        g, _ = grid_graph(side, side)
+        assert minfill_decomposition(g).width == width
+
+
+class TestMinFillMatchesReference:
+    @given(masked_graphs())
+    @settings(max_examples=150, deadline=None)
+    def test_random_masked_graphs(self, g):
+        assert_same_as_reference(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            Graph(1, []),
+            Graph(5, []),
+            Graph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)]),
+            Graph(7, [(0, 1), (1, 2), (0, 2), (4, 5), (5, 6)]),
+            Graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9)]).delete({0, 4}),
+            path_graph(10).delete({2, 3, 7}),
+        ],
+        ids=["one-vertex", "isolated", "clique", "disconnected",
+             "masked-clique", "masked-path"],
+    )
+    def test_small_cases(self, g):
+        assert_same_as_reference(g)
+
+    def test_every_baker_slab_on_a_grid(self, monkeypatch):
+        g, _ = grid_graph(12, 12)
+        slabs = []
+
+        def recording(sub):
+            slabs.append(sub)
+            return minfill_decomposition(sub)
+
+        monkeypatch.setattr(fanwidth.sparsify, "minfill_decomposition", recording)
+        baker_sparsify(g, BakerConfig(3, 8, bfs_layering(g, 0)))
+        assert len(slabs) > 20
+        for sub in slabs:
+            assert_same_as_reference(sub)
 
 
 class TestTtreeComplete:
