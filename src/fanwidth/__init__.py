@@ -26,7 +26,7 @@ from .treedec import (
     validate_decomposition,
     weighted_separator,
 )
-from .sparsify import BakerConfig, BakerResult, StructuredSparsifier, baker_sparsify, product_sparsify
+from .sparsify import BakerResult, StructuredSparsifier, baker_sparsify, product_sparsify
 from .starmetric import StarMetric, interval_detour, metric_local_density, verify_metric_axioms
 from .volumes import (
     FiniteMetric,
@@ -39,7 +39,6 @@ from .volumes import (
 from .embedding import (
     DecompInstance,
     Embedding,
-    TrimmedInstance,
     build_embedding,
     distortion_volume_report,
     project_order,

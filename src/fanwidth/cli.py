@@ -33,7 +33,7 @@ from .pipeline import (
     verify_certificate,
 )
 from .randomness import stream
-from .sparsify import BakerConfig, baker_sparsify, product_sparsify
+from .sparsify import baker_sparsify, product_sparsify
 from .starmetric import StarMetric, metric_local_density, verify_metric_axioms
 from .treedec import minfill_decomposition, ttree_complete
 from .volumes import FiniteMetric, euclidean_volume, reciprocal_sum_check, tree_volume
@@ -136,7 +136,7 @@ def cmd_sparsify(args) -> int:
         if not g.num_vertices:
             raise InputError("graph has no vertices; nothing to sparsify")
         layering = bfs_layering(g, min(g.vertices()))
-        baker = baker_sparsify(g, BakerConfig(3, D, layering))
+        baker = baker_sparsify(g, D, layering)
         gp = g.delete(baker.x)
         pairs = [
             ("kind", "baker"),
@@ -368,15 +368,20 @@ def _add_seed_and_density(sub):
     sub.add_argument("--D", type=str, default=None, required=True)
 
 
-def _add_common(sub):
-    """``--seed``, ``--D`` and the flags of the embedding and ordering."""
+def _add_embedding_flags(sub):
+    """``--seed``, ``--D`` and the flags of the embedding."""
     _add_seed_and_density(sub)
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--a", type=float, default=193.0)
-    sub.add_argument("--restarts", type=int, default=5)
     sub.add_argument("--dims-cap", dest="dims_cap", type=int, default=None)
     sub.add_argument("--mode", choices=("certified", "exploratory"),
                      default="certified")
+
+
+def _add_common(sub):
+    """The embedding flags and ``--restarts`` of the ordering."""
+    _add_embedding_flags(sub)
+    sub.add_argument("--restarts", type=int, default=5)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,8 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
     em = subs.add_parser("embed", help="dump embedding coordinates")
     em.add_argument("--product", required=True)
     em.add_argument("--out", required=True)
-    _add_common(em)
-    em.set_defaults(func=cmd_embed)
+    _add_embedding_flags(em)
+    # embed makes no ordering, so it takes no --restarts
+    em.set_defaults(func=cmd_embed, restarts=1)
 
     od = subs.add_parser("order", help="compute a low-bandwidth ordering")
     group = od.add_mutually_exclusive_group(required=True)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,21 +28,16 @@ from .volumes import FiniteMetric, euclidean_volume, tree_volume
 INF = math.inf
 
 
-def _clipped_rows(b, delta: int, r_p: int, n_rows: int):
-    """Rows ``lo..hi`` of row cell ``b``, clipped to the padded path
-    ``-N+1..2N``; ints or integer arrays."""
-    lo = r_p + b * delta
-    return np.maximum(lo, 1 - n_rows), np.minimum(lo + delta - 1, 2 * n_rows)
-
-
-def _row_geometry(p, delta: int, r_p: int, n_rows: int):
-    """Row cell ``b`` of row ``p``, its clipped rows ``lo..hi`` and the row
-    exit distance: the rows to the nearer end of the cell that is not an end
-    of the padded path.  Works on an int and on an integer array alike."""
-    b = (p - r_p) // delta
-    lo, hi = _clipped_rows(b, delta, r_p, n_rows)
-    below = np.where(lo > 1 - n_rows, p - lo + 1, INF)
-    above = np.where(hi < 2 * n_rows, hi + 1 - p, INF)
+def _row_geometry(rows: np.ndarray, delta: int, r_p: int, n_rows: int):
+    """Row cell ``b`` of each row, the cell's rows ``lo..hi`` clipped to the
+    padded path ``-N+1..2N``, and the row exit distance: the rows to the
+    nearer end of the cell that is not an end of the padded path."""
+    b = (rows - r_p) // delta
+    start = r_p + b * delta
+    lo = np.maximum(start, 1 - n_rows)
+    hi = np.minimum(start + delta - 1, 2 * n_rows)
+    below = np.where(lo > 1 - n_rows, rows - lo + 1, INF)
+    above = np.where(hi < 2 * n_rows, hi + 1 - rows, INF)
     return b, lo, hi, np.minimum(below, above)
 
 
@@ -87,43 +81,32 @@ def _deleted_point(pv: ProductVertex) -> RuntimeError:
 
 
 class DecompInstance:
-    """One random block decomposition of ``host x path`` with block size
-    ``delta`` (a power of two) and offsets ``r_h`` (host layers) and ``r_p``
-    (rows)."""
+    """The host part of one random block decomposition of ``host x path``
+    with block size ``delta`` (a power of two) and host-layer offset ``r_h``.
 
-    def __init__(self, host: Graph, layering: Layering, n_rows: int,
-                 delta: int, r_h: int, r_p: int):
+    Host-sized arrays: ``block`` is the layer block ``a`` of each host vertex,
+    ``root`` the least id of its block component, and ``exit`` its host
+    distance to the nearest live vertex outside its block component (inf if
+    none).
+
+    One multi-source BFS gives every exit distance.  Distinct components of
+    a block are not adjacent, so a shortest exit path leaves its component
+    through a vertex outside the block; the vertex before that has a neighbor
+    in another block and lies in the same block as the path's start.  Seeding
+    the BFS with those vertices at distance 1 thus gives each vertex its own
+    block's exit distance.
+    """
+
+    def __init__(self, host: Graph, layering: Layering, delta: int, r_h: int):
         if delta < 1 or delta & (delta - 1):
             raise InputError(f"block size {delta} is not a positive power of two")
-        if not (0 <= r_h < delta and 0 <= r_p < delta):
-            raise InputError(f"offsets ({r_h},{r_p}) outside 0..{delta - 1}")
+        if not 0 <= r_h < delta:
+            raise InputError(f"offset {r_h} outside 0..{delta - 1}")
         self.host = host
-        self.layer_of = layering.layer_of
-        self.N = n_rows
-        self.delta = delta
-        self.r_h = r_h
-        self.r_p = r_p
-        self._trims: dict = {}
-
-    @cached_property
-    def host_part(self):
-        """Host-sized arrays ``(block, root, exit)``: the layer block ``a`` of
-        each host vertex, the least id of its block component, and its host
-        distance to the nearest live vertex outside its block component (inf
-        if none).  They depend on ``r_h`` only.
-
-        One multi-source BFS gives every exit distance.  Distinct components
-        of a block are not adjacent, so a shortest exit path leaves its
-        component through a vertex outside the block; the vertex before that
-        has a neighbor in another block and lies in the same block as the
-        path's start.  Seeding the BFS with those vertices at distance 1 thus
-        gives each vertex its own block's exit distance.
-        """
-        host = self.host
         live = host.vertices()
         block = [0] * host.n
         for v in live:
-            block[v] = (self.layer_of[v] - self.r_h) // self.delta
+            block[v] = (layering.layer_of[v] - r_h) // delta
         exit_dist = [INF] * host.n
         queue = deque()
         for v in live:
@@ -136,9 +119,10 @@ class DecompInstance:
                 if exit_dist[w] is INF:
                     exit_dist[w] = exit_dist[u] + 1
                     queue.append(w)
-        roots = _block_components(host, block, frozenset())
-        return (np.array(block, dtype=np.int64), roots,
-                np.array(exit_dist, dtype=np.float64))
+        self.block = np.array(block, dtype=np.int64)
+        self.root = _block_components(host, block, frozenset())
+        self.exit = np.array(exit_dist, dtype=np.float64)
+        self._trims: dict = {}
 
     def trim_labels(self, cut: frozenset) -> np.ndarray:
         """Host-sized post-trim component labels: the least id of each
@@ -146,58 +130,9 @@ class DecompInstance:
         deleted vertex."""
         labels = self._trims.get(cut)
         if labels is None:
-            block = self.host_part[0].tolist()
+            block = self.block.tolist()
             labels = self._trims[cut] = _block_components(self.host, block, cut)
         return labels
-
-    def cell(self, pv: ProductVertex):
-        b = _row_geometry(pv.p, self.delta, self.r_p, self.N)[0]
-        return int(self.host_part[0][pv.h]), int(b)
-
-    def cell_rows(self, b: int):
-        lo, hi = _clipped_rows(b, self.delta, self.r_p, self.N)
-        return int(lo), int(hi)
-
-    def icomp_key(self, pv: ProductVertex):
-        a, b = self.cell(pv)
-        return a, b, int(self.host_part[1][pv.h])
-
-    def boundary_distance(self, pv: ProductVertex):
-        """Product distance from ``pv`` to the complement of its block
-        component: the cheaper of exiting through the rows or through the
-        host graph."""
-        row_exit = _row_geometry(pv.p, self.delta, self.r_p, self.N)[3]
-        return min(float(row_exit), float(self.host_part[2][pv.h]))
-
-
-class TrimmedInstance:
-    """A block decomposition with every component trimmed by the vertical
-    cuts of strips that fully contain it."""
-
-    def __init__(self, inst: DecompInstance, sp: StructuredSparsifier):
-        self.inst = inst
-        self.sp = sp
-
-    def _labels(self, b: int) -> np.ndarray:
-        return self.inst.trim_labels(_containing_cut(self.sp, *self.inst.cell_rows(b)))
-
-    def trimmed_component(self, a: int, b: int, root: int):
-        """Removed host vertices and post-trim component labels for the block
-        component ``(a, b, root)``."""
-        block, roots, _ = self.inst.host_part
-        members = [v for v in self.inst.host.vertices()
-                   if block[v] == a and roots[v] == root]
-        labels = self._labels(b)
-        removed = {v for v in members if labels[v] < 0}
-        jlabels = {v: int(labels[v]) for v in members if labels[v] >= 0}
-        return removed, jlabels
-
-    def jcomp_key(self, pv: ProductVertex):
-        a, b = self.inst.cell(pv)
-        jroot = int(self._labels(b)[pv.h])
-        if jroot < 0:
-            raise _deleted_point(pv)
-        return a, b, jroot
 
 
 @dataclass
@@ -297,7 +232,8 @@ def build_embedding(point_ids, placements, sp: StructuredSparsifier,
 
 
 class _ScaleGeometry:
-    """Geometry of the points' coordinates at block size ``delta``.
+    """Geometry of the points' coordinates at block size ``delta``: the only
+    path from an instance's offsets to per-point geometry.
 
     An instance's geometry is a host part that depends only on ``r_h`` (the
     block ``a``, block component and host exit distance of each point) and a
@@ -314,6 +250,9 @@ class _ScaleGeometry:
         self.delta = delta
         self.hosts = hosts
         self.rows = rows
+        # the points of one instance lie in fewer row cells than this, so
+        # (a * span + b) * host.n + jroot orders them like (a, b, jroot)
+        self._b_span = int(rows.max() - rows.min()) // delta + 2
         self._host_parts: dict = {}
         self._row_parts: dict = {}
 
@@ -321,9 +260,9 @@ class _ScaleGeometry:
         part = self._host_parts.get(r_h)
         if part is None:
             # the host part and the trim labels do not depend on r_p
-            inst = DecompInstance(self.host, self.layering, self.sp.N, self.delta, r_h, 0)
-            block, _, exit_dist = inst.host_part
-            part = self._host_parts[r_h] = (inst, block[self.hosts], exit_dist[self.hosts])
+            inst = DecompInstance(self.host, self.layering, self.delta, r_h)
+            part = self._host_parts[r_h] = (inst, inst.block[self.hosts],
+                                            inst.exit[self.hosts])
         return part
 
     def _row_part(self, r_p: int):
@@ -333,25 +272,31 @@ class _ScaleGeometry:
             # cell_of ranks the points' row cells in the order of b
             _, first, cell_of = np.unique(b, return_index=True, return_inverse=True)
             cuts = [_containing_cut(self.sp, int(lo[t]), int(hi[t])) for t in first]
-            part = self._row_parts[r_p] = (row_exit, cell_of, cuts)
+            part = self._row_parts[r_p] = (b, row_exit, cell_of, cuts)
         return part
 
-    def instance(self, r_h: int, r_p: int):
-        """``(bdist, jidx, components)`` of the instance with offsets
-        ``(r_h, r_p)``: each point's boundary distance and the index of its
-        trimmed component among the instance's ``components`` trimmed
-        components, in sorted ``(a, b, jroot)`` order."""
+    def points(self, r_h: int, r_p: int):
+        """``(bdist, a, b, jroot)`` of the instance with offsets ``(r_h, r_p)``:
+        each point's boundary distance (the cheaper of exiting its block
+        component through the rows or through the host), layer block, row
+        cell, and the least host id of its trimmed component."""
         inst, a, host_exit = self._host_part(r_h)
-        row_exit, cell_of, cuts = self._row_part(r_p)
-        bdist = np.minimum(row_exit, host_exit)
+        b, row_exit, cell_of, cuts = self._row_part(r_p)
         labels = np.stack([inst.trim_labels(cut) for cut in cuts])
         jroot = labels[cell_of, self.hosts]
         deleted = np.flatnonzero(jroot < 0)
         if deleted.size:
             t = int(deleted[0])
             raise _deleted_point(ProductVertex(int(self.hosts[t]), int(self.rows[t])))
-        # one int64 key per point whose order is the order of (a, b, jroot)
-        key = ((a - a.min()) * len(cuts) + cell_of) * self.host.n + jroot
+        return np.minimum(row_exit, host_exit), a, b, jroot
+
+    def instance(self, r_h: int, r_p: int):
+        """``(bdist, jidx, components)`` of the instance with offsets
+        ``(r_h, r_p)``: each point's boundary distance and the index of its
+        trimmed component among the instance's ``components`` trimmed
+        components, in sorted ``(a, b, jroot)`` order."""
+        bdist, a, b, jroot = self.points(r_h, r_p)
+        key = (a * self._b_span + b) * self.host.n + jroot
         keys, jidx = np.unique(key, return_inverse=True)
         return bdist, jidx, len(keys)
 

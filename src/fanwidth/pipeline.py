@@ -23,12 +23,7 @@ from .graphs import (
     bfs_layering,
 )
 from .randomness import stream
-from .sparsify import (
-    BakerConfig,
-    StructuredSparsifier,
-    baker_sparsify,
-    product_sparsify,
-)
+from .sparsify import StructuredSparsifier, baker_sparsify, product_sparsify
 from .treedec import TreeDecomposition, minfill_decomposition, ttree_complete
 
 CENTER = 0  # fan node id of the center; path nodes are 1..fan_size-1
@@ -128,11 +123,12 @@ def verify_certificate(g: Graph, cert: FanCertificate,
         )
 
     mapped = set(cert.mapping)
+    live_set = set(live)
     for v in live:
         if v not in mapped:
             violations.append(f"vertex {v} is not mapped")
     for v in mapped:
-        if v not in set(live):
+        if v not in live_set:
             violations.append(f"mapped vertex {v} is not in the graph")
 
     seen_slots = {}
@@ -155,7 +151,7 @@ def verify_certificate(g: Graph, cert: FanCertificate,
             violations.append(f"vertex {v}: center membership disagrees with X")
 
     if strict_shape:
-        if sorted(cert.ordering) != sorted(set(live) - x_set):
+        if sorted(cert.ordering) != sorted(live_set - x_set):
             violations.append("ordering is not a permutation of the non-center vertices")
         else:
             width = bandwidth_of_ordering(g.delete(x_set), cert.ordering)
@@ -237,7 +233,7 @@ def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=193,
         return PipelineResult(set(), list(g.vertices()), 0, 0.0)
 
     layering = bfs_layering(g, min(g.vertices()))
-    baker = baker_sparsify(g, BakerConfig(3, D, layering))
+    baker = baker_sparsify(g, D, layering)
     gp = g.delete(baker.x)
     survivors = gp.vertices()
     info = {

@@ -13,7 +13,7 @@ so that every surviving ball of radius r contains O(D * r) vertices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
@@ -32,13 +32,6 @@ def _ceil_div(numer, denom) -> int:
     return math.ceil(Fraction(numer) / Fraction(denom))
 
 
-@dataclass(frozen=True)
-class BakerConfig:
-    t: int
-    D: object
-    layering: Layering
-
-
 @dataclass
 class BakerResult:
     """Sparsifying set plus the per-run accounting used by the size bound."""
@@ -47,7 +40,6 @@ class BakerResult:
     num_scales: int
     w_eff: Fraction
     size_bound: Fraction
-    slab_widths: dict = field(default_factory=dict)
 
     def __contains__(self, v):
         return v in self.x
@@ -56,7 +48,8 @@ class BakerResult:
         return len(self.x)
 
 
-def baker_sparsify(g: Graph, cfg: BakerConfig, decomp_cache: dict | None = None) -> BakerResult:
+def baker_sparsify(g: Graph, D, layering: Layering,
+                   decomp_cache: dict | None = None) -> BakerResult:
     """Sparsify a layered graph so ``g - X`` has local density at most D.
 
     Scales i cover every dyadic radius class with 2^i >= r for the radii
@@ -67,13 +60,12 @@ def baker_sparsify(g: Graph, cfg: BakerConfig, decomp_cache: dict | None = None)
     at most ``D * 2^(i-1)`` vertices.
     """
     n = g.num_vertices
-    D = cfg.D
     if n == 0:
         return BakerResult(set(), 0, Fraction(0), Fraction(0))
     if not (1 <= D <= n):
         raise InputError(f"D={D} outside [1, {n}]")
-    cfg.layering.validate(g)
-    layer = cfg.layering.normalized().layer_of
+    layering.validate(g)
+    layer = layering.normalized().layer_of
     if decomp_cache is None:
         decomp_cache = {}
 
@@ -90,7 +82,6 @@ def baker_sparsify(g: Graph, cfg: BakerConfig, decomp_cache: dict | None = None)
     max_layer = max(by_layer)
     x: set = set()
     w_eff = Fraction(0)
-    slab_widths = {}
     for i in range(top + 1):
         span = 1 << i
         threshold = Fraction(D) * Fraction(span, 2)
@@ -109,7 +100,6 @@ def baker_sparsify(g: Graph, cfg: BakerConfig, decomp_cache: dict | None = None)
             if td is None:
                 td = minfill_decomposition(sub)
                 decomp_cache[key] = td
-            slab_widths[(i, j)] = td.width
             w_eff = max(w_eff, Fraction(td.width + 1, 3 * span))
             sep = weighted_separator(sub, td, {v: 1 for v in slab}, c)
             x |= separator_bag_union(td, sep)
@@ -120,7 +110,7 @@ def baker_sparsify(g: Graph, cfg: BakerConfig, decomp_cache: dict | None = None)
         raise AssertionError(
             f"sparsifier size {len(x)} exceeds bound {float(size_bound):.1f}"
         )
-    return BakerResult(x, num_scales, w_eff, size_bound, slab_widths)
+    return BakerResult(x, num_scales, w_eff, size_bound)
 
 
 class StructuredSparsifier:
@@ -129,8 +119,7 @@ class StructuredSparsifier:
 
     Rows 1..N hold the target subgraph; the path is conceptually padded to
     rows ``-N+1 .. 2N`` so every strip has a detour row on each side except
-    the full-width top strip.  ``comp[(i, j)]`` labels the components of
-    ``host - Y[i][j]``.
+    the full-width top strip.
     """
 
     def __init__(self, host: Graph, n_points: int, D, cells: dict):
@@ -141,9 +130,6 @@ class StructuredSparsifier:
             raise InputError("negative point count")
         self.N = 1 << max(0, (max(1, n_points) - 1).bit_length())
         self.cells = cells  # (i, j) -> frozenset Y
-        self.comp: dict = {}
-        for key, y in cells.items():
-            self.comp[key] = self._component_labels(y)
 
     # -- geometry ----------------------------------------------------------
 
@@ -163,15 +149,6 @@ class StructuredSparsifier:
 
     def pad_range(self):
         return -self.N + 1, 2 * self.N
-
-    def _component_labels(self, y) -> dict:
-        labels = {}
-        sub = self.host.delete(y)
-        for comp in sub.components():
-            root = comp[0]
-            for v in comp:
-                labels[v] = root
-        return labels
 
     # -- membership and size ------------------------------------------------
 
@@ -241,7 +218,6 @@ def product_sparsify(
     td: TreeDecomposition,
     g_vertices,
     D,
-    rows: int | None = None,
 ) -> StructuredSparsifier:
     """Structured sparsifier for a subgraph placed in ``host x path``.
 
@@ -268,8 +244,6 @@ def product_sparsify(
             raise InputError(f"placement row {pv.p} outside 1..{N}")
         if pv.h in host.removed or not (0 <= pv.h < host.n):
             raise InputError(f"placement host vertex {pv.h} invalid")
-    if rows is not None and rows > N:
-        raise InputError(f"declared row count {rows} exceeds N={N}")
 
     cells = {}
     num_scales = N.bit_length()

@@ -48,6 +48,7 @@ class StarMetric:
                 raise InputError(f"point {pv} lies in the sparsifying set")
         self._point_set = frozenset(self.points)
         self._dh = all_pairs_distances(self.host)
+        self._strip_labels: dict = {}
 
     # -- distances ----------------------------------------------------------
 
@@ -60,6 +61,20 @@ class StarMetric:
         above = (hi + 1 - up) + (hi + 1 - vp) if hi + 1 <= pad_hi else INF
         return min(below, above)
 
+    def strip_labels(self, i: int, j: int) -> dict | None:
+        """Labels of the components of ``host - Y[i][j]`` (the least id of
+        each vertex's component), built on first use; None when the
+        sparsifier has no cut for strip (i, j)."""
+        y = self.sp.cells.get((i, j))
+        if y is None:
+            return None
+        labels = self._strip_labels.get((i, j))
+        if labels is None:
+            labels = self._strip_labels[(i, j)] = {
+                v: comp[0] for comp in self.host.delete(y).components() for v in comp
+            }
+        return labels
+
     def d_ij(self, i: int, j: int, u: ProductVertex, v: ProductVertex):
         """Detour distance of strip (i, j); 0 unless the strip's cut separates
         u from v inside the widened strip."""
@@ -68,7 +83,7 @@ class StarMetric:
         lo, hi = self.sp.plus_interval(i, j)
         if not (lo <= u.p <= hi and lo <= v.p <= hi):
             return 0
-        labels = self.sp.comp.get((i, j))
+        labels = self.strip_labels(i, j)
         if labels is None:
             return 0
         cu, cv = labels.get(u.h), labels.get(v.h)

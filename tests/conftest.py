@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 
+import numpy as np
 import pytest
 
-from fanwidth import Graph, ProductVertex, TreeDecomposition, path_graph
+from fanwidth import Graph, ProductVertex, TreeDecomposition, bfs_layering, path_graph
+from fanwidth.embedding import _ScaleGeometry
 from fanwidth.randomness import stream
 
 
@@ -67,6 +70,39 @@ def column_in_product(n: int):
     g = path_graph(n)
     placements = [ProductVertex(0, v + 1) for v in range(n)]
     return host, td, g, placements
+
+
+def scale_geometry(host: Graph, sp, delta: int, pvs) -> _ScaleGeometry:
+    """The geometry ``build_embedding`` computes for the points ``pvs`` at
+    block size ``delta``."""
+    return _ScaleGeometry(host, bfs_layering(host, min(host.vertices())), sp, delta,
+                          np.array([pv.h for pv in pvs], dtype=np.int64),
+                          np.array([pv.p for pv in pvs], dtype=np.int64))
+
+
+def instance_offsets(seed: int, i: int, jr: int) -> tuple[int, int]:
+    """Offsets ``(r_h, r_p)`` that ``build_embedding`` draws for repetition
+    ``jr`` at scale ``i``."""
+    rng = stream(seed, f"inst/i={i}/j={jr}/offsets")
+    return int(rng.integers(0, 1 << i)), int(rng.integers(0, 1 << i))
+
+
+def component_groups(keys) -> list[list[int]]:
+    """Point indices grouped by component key.  ``keys`` holds the parts of
+    the key, one per-point array each, such as ``(a, b, root)``."""
+    groups = defaultdict(list)
+    for t, key in enumerate(zip(*(np.asarray(part).tolist() for part in keys))):
+        groups[key].append(t)
+    return list(groups.values())
+
+
+def assert_component_diameters(keys, distance, bound):
+    """Every two points with one component key are at ``distance(s, t)``
+    at most ``bound``."""
+    for members in component_groups(keys):
+        for s in members:
+            for t in members:
+                assert distance(s, t) <= bound, (s, t)
 
 
 def brute_force_bandwidth(g: Graph) -> int:

@@ -6,7 +6,6 @@ bandwidth trend table land in ``artifacts/``.
 
 import math
 import time
-from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +13,6 @@ import numpy as np
 import pytest
 
 from fanwidth import (
-    BakerConfig,
     Crossing,
     DrawnGraph,
     FiniteMetric,
@@ -52,11 +50,13 @@ from fanwidth import (
 from fanwidth.randomness import stream
 
 from conftest import (
+    assert_component_diameters,
     brute_force_bandwidth,
     column_in_product,
     grid_in_product,
     random_graph,
     random_tree,
+    scale_geometry,
     stacked_triangulation,
 )
 
@@ -105,8 +105,7 @@ def sparsifier_runs(shared_decomp_cache):
         for factor in (1, 2, 4):
             D = base * factor
             t0 = time.perf_counter()
-            baker = baker_sparsify(g, BakerConfig(3, D, layering),
-                                   shared_decomp_cache)
+            baker = baker_sparsify(g, D, layering, shared_decomp_cache)
             baker_survivors = g.delete(baker.x)
             baker_density = (
                 exhaustive_local_density(baker_survivors)
@@ -316,32 +315,25 @@ def test_c06_per_coordinate_lipschitz(desk_instance, certified_embedding):
 
 
 def test_c07_component_diameters(desk_instance):
-    from fanwidth import DecompInstance, TrimmedInstance
+    from fanwidth import DecompInstance
 
     completed, sp, g, placements, surv, pvs, sm, dstar = desk_instance
-    layering = bfs_layering(completed, 0)
     emb_scales = len(surv).bit_length()
     reps = 3
     instances = 0
     for i in range(emb_scales):
         delta = 1 << i
+        geometry = scale_geometry(completed, sp, delta, pvs)
         rng = stream(31, f"acceptance/diam/{i}")
         for _ in range(reps):
             rh, rp = int(rng.integers(0, delta)), int(rng.integers(0, delta))
-            inst = DecompInstance(completed, layering, sp.N, delta, rh, rp)
-            trimmed = TrimmedInstance(inst, sp)
-            icomp, jcomp = defaultdict(list), defaultdict(list)
-            for t, pv in enumerate(pvs):
-                icomp[inst.icomp_key(pv)].append(t)
-                jcomp[trimmed.jcomp_key(pv)].append(t)
-            for members in icomp.values():
-                for a in members:
-                    for b in members:
-                        assert sm.product_distance(pvs[a], pvs[b]) <= 2 * delta + 1
-            for members in jcomp.values():
-                for a in members:
-                    for b in members:
-                        assert dstar[a, b] <= 5 * delta
+            _, a, b, jroot = geometry.points(rh, rp)
+            root = DecompInstance(completed, geometry.layering, delta, rh).root
+            assert_component_diameters(
+                (a, b, root[geometry.hosts]),
+                lambda s, t: sm.product_distance(pvs[s], pvs[t]), 2 * delta + 1)
+            assert_component_diameters((a, b, jroot), lambda s, t: dstar[s, t],
+                                       5 * delta)
             instances += 1
     record(7, "block components stay within 2D+1 / trimmed within 5D", True,
            f"{instances} random instances, exhaustive pairs")

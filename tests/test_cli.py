@@ -215,6 +215,14 @@ class TestOrderAndEmbed:
         header = out.read_text().splitlines()[0].split()
         assert header[1] == "8"  # capped dimension
 
+    @pytest.mark.parametrize("restarts", ["1", "4", "9"])
+    def test_embed_takes_no_restarts(self, work, restarts):
+        # embed makes no ordering; a --restarts would be accepted and ignored
+        with pytest.raises(SystemExit) as exc:
+            run("embed", "--product", work / "p.txt", "--D", "8", "--seed", "7",
+                "--restarts", restarts, "--out", work / "emb.txt")
+        assert exc.value.code == 2
+
     def test_embed_everything_removed_is_input_error(self, work):
         # a dense grid at the minimum density has no survivors to embed
         assert run("embed", "--product", work / "p.txt", "--D", "2",

@@ -1,5 +1,4 @@
 import math
-from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from fanwidth import (
     ProductVertex,
     StarMetric,
     StructuredSparsifier,
-    TrimmedInstance,
     bfs_distances,
     bfs_layering,
     build_embedding,
@@ -25,7 +23,13 @@ from fanwidth import (
 from fanwidth.embedding import Embedding, _embedding_shape
 from fanwidth.randomness import stream
 
-from conftest import grid_in_product
+from conftest import (
+    assert_component_diameters,
+    component_groups,
+    grid_in_product,
+    instance_offsets,
+    scale_geometry,
+)
 
 
 def sparsified_instance(size=16, D=16):
@@ -45,47 +49,43 @@ class TestDecompose:
         host, g, placements = grid_in_product(8)
         td = minfill_decomposition(host)
         completed = ttree_complete(host, td)
-        layering = bfs_layering(completed, 0)
-        inst = DecompInstance(completed, layering, 8, 4, 2, 3)
-        for pv in placements:
-            a, b = inst.cell(pv)
-            s = layering.layer_of[pv.h]
-            assert 2 + 4 * a <= s <= 2 + 4 * (a + 1) - 1
-            assert 3 + 4 * b <= pv.p <= 3 + 4 * (b + 1) - 1
+        sp = StructuredSparsifier(completed, 8, 4, {})
+        geometry = scale_geometry(completed, sp, 4, placements)
+        _, a, b, _ = geometry.points(2, 3)
+        for pv, a_cell, b_cell in zip(placements, a.tolist(), b.tolist()):
+            s = geometry.layering.layer_of[pv.h]
+            assert 2 + 4 * a_cell <= s <= 2 + 4 * (a_cell + 1) - 1
+            assert 3 + 4 * b_cell <= pv.p <= 3 + 4 * (b_cell + 1) - 1
 
     def test_one_cell_when_delta_dominates(self):
         host, g, placements = grid_in_product(4)
         td = minfill_decomposition(host)
         completed = ttree_complete(host, td)
-        layering = bfs_layering(completed, 0)
-        inst = DecompInstance(completed, layering, 4, 16, 0, 0)
-        cells = {inst.cell(pv) for pv in placements}
-        assert len(cells) == 1
+        sp = StructuredSparsifier(completed, 4, 4, {})
+        _, a, b, _ = scale_geometry(completed, sp, 16, placements).points(0, 0)
+        assert len(set(zip(a.tolist(), b.tolist()))) == 1
 
     def test_component_diameter_bound(self):
         completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
-        layering = bfs_layering(completed, 0)
         for delta in (4, 8):
+            geometry = scale_geometry(completed, sp, delta, pvs)
             rng = stream(21, f"diam/{delta}")
             for _ in range(4):
                 rh, rp = int(rng.integers(0, delta)), int(rng.integers(0, delta))
-                inst = DecompInstance(completed, layering, sp.N, delta, rh, rp)
-                groups = defaultdict(list)
-                for pv in pvs:
-                    groups[inst.icomp_key(pv)].append(pv)
-                for members in groups.values():
-                    for u in members:
-                        for v in members:
-                            assert sm.product_distance(u, v) <= 2 * delta + 1
+                _, a, b, _ = geometry.points(rh, rp)
+                inst = DecompInstance(completed, geometry.layering, delta, rh)
+                assert_component_diameters(
+                    (a, b, inst.root[geometry.hosts]),
+                    lambda s, t: sm.product_distance(pvs[s], pvs[t]), 2 * delta + 1)
 
     def test_rejects_bad_delta(self):
         host, g, placements = grid_in_product(4)
         completed = ttree_complete(host, minfill_decomposition(host))
         layering = bfs_layering(completed, 0)
         with pytest.raises(InputError):
-            DecompInstance(completed, layering, 4, 3, 0, 0)
+            DecompInstance(completed, layering, 3, 0)
         with pytest.raises(InputError):
-            DecompInstance(completed, layering, 4, 4, 4, 0)
+            DecompInstance(completed, layering, 4, 4)
 
 
 class TestTrim:
@@ -94,52 +94,39 @@ class TestTrim:
         td = minfill_decomposition(host)
         completed = ttree_complete(host, td)
         sp = StructuredSparsifier(completed, 36, 4, {})
-        layering = bfs_layering(completed, 0)
-        inst = DecompInstance(completed, layering, sp.N, 4, 1, 2)
-        tr = TrimmedInstance(inst, sp)
-        for pv in placements:
-            a, b, root = inst.icomp_key(pv)
-            removed, jlabels = tr.trimmed_component(a, b, root)
-            assert removed == set()
-            assert tr.jcomp_key(pv) == (a, b, jlabels[pv.h])
+        geometry = scale_geometry(completed, sp, 4, placements)
+        _, _, _, jroot = geometry.points(1, 2)
+        inst = DecompInstance(completed, geometry.layering, 4, 1)
+        assert np.array_equal(jroot, inst.root[geometry.hosts])
 
-    def test_trimmed_component_never_meets_containing_cuts(self):
+    def test_survivors_never_meet_containing_cuts(self):
         completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
-        layering = bfs_layering(completed, 0)
-        inst = DecompInstance(completed, layering, sp.N, 4, 2, 1)
-        tr = TrimmedInstance(inst, sp)
-        for pv in pvs:
-            a, b, root = inst.icomp_key(pv)
-            removed, jlabels = tr.trimmed_component(a, b, root)
-            assert pv.h not in removed  # surviving points are never trimmed
+        geometry = scale_geometry(completed, sp, 4, pvs)
+        _, _, _, jroot = geometry.points(2, 1)
+        root = DecompInstance(completed, geometry.layering, 4, 2).root
+        assert (jroot >= 0).all()  # surviving points are never trimmed
+        # a trimmed component lies inside its block component
+        assert np.array_equal(root[jroot], root[geometry.hosts])
 
     def test_jcomponent_dstar_diameter(self):
         completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
-        layering = bfs_layering(completed, 0)
         for delta in (2, 4, 8):
+            geometry = scale_geometry(completed, sp, delta, pvs)
             rng = stream(33, f"jdiam/{delta}")
             for _ in range(3):
                 rh, rp = int(rng.integers(0, delta)), int(rng.integers(0, delta))
-                inst = DecompInstance(completed, layering, sp.N, delta, rh, rp)
-                tr = TrimmedInstance(inst, sp)
-                groups = defaultdict(list)
-                for pv in pvs:
-                    groups[tr.jcomp_key(pv)].append(pv)
-                for members in groups.values():
-                    for u in members:
-                        for v in members:
-                            assert sm.d_star(u, v) <= 5 * delta
+                _, a, b, jroot = geometry.points(rh, rp)
+                assert_component_diameters(
+                    (a, b, jroot), lambda s, t: sm.d_star(pvs[s], pvs[t]), 5 * delta)
 
     def test_point_inside_cut_fails_loudly(self):
         # a point sitting inside a cut cylinder cannot get a coordinate;
         # reaching it without the membership check is a hard error
         host = path_graph(3)
         sp = StructuredSparsifier(host, 16, 4, {(2, 0): frozenset({1})})
-        layering = bfs_layering(host, 0)
-        inst = DecompInstance(host, layering, sp.N, 4, 0, 0)
-        tr = TrimmedInstance(inst, sp)
-        with pytest.raises(RuntimeError):
-            tr.jcomp_key(ProductVertex(1, 5))
+        geometry = scale_geometry(host, sp, 4, [ProductVertex(1, 5)])
+        with pytest.raises(RuntimeError, match="deleted by a trim cut"):
+            geometry.points(0, 0)
 
     def test_alpha_uniform_and_order_independent(self):
         # the stretches build_embedding draws: permuting the input points
@@ -153,28 +140,21 @@ class TestTrim:
                                    sp, k=2, a=1, seed=8)
         assert np.array_equal(shuffled.coords, emb.coords[perm])
 
-        layering = bfs_layering(completed, 0)
         scales, reps = _embedding_shape(len(surv), 2, 1)
         col = 0
         for i in range(scales):
-            delta = 1 << i
+            geometry = scale_geometry(completed, sp, 1 << i, pvs)
             for jr in range(1, reps + 1):
-                rng = stream(8, f"inst/i={i}/j={jr}/offsets")
-                rh, rp = int(rng.integers(0, delta)), int(rng.integers(0, delta))
-                inst = DecompInstance(completed, layering, sp.N, delta, rh, rp)
-                tr = TrimmedInstance(inst, sp)
-                groups = defaultdict(list)
-                for t, pv in enumerate(pvs):
-                    groups[tr.jcomp_key(pv)].append(t)
-                for members in groups.values():
-                    bdist = np.array([inst.boundary_distance(pvs[t]) for t in members])
+                bdist, a, b, jroot = geometry.points(*instance_offsets(8, i, jr))
+                for members in component_groups((a, b, jroot)):
                     coords = emb.coords[members, col]
-                    assert (coords[bdist == 0] == 0).all()
-                    if (bdist > 0).any():
-                        t0 = int(np.argmax(bdist > 0))
-                        alpha = coords[t0] / bdist[t0] - 1.0
+                    d = bdist[members]
+                    assert (coords[d == 0] == 0).all()
+                    if (d > 0).any():
+                        t0 = int(np.argmax(d > 0))
+                        alpha = coords[t0] / d[t0] - 1.0
                         assert 0.0 <= alpha < 1.0
-                        assert np.allclose(coords, (1.0 + alpha) * bdist,
+                        assert np.allclose(coords, (1.0 + alpha) * d,
                                            rtol=1e-12, atol=0.0)
                 col += 1
         assert col == emb.L
@@ -189,18 +169,14 @@ class TestBuildEmbedding:
         # coordinate = (1 + alpha) * boundary distance, alpha in [0, 1)
         completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
         emb = build_embedding(surv, pvs, sp, k=2, a=1, seed=3)
-        layering = bfs_layering(completed, 0)
         scales, reps = _embedding_shape(len(surv), 2, 1)
         col = 0
         for i in range(scales):
-            delta = 1 << i
+            geometry = scale_geometry(completed, sp, 1 << i, pvs)
             for jr in range(1, reps + 1):
-                rng = stream(3, f"inst/i={i}/j={jr}/offsets")
-                rh, rp = int(rng.integers(0, delta)), int(rng.integers(0, delta))
-                inst = DecompInstance(completed, layering, sp.N, delta, rh, rp)
-                for t, pv in enumerate(pvs):
-                    d = inst.boundary_distance(pv)
-                    assert d <= emb.coords[t, col] < 2 * d or d == 0
+                d = geometry.points(*instance_offsets(3, i, jr))[0]
+                c = emb.coords[:, col]
+                assert (((d <= c) & (c < 2 * d)) | (d == 0)).all()
                 col += 1
 
     def test_raw_coordinates_in_range(self):
@@ -254,17 +230,17 @@ class TestBuildEmbedding:
 
 def reference_coords(host, sp, pvs, k, a, seed):
     """Coordinate matrix of ``build_embedding`` written from the definitions,
-    one point and one component at a time."""
+    one point and one component at a time, and each column's per-point
+    ``(a, b, jroot)`` trimmed-component keys."""
     layer = bfs_layering(host, min(host.vertices())).layer_of
     live = set(host.vertices())
     pad_lo, pad_hi = sp.pad_range()
     scales, reps = _embedding_shape(len(pvs), k, a)
-    columns = []
+    columns, column_keys = [], []
     for i in range(scales):
         delta = 1 << i
         for jr in range(1, reps + 1):
-            rng = stream(seed, f"inst/i={i}/j={jr}/offsets")
-            r_h, r_p = int(rng.integers(0, delta)), int(rng.integers(0, delta))
+            r_h, r_p = instance_offsets(seed, i, jr)
             bdist, keys = [], []
             for pv in pvs:
                 a_cell = (layer[pv.h] - r_h) // delta
@@ -295,7 +271,8 @@ def reference_coords(host, sp, pvs, k, a, seed):
             alphas = stream(seed, f"inst/i={i}/j={jr}/alpha").random(len(jkeys))
             columns.append([(1.0 + alphas[jkeys.index(key)]) * d
                             for key, d in zip(keys, bdist)])
-    return np.array(columns, dtype=np.float64).T
+            column_keys.append(keys)
+    return np.array(columns, dtype=np.float64).T, column_keys
 
 
 def spider_instance(legs=3, length=3, rows=8, D=16):
@@ -330,7 +307,16 @@ class TestGeometryDefinition:
         emb = build_embedding(surv, pvs, sp, k=2, a=1, seed=5, dims_cap=dims_cap)
         scales, reps = _embedding_shape(len(surv), 2, 1)
         assert reps < 16 and scales > 3
-        expected = reference_coords(completed, sp, pvs, 2, 1, 5)
+        expected, expected_keys = reference_coords(completed, sp, pvs, 2, 1, 5)
+        # the per-point arrays the lemma tests read are the definitions' keys
+        col = 0
+        for i in range(scales):
+            geometry = scale_geometry(completed, sp, 1 << i, pvs)
+            for jr in range(1, reps + 1):
+                _, a, b, jroot = geometry.points(*instance_offsets(5, i, jr))
+                keys = list(zip(a.tolist(), b.tolist(), jroot.tolist()))
+                assert keys == expected_keys[col]
+                col += 1
         if dims_cap is not None:
             chosen = stream(5, "dims-cap").choice(emb.L_full, size=dims_cap,
                                                   replace=False)
@@ -371,16 +357,16 @@ class TestBoundaryProbability:
     def test_quarter_margin_frequency(self):
         host, g, placements = grid_in_product(16)
         completed = ttree_complete(host, minfill_decomposition(host))
-        layering = bfs_layering(completed, 0)
+        sp = StructuredSparsifier(completed, 256, 16, {})
         v = ProductVertex(7, 100)
         trials = 1200
         for delta in (4, 8):
+            geometry = scale_geometry(completed, sp, delta, [v])
             rng = stream(17, f"prob/{delta}")
             hits = 0
             for _ in range(trials):
                 rh, rp = int(rng.integers(0, delta)), int(rng.integers(0, delta))
-                inst = DecompInstance(completed, layering, 256, delta, rh, rp)
-                if inst.boundary_distance(v) >= delta / 4:
+                if geometry.points(rh, rp)[0][0] >= delta / 4:
                     hits += 1
             sigma = math.sqrt(0.25 * 0.75 / trials)
             assert hits / trials >= 0.25 - 3 * sigma

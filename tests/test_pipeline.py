@@ -126,6 +126,18 @@ class TestVerifyCertificate:
         violations = verify_certificate(g, cert)
         assert any("permutation" in v for v in violations)
 
+    def test_mapping_covers_exactly_the_live_vertices(self):
+        g = path_graph(6)
+        cert = fan_certificate(g, [0], list(range(1, 6)), 2)
+        cert.mapping[9] = cert.mapping.pop(5)
+        violations = verify_certificate(g, cert)
+        assert "vertex 5 is not mapped" in violations
+        assert "mapped vertex 9 is not in the graph" in violations
+        # a removed vertex of a masked view is not in the graph either
+        cert = fan_certificate(g, [0], list(range(1, 6)), 2)
+        violations = verify_certificate(g.delete({5}), cert)
+        assert "mapped vertex 5 is not in the graph" in violations
+
 
 class TestBlowupToBandwidth:
     def test_fan_itself(self):

@@ -1,8 +1,6 @@
 """Randomized end-to-end soak: every contract the construction relies on,
 checked on small random product instances with materialized ground truth."""
 
-from collections import defaultdict
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from fanwidth import (
     StarMetric,
     bandwidth_of_ordering,
     bfs_distances,
-    bfs_layering,
     blowup_to_bandwidth,
     build_embedding,
     default_blowup_factor,
@@ -27,10 +24,10 @@ from fanwidth import (
     verify_certificate,
     verify_metric_axioms,
 )
-from fanwidth.embedding import DecompInstance, TrimmedInstance
+from fanwidth.embedding import DecompInstance
 from fanwidth.randomness import stream
 
-from conftest import random_connected_graph
+from conftest import assert_component_diameters, random_connected_graph, scale_geometry
 
 
 def random_product_instance(seed):
@@ -111,24 +108,17 @@ def test_full_chain_on_random_instance(seed):
             assert (gap <= 2 * dstar[a] + 1e-9).all()
 
         # block and trimmed component diameters at two random scales
-        layering = bfs_layering(completed, min(completed.vertices()))
         for delta in (2, 4):
             prng = stream(seed, f"soak/diam/{delta}")
             rh, rp = int(prng.integers(0, delta)), int(prng.integers(0, delta))
-            inst = DecompInstance(completed, layering, sp.N, delta, rh, rp)
-            trimmed = TrimmedInstance(inst, sp)
-            icomp, jcomp = defaultdict(list), defaultdict(list)
-            for t, pv in enumerate(pvs):
-                icomp[inst.icomp_key(pv)].append(t)
-                jcomp[trimmed.jcomp_key(pv)].append(t)
-            for members in icomp.values():
-                for a in members:
-                    for b in members:
-                        assert sm.product_distance(pvs[a], pvs[b]) <= 2 * delta + 1
-            for members in jcomp.values():
-                for a in members:
-                    for b in members:
-                        assert dstar[a, b] <= 5 * delta
+            geometry = scale_geometry(completed, sp, delta, pvs)
+            _, a_cell, b_cell, jroot = geometry.points(rh, rp)
+            root = DecompInstance(completed, geometry.layering, delta, rh).root
+            assert_component_diameters(
+                (a_cell, b_cell, root[geometry.hosts]),
+                lambda s, t: sm.product_distance(pvs[s], pvs[t]), 2 * delta + 1)
+            assert_component_diameters(
+                (a_cell, b_cell, jroot), lambda s, t: dstar[s, t], 5 * delta)
 
     # pipeline, certificate, verification, round trip; the pipeline compresses
     # empty rows first, so its cut may differ from the raw-placement run

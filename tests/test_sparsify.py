@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from fanwidth import (
-    BakerConfig,
     Graph,
     InputError,
     ProductVertex,
+    StarMetric,
     StructuredSparsifier,
     baker_sparsify,
     bfs_distances,
@@ -27,18 +27,18 @@ class TestBakerSparsify:
     def test_path_full_density_budget_is_empty(self):
         g = path_graph(12)
         lay = bfs_layering(g, 0)
-        res = baker_sparsify(g, BakerConfig(1, 12, lay))
+        res = baker_sparsify(g, 12, lay)
         assert res.x == set()
 
     def test_single_vertex(self):
         g = Graph(1, [])
-        res = baker_sparsify(g, BakerConfig(3, 1, bfs_layering(g, 0)))
+        res = baker_sparsify(g, 1, bfs_layering(g, 0))
         assert res.x == set()
 
     def test_grid_density_bound(self):
         g, _ = grid_graph(16, 16)
         lay = bfs_layering(g, 0)
-        res = baker_sparsify(g, BakerConfig(3, 4, lay))
+        res = baker_sparsify(g, 4, lay)
         assert res.x
         gp = g.delete(res.x)
         if gp.num_vertices:
@@ -47,7 +47,7 @@ class TestBakerSparsify:
     def test_grid_survivors_at_generous_density(self):
         g, _ = grid_graph(16, 16)
         lay = bfs_layering(g, 0)
-        res = baker_sparsify(g, BakerConfig(3, 64, lay))
+        res = baker_sparsify(g, 64, lay)
         gp = g.delete(res.x)
         assert gp.num_vertices > 0
         assert exhaustive_local_density(gp) <= 64
@@ -55,9 +55,9 @@ class TestBakerSparsify:
     def test_rejects_bad_density(self):
         g = path_graph(5)
         with pytest.raises(InputError):
-            baker_sparsify(g, BakerConfig(3, 0.5, bfs_layering(g, 0)))
+            baker_sparsify(g, 0.5, bfs_layering(g, 0))
         with pytest.raises(InputError):
-            baker_sparsify(g, BakerConfig(3, 9, bfs_layering(g, 0)))
+            baker_sparsify(g, 9, bfs_layering(g, 0))
 
     def test_ball_size_property(self):
         # every surviving ball of radius r < n/D has at most D*2^(ceil(lg r)-1) points
@@ -65,7 +65,7 @@ class TestBakerSparsify:
         n = g.n
         D = 16
         lay = bfs_layering(g, 0)
-        res = baker_sparsify(g, BakerConfig(3, D, lay))
+        res = baker_sparsify(g, D, lay)
         gp = g.delete(res.x)
         for v in gp.vertices():
             dist = bfs_distances(gp, v)
@@ -79,7 +79,7 @@ class TestBakerSparsify:
 
     def test_size_bound_recorded(self):
         g, _ = grid_graph(10, 10)
-        res = baker_sparsify(g, BakerConfig(3, 8, bfs_layering(g, 0)))
+        res = baker_sparsify(g, 8, bfs_layering(g, 0))
         assert len(res.x) <= res.size_bound
 
 
@@ -140,7 +140,7 @@ class TestProductSparsify:
         completed, g, placements, sp = small_product(8)
         i, j = 1, 2
         y = sp.cells[(i, j)]
-        labels = sp.comp[(i, j)]
+        labels = StarMetric(sp, [pv for pv in placements if not sp.in_x(pv)]).strip_labels(i, j)
         lo, hi = sp.plus_interval(i, j)
         # survivors of the widened strip with equal host labels must be
         # connected inside the strip cylinder, and never across labels

@@ -1,14 +1,16 @@
 """Smoke test of the benchmark's layer tracer against the current package."""
 
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
 
+from fanwidth.embedding import _embedding_shape
 from fanwidth.formats import serialize_product_input
 
-from conftest import grid_in_product
+from conftest import grid_in_product, instance_offsets
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
@@ -28,7 +30,14 @@ def test_tracer_spans_the_embedding_layers(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    traced = json.loads(summary.read_text())["spans"]
+    result = json.loads(summary.read_text())
+    traced = result["spans"]
     for name in ("embedding.build_embedding", "embedding.DecompInstance",
                  "randomness.stream"):
         assert traced.get(name, {}).get("calls", 0) >= 1, name
+    # one DecompInstance per (scale, r_h) of the replayed offset streams
+    n = int(result["counts"]["embedding.points"])
+    scales, reps = _embedding_shape(n, max(2, math.ceil(math.log2(n))), 1)
+    host_offsets = {(i, instance_offsets(1, i, jr)[0])
+                    for i in range(scales) for jr in range(1, reps + 1)}
+    assert traced["embedding.DecompInstance"]["calls"] == len(host_offsets)

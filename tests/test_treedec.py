@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import fanwidth.sparsify
 from fanwidth import (
-    BakerConfig,
     Graph,
     InputError,
     TreeDecomposition,
@@ -220,7 +219,7 @@ class TestMinFillMatchesReference:
             return minfill_decomposition(sub)
 
         monkeypatch.setattr(fanwidth.sparsify, "minfill_decomposition", recording)
-        baker_sparsify(g, BakerConfig(3, 8, bfs_layering(g, 0)))
+        baker_sparsify(g, 8, bfs_layering(g, 0))
         assert len(slabs) > 20
         for sub in slabs:
             assert_same_as_reference(sub)
