@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import Graph, Layering, ProductVertex, bfs_layering
-from .randomness import stream
+from .randomness import stream, streams
 from .sparsify import StructuredSparsifier
 from .starmetric import StarMetric
 from .volumes import FiniteMetric, euclidean_volume, tree_volume
@@ -210,23 +210,15 @@ def build_embedding(point_ids, placements, sp: StructuredSparsifier,
     for i in range(scales):
         delta = 1 << i
         geometry = _ScaleGeometry(host, layering, sp, delta, hosts, rows)
-        memoize = delta * delta <= reps
-        geom_memo: dict = {}
-        for jr in range(1, reps + 1):
-            if not selected[i * reps + (jr - 1)]:
-                continue
-            rng = stream(seed, f"inst/i={i}/j={jr}/offsets")
-            r_h = int(rng.integers(0, delta))
-            r_p = int(rng.integers(0, delta))
-            key = (r_h, r_p)
-            geom = geom_memo.get(key)
-            if geom is None:
-                geom = geometry.instance(r_h, r_p)
-                if memoize:
-                    geom_memo[key] = geom
-            bdist, jidx, components = geom
-            alphas = stream(seed, f"inst/i={i}/j={jr}/alpha").random(components)
-            coords[:, col] = (1.0 + alphas[jidx]) * bdist
+        labels = (f"inst/i={i}/j={jr}/{use}" for jr in range(1, reps + 1)
+                  if selected[i * reps + (jr - 1)] for use in ("offsets", "alpha"))
+        gens = streams(seed, labels)
+        # zip over one iterator pairs each column's offsets and alpha streams
+        for offsets, alpha in zip(gens, gens):
+            r_h = int(offsets.integers(0, delta))
+            r_p = int(offsets.integers(0, delta))
+            bdist, jidx, components = geometry.instance(r_h, r_p)
+            coords[:, col] = (1.0 + alpha.random(components)[jidx]) * bdist
             col += 1
     return Embedding(ids, pvs, coords, k, a, seed, L_full, capped)
 
@@ -235,11 +227,17 @@ class _ScaleGeometry:
     """Geometry of the points' coordinates at block size ``delta``: the only
     path from an instance's offsets to per-point geometry.
 
-    An instance's geometry is a host part that depends only on ``r_h`` (the
-    block ``a``, block component and host exit distance of each point) and a
-    row part that depends only on ``r_p`` (the row cell ``b``, the row exit
-    distance and the trimming cut of each point).  Each part is computed once
-    per offset; an instance combines them with array operations.
+    An instance's geometry is a host part that depends only on the host
+    partition of ``r_h`` (the block ``a``, block component and host exit
+    distance of each point) and a row part that depends only on ``r_p`` (the
+    row cell ``b``, the row exit distance and the trimming cut of each
+    point).  Each part is computed once; an instance combines them with
+    array operations.
+
+    Offsets that cut the live host layers and the points' rows alike give
+    the same partition of the points: ``a`` and ``b`` differ by constants,
+    which keep the ``(a, b, jroot)`` order, so ``instance`` is computed once
+    per partition.
     """
 
     def __init__(self, host: Graph, layering: Layering, sp: StructuredSparsifier,
@@ -250,29 +248,50 @@ class _ScaleGeometry:
         self.delta = delta
         self.hosts = hosts
         self.rows = rows
+        layers = [layering.layer_of[v] for v in host.vertices()]
+        self._low, self._high = min(layers), max(layers)
         # the points of one instance lie in fewer row cells than this, so
         # (a * span + b) * host.n + jroot orders them like (a, b, jroot)
         self._b_span = int(rows.max() - rows.min()) // delta + 2
         self._host_parts: dict = {}
         self._row_parts: dict = {}
+        self._instances: dict = {}
+
+    def _host_key(self, r_h: int):
+        """The host partition of ``r_h``: the first layer above the lowest
+        live layer that starts a block, or None.  It fixes every later block
+        start in the live layer range (they are ``delta`` apart), and so each
+        live vertex's ``a - _base(r_h)``, its number of block starts from the
+        lowest layer up to its own."""
+        first = self._low + 1 + (r_h - self._low - 1) % self.delta
+        return first if first <= self._high else None
+
+    def _base(self, r_h: int) -> int:
+        """Block ``a`` of the lowest live layer."""
+        return (self._low - r_h) // self.delta
 
     def _host_part(self, r_h: int):
-        part = self._host_parts.get(r_h)
+        """``(inst, a - _base(r_h), host exit)`` of the host partition of
+        ``r_h``; the trim labels of ``inst`` do not depend on ``r_p``."""
+        key = self._host_key(r_h)
+        part = self._host_parts.get(key)
         if part is None:
-            # the host part and the trim labels do not depend on r_p
             inst = DecompInstance(self.host, self.layering, self.delta, r_h)
-            part = self._host_parts[r_h] = (inst, inst.block[self.hosts],
-                                            inst.exit[self.hosts])
+            part = self._host_parts[key] = (
+                inst, inst.block[self.hosts] - self._base(r_h), inst.exit[self.hosts])
         return part
 
     def _row_part(self, r_p: int):
+        """``(b, row exit, cell_of, cuts, key)`` of ``r_p``; the key holds the
+        clipped rows ``(lo, hi)`` of each occupied row cell."""
         part = self._row_parts.get(r_p)
         if part is None:
             b, lo, hi, row_exit = _row_geometry(self.rows, self.delta, r_p, self.sp.N)
             # cell_of ranks the points' row cells in the order of b
             _, first, cell_of = np.unique(b, return_index=True, return_inverse=True)
-            cuts = [_containing_cut(self.sp, int(lo[t]), int(hi[t])) for t in first]
-            part = self._row_parts[r_p] = (b, row_exit, cell_of, cuts)
+            cells = list(zip(lo[first].tolist(), hi[first].tolist()))
+            cuts = [_containing_cut(self.sp, lo_t, hi_t) for lo_t, hi_t in cells]
+            part = self._row_parts[r_p] = (b, row_exit, cell_of, cuts, tuple(cells))
         return part
 
     def points(self, r_h: int, r_p: int):
@@ -280,25 +299,34 @@ class _ScaleGeometry:
         each point's boundary distance (the cheaper of exiting its block
         component through the rows or through the host), layer block, row
         cell, and the least host id of its trimmed component."""
-        inst, a, host_exit = self._host_part(r_h)
-        b, row_exit, cell_of, cuts = self._row_part(r_p)
+        inst, a_rel, host_exit = self._host_part(r_h)
+        b, row_exit, cell_of, cuts, _ = self._row_part(r_p)
         labels = np.stack([inst.trim_labels(cut) for cut in cuts])
         jroot = labels[cell_of, self.hosts]
         deleted = np.flatnonzero(jroot < 0)
         if deleted.size:
             t = int(deleted[0])
             raise _deleted_point(ProductVertex(int(self.hosts[t]), int(self.rows[t])))
-        return np.minimum(row_exit, host_exit), a, b, jroot
+        return np.minimum(row_exit, host_exit), a_rel + self._base(r_h), b, jroot
+
+    def partition(self, r_h: int, r_p: int):
+        """Key of the points' partition under offsets ``(r_h, r_p)``: the
+        host partition and the occupied row cells."""
+        return self._host_key(r_h), self._row_part(r_p)[-1]
 
     def instance(self, r_h: int, r_p: int):
         """``(bdist, jidx, components)`` of the instance with offsets
         ``(r_h, r_p)``: each point's boundary distance and the index of its
         trimmed component among the instance's ``components`` trimmed
         components, in sorted ``(a, b, jroot)`` order."""
-        bdist, a, b, jroot = self.points(r_h, r_p)
-        key = (a * self._b_span + b) * self.host.n + jroot
-        keys, jidx = np.unique(key, return_inverse=True)
-        return bdist, jidx, len(keys)
+        key = self.partition(r_h, r_p)
+        geom = self._instances.get(key)
+        if geom is None:
+            bdist, a, b, jroot = self.points(r_h, r_p)
+            order = (a * self._b_span + b) * self.host.n + jroot
+            keys, jidx = np.unique(order, return_inverse=True)
+            geom = self._instances[key] = (bdist, jidx, len(keys))
+        return geom
 
 
 def project_order(emb: Embedding, seed: int) -> list:

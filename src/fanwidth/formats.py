@@ -16,6 +16,10 @@ from .graphs import Graph, ProductVertex
 from .pipeline import Crossing, DrawnGraph, FanCertificate
 from .treedec import TreeDecomposition
 
+# Graphs keep Python objects per vertex, so a vertex count above this is
+# rejected before anything is allocated for it.
+MAX_VERTICES = 10**7
+
 
 class _Lines:
     """Line cursor that skips blanks and tracks 1-based numbers."""
@@ -40,15 +44,28 @@ class _Lines:
                 return row, self.pos
         raise InputError(f"line {self.pos + 1}: expected {what}, found end of file")
 
+    def remaining(self) -> int:
+        """Lines after the cursor, blank ones included."""
+        return len(self.rows) - self.pos
 
-def _ints(row: str, lineno: int, count: int, what: str):
+
+def _ints(row: str, lineno: int, count: int | None, what: str):
+    """The integer fields of ``row``; exactly ``count`` of them unless
+    ``count`` is None."""
     parts = row.split()
-    if len(parts) != count:
+    if count is not None and len(parts) != count:
         raise InputError(f"line {lineno}: expected {count} fields for {what}, got {len(parts)}")
     try:
         return [int(p) for p in parts]
     except ValueError:
-        raise InputError(f"line {lineno}: non-integer field in {what!r}: {row!r}")
+        shown = row.strip()
+        shown = shown if len(shown) <= 60 else shown[:57] + "..."
+        raise InputError(f"line {lineno}: non-integer field in {what!r}: {shown!r}")
+
+
+def _check_vertex_count(n: int, lineno: int, what: str):
+    if n > MAX_VERTICES:
+        raise InputError(f"line {lineno}: {what} {n} exceeds the supported {MAX_VERTICES}")
 
 
 # -- graphs ------------------------------------------------------------------
@@ -58,6 +75,7 @@ def parse_graph(text: str) -> Graph:
     cur = _Lines(text)
     row, lineno = cur.take("graph header 'n m'")
     n, m = _ints(row, lineno, 2, "graph header")
+    _check_vertex_count(n, lineno, "vertex count")
     edges = []
     for _ in range(m):
         row, lineno = cur.take("edge 'u v'")
@@ -164,6 +182,7 @@ def parse_product_input(text: str):
         raise InputError(f"line {lineno}: expected [H], got {row!r}")
     row, lineno = cur.take("host header 'n m'")
     hn, hm = _ints(row, lineno, 2, "host header")
+    _check_vertex_count(hn, lineno, "host vertex count")
     hedges = []
     for _ in range(hm):
         row, lineno = cur.take("host edge")
@@ -190,6 +209,9 @@ def parse_product_input(text: str):
         raise InputError(f"line {lineno}: expected [G], got {row!r}")
     row, lineno = cur.take("embedded graph header 'n m'")
     gn, gm = _ints(row, lineno, 2, "embedded graph header")
+    if gn > cur.remaining():
+        raise InputError(f"line {lineno}: {gn} placements but only "
+                         f"{cur.remaining()} lines follow")
     placements: list = [None] * gn
     used = {}
     for _ in range(gn):
@@ -252,6 +274,7 @@ def parse_drawing(text: str) -> DrawnGraph:
         raise InputError(f"line {lineno}: expected [graph], got {row!r}")
     row, lineno = cur.take("graph header")
     n, m = _ints(row, lineno, 2, "graph header")
+    _check_vertex_count(n, lineno, "vertex count")
     edges = []
     for _ in range(m):
         row, lineno = cur.take("edge")
@@ -343,11 +366,11 @@ def parse_certificate(text: str) -> FanCertificate:
     row, lineno = cur.take("X line")
     if row != "X" and not row.startswith("X "):
         raise InputError(f"line {lineno}: expected 'X <ids>', got {row!r}")
-    x = [int(t) for t in row[1:].split()]
+    x = _ints(row[1:], lineno, None, "X line")
     row, lineno = cur.take("ordering line")
     if row != "ordering" and not row.startswith("ordering "):
         raise InputError(f"line {lineno}: expected 'ordering <ids>', got {row!r}")
-    ordering = [int(t) for t in row[len("ordering"):].split()]
+    ordering = _ints(row[len("ordering"):], lineno, None, "ordering line")
     row, lineno = cur.take("mapping header")
     if row != "mapping":
         raise InputError(f"line {lineno}: expected 'mapping', got {row!r}")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fanwidth import cli, grid_graph, path_graph
+from fanwidth import cli, fan_certificate, grid_graph, minfill_decomposition, path_graph
 from fanwidth.cli import main
 from fanwidth.formats import (
     parse_certificate,
@@ -30,7 +30,59 @@ def work(tmp_path):
     )
     (tmp_path / "d.txt").write_text(serialize_drawing(k5_drawing()))
     (tmp_path / "k5.txt").write_text(serialize_graph(k5()))
+    (tmp_path / "ptd.txt").write_text(serialize_product_input(
+        host, minfill_decomposition(host), 5, placements, gg))
+    (tmp_path / "c.txt").write_text(serialize_certificate(
+        fan_certificate(g, [0, 12], [v for v in g.vertices() if v not in (0, 12)], 5)))
     return tmp_path
+
+
+# Parser fuzzing: every mutation of a valid document must end in exit 0, 1
+# or 2.  Substituted integers stay small, so that a missing bound cannot ask
+# for a huge allocation; the one huge token is a count seen to crash a parser.
+FUZZ_TOKENS = st.one_of(
+    st.integers(-10**4, 10**4).map(str),
+    st.sampled_from(["2-1", "x", "1.5", ":", "[G]", "[TD]", "end",
+                     "199999999999999999999"]),
+)
+# kind -> (document mutated, command that reads it as m.txt); file names
+# are in the test's work directory
+FUZZ_COMMANDS = {
+    "graph": ("g.txt", ["verify", "--graph", "m.txt", "--cert", "c.txt"]),
+    "product": ("ptd.txt", ["sparsify", "--product", "m.txt", "--D", "4",
+                            "--out", "x.txt"]),
+    "certificate": ("c.txt", ["verify", "--graph", "g.txt", "--cert", "m.txt"]),
+    "drawing": ("d.txt", ["reduce-kplanar", "--drawing", "m.txt", "--kk", "1",
+                          "--D", "5", "--a", "2", "--out", "x.txt"]),
+}
+
+
+@st.composite
+def mutations(draw, text: str) -> str:
+    """``text`` with one to three edits: a field replaced (any field of the
+    document alike), a line deleted, duplicated or inserted, or the rest of
+    the text cut off."""
+    lines = [row.split() for row in text.splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            lines = [[]]
+        edit = draw(st.sampled_from(["field", "field", "delete", "duplicate",
+                                     "insert", "cut"]))
+        fields = [(t, f) for t, row in enumerate(lines) for f in range(len(row))]
+        if edit == "field" and fields:
+            t, f = draw(st.sampled_from(fields))
+            lines[t][f] = draw(FUZZ_TOKENS)
+            continue
+        t = draw(st.integers(0, len(lines) - 1))
+        if edit == "delete":
+            del lines[t]
+        elif edit == "duplicate":
+            lines.insert(t, list(lines[t]))
+        elif edit == "insert":
+            lines.insert(t, draw(st.lists(FUZZ_TOKENS, max_size=3)))
+        else:
+            lines = lines[:t]
+    return "".join(" ".join(row) + "\n" for row in lines)
 
 
 def run(*argv):
@@ -70,7 +122,8 @@ class TestSparsifyCommand:
         ("0 0\n", "2"),  # no vertices
         (None, "abc"),    # not a number
         (None, "1/0"),    # zero denominator
-    ], ids=["no-vertices", "not-a-number", "zero-denominator"])
+        ("199999999999999999999 0\n", "2"),  # refused before allocating
+    ], ids=["no-vertices", "not-a-number", "zero-denominator", "huge-vertex-count"])
     def test_bad_input_exits_2_without_traceback(self, work, graph, D):
         path = work / "g.txt"
         if graph is not None:
@@ -85,6 +138,16 @@ class TestSparsifyCommand:
     def test_any_density_text_ends_in_an_exit_code(self, work, D):
         assert run("sparsify", "--graph", work / "g.txt", f"--D={D}", "--out",
                    work / "x.txt") in (0, 1, 2)
+
+    @pytest.mark.parametrize("kind", sorted(FUZZ_COMMANDS))
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_any_mutated_document_ends_in_an_exit_code(self, work, capsys, kind, data):
+        source, command = FUZZ_COMMANDS[kind]
+        (work / "m.txt").write_text(data.draw(mutations((work / source).read_text())))
+        assert run(*[work / a if a.endswith(".txt") else a for a in command]) in (0, 1, 2)
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_t_is_not_a_flag(self, work):
         # the Baker sparsifier never read t, so the flag is gone
@@ -196,6 +259,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field", ["X", "ordering"])
+    def test_non_integer_certificate_id_exits_2(self, work, capsys, field):
+        lines = (work / "c.txt").read_text().splitlines()
+        t = next(t for t, row in enumerate(lines) if row.split()[0] == field)
+        lines[t] = f"{field} 2-1 " + lines[t][len(field):]
+        (work / "bad.txt").write_text("\n".join(lines) + "\n")
+        assert run("verify", "--graph", work / "g.txt", "--cert", work / "bad.txt") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {t + 1}: non-integer field in '{field} line'")
+        assert err.count("\n") == 1
+
+    def test_huge_placement_count_exits_2(self, work, capsys):
+        lines = (work / "p.txt").read_text().splitlines()
+        t = lines.index("[G]") + 1
+        lines[t] = "199999999999999999999 24"
+        (work / "bad.txt").write_text("\n".join(lines) + "\n")
+        assert run("sparsify", "--product", work / "bad.txt", "--D", "4",
+                   "--out", work / "x.txt") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {t + 1}: 199999999999999999999 placements")
+        assert err.count("\n") == 1
 
 
 class TestOrderAndEmbed:

@@ -298,8 +298,6 @@ class TestGeometryDefinition:
     @pytest.mark.parametrize("dims_cap", [None, 25])
     @pytest.mark.parametrize("shape", ["grid", "spider"])
     def test_coords_equal_reference(self, shape, dims_cap):
-        # with a=1 and k=2 only block sizes 1 and 2 have delta^2 <= reps, so
-        # both memoized and unmemoized scales are compared
         if shape == "grid":
             completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
         else:
@@ -310,13 +308,37 @@ class TestGeometryDefinition:
         expected, expected_keys = reference_coords(completed, sp, pvs, 2, 1, 5)
         # the per-point arrays the lemma tests read are the definitions' keys
         col = 0
+        collapsed = replay_collapsed = 0
         for i in range(scales):
             geometry = scale_geometry(completed, sp, 1 << i, pvs)
-            for jr in range(1, reps + 1):
-                _, a, b, jroot = geometry.points(*instance_offsets(5, i, jr))
+            replayed = [instance_offsets(5, i, jr) for jr in range(1, reps + 1)]
+            for offsets in replayed:
+                _, a, b, jroot = geometry.points(*offsets)
                 keys = list(zip(a.tolist(), b.tolist(), jroot.tolist()))
                 assert keys == expected_keys[col]
                 col += 1
+            replay_keys = [geometry.partition(*o) for o in set(replayed)]
+            replay_collapsed += len(replay_keys) - len(set(replay_keys))
+            # offsets of one partition share bdist and jroot, and their a and
+            # b differ by constants, which keeps the (a, b, jroot) order; the
+            # sweep of r_h finds such offsets where the replay has none
+            sweep = [(r_h, replayed[0][1]) for r_h in range(1 << i)]
+            first = {}
+            for offsets in dict.fromkeys(replayed + sweep):
+                bdist, a, b, jroot = geometry.points(*offsets)
+                seen = first.setdefault(geometry.partition(*offsets),
+                                        (bdist, a, b, jroot))
+                if seen[0] is not bdist:
+                    collapsed += 1
+                    assert np.array_equal(bdist, seen[0])
+                    assert np.array_equal(jroot, seen[3])
+                    assert len(set((a - seen[1]).tolist())) == 1
+                    assert len(set((b - seen[2]).tolist())) == 1
+        assert collapsed > 0
+        # on the spider, build_embedding reuses one partition's geometry for
+        # other offsets; the grid's padding (N = 256) gives each r_p its own
+        # row cells, so there only the sweep collapses
+        assert replay_collapsed > 0 or shape == "grid"
         if dims_cap is not None:
             chosen = stream(5, "dims-cap").choice(emb.L_full, size=dims_cap,
                                                   replace=False)
