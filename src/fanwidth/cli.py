@@ -137,7 +137,8 @@ def cmd_sparsify(args) -> int:
             raise InputError("graph has no vertices; nothing to sparsify")
         layering = bfs_layering(g, min(g.vertices()))
         baker = baker_sparsify(g, D, layering)
-        gp = g.delete(baker.x)
+        removed = baker.x
+        text = formats.serialize_vertex_set(removed)
         pairs = [
             ("kind", "baker"),
             ("n", g.num_vertices),
@@ -148,16 +149,10 @@ def cmd_sparsify(args) -> int:
             ("scales", baker.num_scales),
             ("w_eff", baker.w_eff),
         ]
-        if gp.num_vertices and gp.num_vertices <= 5000:
-            density = exhaustive_local_density(gp)
-            pairs.append(("density_after", formats.format_density(density)))
-            pairs.append(("density_le_D", "yes" if density <= D else "no"))
-        formats.write_atomic(args.out, formats.serialize_vertex_set(baker.x))
-        formats.write_atomic(args.out + ".report", _report_lines(pairs))
     else:
         g, td, placements, sp = _sparsify_product(args.product, D)
         removed = sorted(v for v in g.vertices() if sp.in_x(placements[v]))
-        gp = g.delete(removed)
+        text = sp.to_text()
         pairs = [
             ("kind", "product"),
             ("n", g.num_vertices),
@@ -167,12 +162,13 @@ def cmd_sparsify(args) -> int:
             ("removed_g_size", len(removed)),
             ("removed_g", " ".join(str(v) for v in removed)),
         ]
-        if gp.num_vertices and gp.num_vertices <= 5000:
-            density = exhaustive_local_density(gp)
-            pairs.append(("density_after", formats.format_density(density)))
-            pairs.append(("density_le_D", "yes" if density <= D else "no"))
-        formats.write_atomic(args.out, sp.to_text())
-        formats.write_atomic(args.out + ".report", _report_lines(pairs))
+    gp = g.delete(removed)
+    if gp.num_vertices and gp.num_vertices <= 5000:
+        density = exhaustive_local_density(gp)
+        pairs.append(("density_after", formats.format_density(density)))
+        pairs.append(("density_le_D", "yes" if density <= D else "no"))
+    formats.write_atomic(args.out, text)
+    formats.write_atomic(args.out + ".report", _report_lines(pairs))
     return 0
 
 

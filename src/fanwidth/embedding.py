@@ -84,10 +84,10 @@ class DecompInstance:
     """The host part of one random block decomposition of ``host x path``
     with block size ``delta`` (a power of two) and host-layer offset ``r_h``.
 
-    Host-sized arrays: ``block`` is the layer block ``a`` of each host vertex,
-    ``root`` the least id of its block component, and ``exit`` its host
-    distance to the nearest live vertex outside its block component (inf if
-    none).
+    Host-sized arrays: ``block`` is the layer block ``a`` of each host vertex
+    and ``exit`` its host distance to the nearest live vertex outside its
+    block component (inf if none); ``trim_labels(frozenset())`` gives the
+    least id of its block component.
 
     One multi-source BFS gives every exit distance.  Distinct components of
     a block are not adjacent, so a shortest exit path leaves its component
@@ -120,7 +120,6 @@ class DecompInstance:
                     exit_dist[w] = exit_dist[u] + 1
                     queue.append(w)
         self.block = np.array(block, dtype=np.int64)
-        self.root = _block_components(host, block, frozenset())
         self.exit = np.array(exit_dist, dtype=np.float64)
         self._trims: dict = {}
 

@@ -71,22 +71,28 @@ def _check_vertex_count(n: int, lineno: int, what: str):
 # -- graphs ------------------------------------------------------------------
 
 
-def parse_graph(text: str) -> Graph:
-    cur = _Lines(text)
-    row, lineno = cur.take("graph header 'n m'")
-    n, m = _ints(row, lineno, 2, "graph header")
-    _check_vertex_count(n, lineno, "vertex count")
+def _read_graph(cur: _Lines, what: str) -> Graph:
+    """The header ``n m`` and the ``m`` edge lines ``u v`` of a graph;
+    ``what`` names the graph in messages."""
+    row, lineno = cur.take(f"{what} header 'n m'")
+    n, m = _ints(row, lineno, 2, f"{what} header")
+    _check_vertex_count(n, lineno, f"{what} vertex count")
+    expected, field = f"{what} edge 'u v'", f"{what} edge"
     edges = []
     for _ in range(m):
-        row, lineno = cur.take("edge 'u v'")
-        u, v = _ints(row, lineno, 2, "edge")
+        row, lineno = cur.take(expected)
+        u, v = _ints(row, lineno, 2, field)
         if not (0 <= u < v < n):
-            raise InputError(f"line {lineno}: edge needs 0 <= u < v < n, got {u} {v}")
+            raise InputError(f"line {lineno}: {field} needs 0 <= u < v < n, got {u} {v}")
         edges.append((u, v))
     try:
         return Graph(n, edges)
     except InputError as exc:
-        raise InputError(f"graph body: {exc}")
+        raise InputError(f"{what} body: {exc}")
+
+
+def parse_graph(text: str) -> Graph:
+    return _read_graph(_Lines(text), "graph")
 
 
 def serialize_graph(g: Graph) -> str:
@@ -152,10 +158,6 @@ def parse_decomposition(cur: _Lines) -> TreeDecomposition:
     return TreeDecomposition(bags, frozenset(tree_edges))
 
 
-def parse_decomposition_text(text: str) -> TreeDecomposition:
-    return parse_decomposition(_Lines(text))
-
-
 def serialize_decomposition(td: TreeDecomposition) -> str:
     lines = [str(len(td.bags))]
     for node in sorted(td.bags):
@@ -180,17 +182,7 @@ def parse_product_input(text: str):
     row, lineno = cur.take("section [H]")
     if row != "[H]":
         raise InputError(f"line {lineno}: expected [H], got {row!r}")
-    row, lineno = cur.take("host header 'n m'")
-    hn, hm = _ints(row, lineno, 2, "host header")
-    _check_vertex_count(hn, lineno, "host vertex count")
-    hedges = []
-    for _ in range(hm):
-        row, lineno = cur.take("host edge")
-        u, v = _ints(row, lineno, 2, "host edge")
-        if not (0 <= u < v < hn):
-            raise InputError(f"line {lineno}: host edge needs 0 <= u < v < n")
-        hedges.append((u, v))
-    host = Graph(hn, hedges)
+    host = _read_graph(cur, "host")
 
     td = None
     row, lineno = cur.take("section [TD] or [P]")
@@ -221,8 +213,8 @@ def parse_product_input(text: str):
             raise InputError(f"line {lineno}: vertex id {vid} outside 0..{gn - 1}")
         if placements[vid] is not None:
             raise InputError(f"line {lineno}: duplicate placement for vertex {vid}")
-        if not (0 <= h < hn):
-            raise InputError(f"line {lineno}: host vertex {h} outside 0..{hn - 1}")
+        if not (0 <= h < host.n):
+            raise InputError(f"line {lineno}: host vertex {h} outside 0..{host.n - 1}")
         if not (1 <= p <= rows):
             raise InputError(f"line {lineno}: row {p} outside 1..{rows}")
         if (h, p) in used:
@@ -272,17 +264,7 @@ def parse_drawing(text: str) -> DrawnGraph:
     row, lineno = cur.take("section [graph]")
     if row != "[graph]":
         raise InputError(f"line {lineno}: expected [graph], got {row!r}")
-    row, lineno = cur.take("graph header")
-    n, m = _ints(row, lineno, 2, "graph header")
-    _check_vertex_count(n, lineno, "vertex count")
-    edges = []
-    for _ in range(m):
-        row, lineno = cur.take("edge")
-        u, v = _ints(row, lineno, 2, "edge")
-        if not (0 <= u < v < n):
-            raise InputError(f"line {lineno}: edge needs 0 <= u < v < n")
-        edges.append((u, v))
-    g = Graph(n, edges)
+    g = _read_graph(cur, "graph")
     row, lineno = cur.take("section [crossings]")
     if row != "[crossings]":
         raise InputError(f"line {lineno}: expected [crossings], got {row!r}")

@@ -209,10 +209,11 @@ def _best_of_orderings(gp: Graph, emb, seed: int, restarts: int):
     return results[0][2], results[0][0], float(statistics.median(bws))
 
 
-def _compressed_rows(vertices, layer_of) -> dict:
-    values = sorted({layer_of[v] for v in vertices})
+def _compressed_rows(vertices, row_of) -> dict:
+    """Each vertex's row renumbered 1, 2, ... over the occupied rows."""
+    values = sorted({row_of[v] for v in vertices})
     rank = {s: t + 1 for t, s in enumerate(values)}
-    return {v: rank[layer_of[v]] for v in vertices}
+    return {v: rank[row_of[v]] for v in vertices}
 
 
 def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=193,
@@ -229,8 +230,6 @@ def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=193,
         return PipelineResult(set(), [], 0, 0.0)
     if not (1 <= D <= n):
         raise InputError(f"D={D} outside [1, {n}]")
-    if n == 1:
-        return PipelineResult(set(), list(g.vertices()), 0, 0.0)
 
     layering = bfs_layering(g, min(g.vertices()))
     baker = baker_sparsify(g, D, layering)
@@ -242,9 +241,7 @@ def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=193,
         "x_size": len(baker.x),
         "x_bound": baker.size_bound,
     }
-    if not survivors:
-        return PipelineResult(set(baker.x), [], 0, 0.0, info)
-    if len(survivors) == 1:
+    if len(survivors) < 2:
         return PipelineResult(set(baker.x), survivors, 0, 0.0, info)
 
     td = minfill_decomposition(gp)
@@ -276,9 +273,8 @@ def product_pipeline(host: Graph, td: TreeDecomposition | None, g: Graph,
 
     # compress empty rows; product edges span at most one row either way
     live_ids = g.vertices()
-    rows_present = sorted({placements[v].p for v in live_ids})
-    rank = {p: t + 1 for t, p in enumerate(rows_present)}
-    shifted = {v: ProductVertex(placements[v].h, rank[placements[v].p]) for v in live_ids}
+    rows = _compressed_rows(live_ids, {v: placements[v].p for v in live_ids})
+    shifted = {v: ProductVertex(placements[v].h, rows[v]) for v in live_ids}
 
     sp = product_sparsify(completed, td, [shifted[v] for v in live_ids], D)
     removed = {v for v in live_ids if sp.in_x(shifted[v])}
@@ -291,9 +287,7 @@ def product_pipeline(host: Graph, td: TreeDecomposition | None, g: Graph,
         "x_bound": Fraction(18) * (td.computed_width() + 1) * len(live_ids)
         * sp.num_scales / Fraction(D),
     }
-    if not survivors:
-        return PipelineResult(removed, [], 0, 0.0, info)
-    if len(survivors) == 1:
+    if len(survivors) < 2:
         return PipelineResult(removed, survivors, 0, 0.0, info)
 
     surv_pvs = [shifted[v] for v in survivors]
@@ -392,34 +386,19 @@ def _lift_deleted(x_prime, n: int, dummy_edges) -> set:
     return lifted
 
 
-def kplanar_reduce(dg: DrawnGraph, k: int, D, seed: int, a=193,
-                   restarts: int = 5, dims_cap: int | None = None) -> PipelineResult:
-    """Planarize a k-planar drawing, sparsify and order the planarization,
-    then lift the deleted set back (each dummy costs its four endpoints).
-
-    Rejects inputs whose edge count exceeds the k-planar budget
-    ``8 sqrt(k) n`` (classic crossing-lemma constant 1/64).
-    """
-    if k < 0:
-        raise InputError("k must be non-negative")
-    dg.validate(k=k if k > 0 else None)
+def _reduce_drawing(dg: DrawnGraph, k: int, planarizing: set, D, seed: int,
+                    a, restarts: int, dims_cap: int | None) -> PipelineResult:
+    """Planarize ``dg``, delete ``planarizing`` from the planarization, run
+    the planar pipeline on the rest and lift the deleted set back: each
+    deleted dummy costs the four endpoints of its crossing edges."""
     g = dg.graph
-    n = g.num_vertices
-    m = g.num_edges
-    if k > 0 and m > 8.0 * math.sqrt(k) * n:
-        raise InputError(
-            f"{m} edges exceed the k-planar budget 8*sqrt(k)*n = "
-            f"{8.0 * math.sqrt(k) * n:.0f}; input is not {k}-planar"
-        )
-    if not dg.crossings:
-        return planar_pipeline(g, D, seed, a=a, restarts=restarts, dims_cap=dims_cap)
-
     g_prime, dummy_edges = planarize_drawing(dg)
-    inner = planar_pipeline(g_prime, D, seed, a=a, restarts=restarts,
-                            dims_cap=dims_cap)
-    x = _lift_deleted(inner.x, g.n, dummy_edges)
-    if len(x) > 4 * len(inner.x):
-        raise AssertionError("lifted set exceeds four times the planar set")
+    inner = planar_pipeline(g_prime.delete(planarizing), D, seed, a=a,
+                            restarts=restarts, dims_cap=dims_cap)
+    deleted = planarizing | inner.x
+    x = _lift_deleted(deleted, g.n, dummy_edges)
+    if len(x) > 4 * len(deleted):
+        raise AssertionError("lifted set exceeds four times the deleted set")
 
     crossings_per_edge: dict = {}
     for cr in dg.crossings:
@@ -430,16 +409,38 @@ def kplanar_reduce(dg: DrawnGraph, k: int, D, seed: int, a=193,
             raise AssertionError(f"edge {e} became a path of length {cnt + 1} > k+1")
 
     ordering = [v for v in inner.ordering if v < g.n and v not in x]
-    gp = g.delete(x)
-    bw = bandwidth_of_ordering(gp, ordering)
+    bw = bandwidth_of_ordering(g.delete(x), ordering)
     info = dict(inner.info)
     info.update({
         "dummies": len(dg.crossings),
         "planar_x_size": len(inner.x),
-        "lifted_x_size": len(x),
         "planar_bandwidth": inner.bandwidth,
+        "planarizing_size": len(planarizing),
+        "lifted_x_size": len(x),
     })
     return PipelineResult(x, ordering, bw, inner.bandwidth_median, info)
+
+
+def kplanar_reduce(dg: DrawnGraph, k: int, D, seed: int, a=193,
+                   restarts: int = 5, dims_cap: int | None = None) -> PipelineResult:
+    """Planarize a k-planar drawing, sparsify and order the planarization,
+    then lift the deleted set back (each dummy costs its four endpoints).
+
+    Rejects inputs whose edge count exceeds the k-planar budget
+    ``8 sqrt(k) n`` (classic crossing-lemma constant 1/64).
+    """
+    if k < 0:
+        raise InputError("k must be non-negative")
+    dg.validate(k=k)
+    g = dg.graph
+    n = g.num_vertices
+    m = g.num_edges
+    if k > 0 and m > 8.0 * math.sqrt(k) * n:
+        raise InputError(
+            f"{m} edges exceed the k-planar budget 8*sqrt(k)*n = "
+            f"{8.0 * math.sqrt(k) * n:.0f}; input is not {k}-planar"
+        )
+    return _reduce_drawing(dg, k, set(), D, seed, a, restarts, dims_cap)
 
 
 def gk_reduce(dg: DrawnGraph, genus: int, k: int, D, seed: int,
@@ -464,8 +465,8 @@ def gk_reduce(dg: DrawnGraph, genus: int, k: int, D, seed: int,
         return kplanar_reduce(dg, k, D, seed, a=a, restarts=restarts,
                               dims_cap=dims_cap)
 
+    dg.validate(k=k)
     if dg.crossings:
-        dg.validate(k=k)
         if k > n ** (2.0 / 3.0) or genus > n:
             return PipelineResult(set(g.vertices()), [], 0, 0.0,
                                   {"short_circuit": "k or g too large"})
@@ -480,10 +481,6 @@ def gk_reduce(dg: DrawnGraph, genus: int, k: int, D, seed: int,
             raise InputError(
                 f"{m} edges exceed the k-planar budget on any surface"
             )
-        g_prime, dummy_edges = planarize_drawing(dg)
-    else:
-        dg.validate()
-        g_prime, dummy_edges = g, []
 
     if planarizing_set is None:
         raise InputError(
@@ -491,26 +488,9 @@ def gk_reduce(dg: DrawnGraph, genus: int, k: int, D, seed: int,
         )
     planarizing = set(planarizing_set)
     for v in planarizing:
-        if not (0 <= v < g_prime.n) or v in g_prime.removed:
+        if not (0 <= v < g.n + len(dg.crossings)) or v in g.removed:
             raise InputError(f"planarizing vertex {v} is not in the augmented graph")
-
-    residual = g_prime.delete(planarizing)
-    if residual.num_vertices == 0:
-        inner = PipelineResult(set(), [], 0, 0.0)
-    else:
-        inner = planar_pipeline(residual, D, seed, a=a, restarts=restarts,
-                                dims_cap=dims_cap)
-    x = _lift_deleted(planarizing | inner.x, g.n, dummy_edges)
-    ordering = [v for v in inner.ordering if v < g.n and v not in x]
-    gp = g.delete(x)
-    bw = bandwidth_of_ordering(gp, ordering)
-    info = dict(inner.info)
-    info.update({
-        "dummies": len(dg.crossings),
-        "planarizing_size": len(planarizing),
-        "lifted_x_size": len(x),
-    })
-    return PipelineResult(x, ordering, bw, inner.bandwidth_median, info)
+    return _reduce_drawing(dg, k, planarizing, D, seed, a, restarts, dims_cap)
 
 
 def default_blowup_factor(result: PipelineResult) -> int:

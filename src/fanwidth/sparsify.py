@@ -41,12 +41,6 @@ class BakerResult:
     w_eff: Fraction
     size_bound: Fraction
 
-    def __contains__(self, v):
-        return v in self.x
-
-    def __len__(self):
-        return len(self.x)
-
 
 def baker_sparsify(g: Graph, D, layering: Layering,
                    decomp_cache: dict | None = None) -> BakerResult:
@@ -195,22 +189,6 @@ class StructuredSparsifier:
                 y = sorted(self.cells.get((i, j), ()))
                 lines.append(f"{i} {j} | " + " ".join(str(v) for v in y))
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str, host: Graph) -> "StructuredSparsifier":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        header = lines[0].split()
-        if len(header) != 6 or header[0] != "N" or header[2] != "n" or header[4] != "D":
-            raise InputError("bad sparsifier header")
-        n_points = int(header[3])
-        d_raw = header[5]
-        density = Fraction(d_raw) if "/" in d_raw or "." not in d_raw else float(d_raw)
-        cells = {}
-        for ln in lines[1:]:
-            left, _, right = ln.partition("|")
-            i, j = (int(t) for t in left.split())
-            cells[(i, j)] = frozenset(int(t) for t in right.split())
-        return cls(host, n_points, density, cells)
 
 
 def product_sparsify(

@@ -281,11 +281,12 @@ def weighted_separator(h: Graph, td: TreeDecomposition, xi: dict, c: int) -> set
                 subtree[x] += subtree[y]
         weight_Hx = {x: subtree[x] + on_trace[x] for x in nodes}
 
-        heavy = {x for x in nodes if weight_Hx[x] * cc >= total}
+        heavy = [x for x in nodes if weight_Hx[x] * cc >= total]
         if not heavy:
             break
-        cands = [x for x in heavy if not any(y in heavy for y in children[x])]
-        y = min(cands, key=lambda x: (-depth[x], x))
+        # a node weighs at least as much as its child, so the deepest heavy
+        # node has no heavy child
+        y = min(heavy, key=lambda x: (-depth[x], x))
         selected.add(y)
 
         in_Ty = {y}

@@ -136,16 +136,6 @@ def harmonic_number(n: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
 
 
-def reciprocal_point_bound(m: FiniteMetric, x: int):
-    """Sum of 1/d(x, y) over the other points."""
-    return sum(
-        (Fraction(1, 1) / m.d[x][y]) if isinstance(m.d[x][y], (int, Fraction))
-        else 1.0 / m.d[x][y]
-        for y in range(m.size)
-        if y != x
-    )
-
-
 def reciprocal_sum_check(m: FiniteMetric, density, k: int):
     """Check sum over k-subsets of 1/tvol against n * (D * H_n / 2)^(k-1).
 

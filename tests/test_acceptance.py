@@ -328,7 +328,8 @@ def test_c07_component_diameters(desk_instance):
         for _ in range(reps):
             rh, rp = int(rng.integers(0, delta)), int(rng.integers(0, delta))
             _, a, b, jroot = geometry.points(rh, rp)
-            root = DecompInstance(completed, geometry.layering, delta, rh).root
+            inst = DecompInstance(completed, geometry.layering, delta, rh)
+            root = inst.trim_labels(frozenset())
             assert_component_diameters(
                 (a, b, root[geometry.hosts]),
                 lambda s, t: sm.product_distance(pvs[s], pvs[t]), 2 * delta + 1)

@@ -54,6 +54,9 @@ FUZZ_COMMANDS = {
     "certificate": ("c.txt", ["verify", "--graph", "g.txt", "--cert", "m.txt"]),
     "drawing": ("d.txt", ["reduce-kplanar", "--drawing", "m.txt", "--kk", "1",
                           "--D", "5", "--a", "2", "--out", "x.txt"]),
+    # --kk 0 allows no crossing: a drawing that keeps one is an input error
+    "drawing-k0": ("d.txt", ["reduce-kplanar", "--drawing", "m.txt", "--kk", "0",
+                             "--D", "5", "--a", "2", "--out", "x.txt"]),
 }
 
 
@@ -320,6 +323,15 @@ class TestReduceCommands:
         assert run("reduce-kplanar", "--drawing", work / "d.txt", "--kk", "1",
                    "--D", "5", "--seed", "3", "--a", "2", "--out", cert) == 0
         assert run("verify", "--graph", work / "k5.txt", "--cert", cert) == 0
+
+    def test_kplanar_k0_rejects_a_crossing(self, work, capsys):
+        cert = work / "cert.txt"
+        assert run("reduce-kplanar", "--drawing", work / "d.txt", "--kk", "0",
+                   "--D", "5", "--a", "2", "--out", cert) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not cert.exists()
 
     def test_gk_requires_planarizer(self, work):
         assert run("reduce-gk", "--drawing", work / "d.txt", "--genus", "1",

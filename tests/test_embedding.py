@@ -75,7 +75,7 @@ class TestDecompose:
                 _, a, b, _ = geometry.points(rh, rp)
                 inst = DecompInstance(completed, geometry.layering, delta, rh)
                 assert_component_diameters(
-                    (a, b, inst.root[geometry.hosts]),
+                    (a, b, inst.trim_labels(frozenset())[geometry.hosts]),
                     lambda s, t: sm.product_distance(pvs[s], pvs[t]), 2 * delta + 1)
 
     def test_rejects_bad_delta(self):
@@ -97,13 +97,14 @@ class TestTrim:
         geometry = scale_geometry(completed, sp, 4, placements)
         _, _, _, jroot = geometry.points(1, 2)
         inst = DecompInstance(completed, geometry.layering, 4, 1)
-        assert np.array_equal(jroot, inst.root[geometry.hosts])
+        assert np.array_equal(jroot, inst.trim_labels(frozenset())[geometry.hosts])
 
     def test_survivors_never_meet_containing_cuts(self):
         completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
         geometry = scale_geometry(completed, sp, 4, pvs)
         _, _, _, jroot = geometry.points(2, 1)
-        root = DecompInstance(completed, geometry.layering, 4, 2).root
+        inst = DecompInstance(completed, geometry.layering, 4, 2)
+        root = inst.trim_labels(frozenset())
         assert (jroot >= 0).all()  # surviving points are never trimmed
         # a trimmed component lies inside its block component
         assert np.array_equal(root[jroot], root[geometry.hosts])

@@ -2,8 +2,9 @@ import pytest
 
 from fanwidth import Graph, InputError, fan_certificate, path_graph
 from fanwidth.formats import (
+    _Lines,
     parse_certificate,
-    parse_decomposition_text,
+    parse_decomposition,
     parse_drawing,
     parse_graph,
     parse_product_input,
@@ -41,6 +42,24 @@ class TestGraphFormat:
         with pytest.raises(InputError, match="end of file"):
             parse_graph("3 2\n0 1\n")
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_graph, "3 2\n0 1\n0 1\n", "graph body: duplicate edge (0,1)"),
+        (parse_product_input, "[H]\n3 1\n2 1\n",
+         "line 3: host edge needs 0 <= u < v < n, got 2 1"),
+        (parse_product_input, "[H]\n2 1\n1 1 0\n",
+         "line 3: expected 2 fields for host edge, got 3"),
+        (parse_product_input, "[H]\n3 2\n0 1\n0 1\n[P]\n", "host body: duplicate edge (0,1)"),
+        (parse_drawing, "[graph]\n3 1\n2 1\n",
+         "line 3: graph edge needs 0 <= u < v < n, got 2 1"),
+        (parse_drawing, "[graph]\n3 2\n0 1\n0 1\n", "graph body: duplicate edge (0,1)"),
+    ], ids=["graph-body", "host-edge", "host-fields", "host-body", "drawing-edge",
+            "drawing-body"])
+    def test_one_edge_list_reader(self, parse, text, message):
+        # graphs, product hosts and drawings share one reader and its messages
+        with pytest.raises(InputError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
     def test_vertex_set_round_trip(self):
         text = serialize_vertex_set({4, 1, 7})
         assert parse_vertex_set(text) == [1, 4, 7]
@@ -51,7 +70,7 @@ class TestDecompositionFormat:
         g = random_connected_graph(8, 0.35, seed=5)
         td = minfill_decomposition(g)
         text = serialize_decomposition(td)
-        td2 = parse_decomposition_text(text)
+        td2 = parse_decomposition(_Lines(text))
         assert td2.bags == td.bags
         assert {tuple(sorted(e)) for e in td2.tree_edges} == {
             tuple(sorted(e)) for e in td.tree_edges
@@ -59,7 +78,7 @@ class TestDecompositionFormat:
 
     def test_bad_bag_line(self):
         with pytest.raises(InputError, match="line 2"):
-            parse_decomposition_text("2\n0 1 2\n1: 2 3\n0 1\n")
+            parse_decomposition(_Lines("2\n0 1 2\n1: 2 3\n0 1\n"))
 
 
 class TestProductFormat:

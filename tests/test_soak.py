@@ -113,7 +113,8 @@ def test_full_chain_on_random_instance(seed):
             rh, rp = int(prng.integers(0, delta)), int(prng.integers(0, delta))
             geometry = scale_geometry(completed, sp, delta, pvs)
             _, a_cell, b_cell, jroot = geometry.points(rh, rp)
-            root = DecompInstance(completed, geometry.layering, delta, rh).root
+            inst = DecompInstance(completed, geometry.layering, delta, rh)
+            root = inst.trim_labels(frozenset())
             assert_component_diameters(
                 (a_cell, b_cell, root[geometry.hosts]),
                 lambda s, t: sm.product_distance(pvs[s], pvs[t]), 2 * delta + 1)

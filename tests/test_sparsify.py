@@ -8,7 +8,6 @@ from fanwidth import (
     InputError,
     ProductVertex,
     StarMetric,
-    StructuredSparsifier,
     baker_sparsify,
     bfs_distances,
     bfs_layering,
@@ -150,13 +149,14 @@ class TestProductSparsify:
             assert pu.h not in y
             assert labels[pu.h] is not None
 
-    def test_serialization_round_trip(self):
+    def test_text_lists_every_cell(self):
         completed, g, placements, sp = small_product(8)
-        text = sp.to_text()
-        sp2 = StructuredSparsifier.from_text(text, completed)
-        assert sp2.cells == sp.cells
-        assert sp2.N == sp.N
-        assert sp2.to_text() == text
+        header, *rows = sp.to_text().splitlines()
+        assert header == f"N {sp.N} n {sp.n_points} D {sp.D}"
+        keys = [(i, j) for i in range(sp.num_scales) for j in range(sp.strips_at(i))]
+        assert sorted(sp.cells) == keys
+        assert rows == [f"{i} {j} | " + " ".join(str(v) for v in sorted(sp.cells[(i, j)]))
+                        for i, j in keys]
 
     def test_strip_cylinder_components_factor(self):
         # components of (widened strip minus its cut) are exactly

@@ -278,6 +278,72 @@ class TestTtreeComplete:
                                 assert h.has_edge(down[i], down[j])
 
 
+def _reference_separator(h, td, xi, c):
+    """The heavy-subtree separator as first written: every round recomputes
+    all subtree weights and picks the deepest heavy node among those with
+    no heavy child.  ``weighted_separator`` must select the same nodes."""
+    live = h.vertices()
+    total_original = sum(xi.get(v, 0) for v in live)
+    selected = set()
+    if c == 1:
+        return selected
+
+    adj = td.adjacency()
+    root = min(td.bags)
+    parent, order = {root: None}, [root]
+    for x in order:
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                order.append(y)
+    children = {x: [] for x in td.bags}
+    for x in order[1:]:
+        children[parent[x]].append(x)
+    depth = {root: 0}
+    for x in order[1:]:
+        depth[x] = depth[parent[x]] + 1
+
+    bags_of = {v: [] for v in live}
+    for x, bag in td.bags.items():
+        for v in bag:
+            bags_of[v].append(x)
+    top = {v: min(bags_of[v], key=lambda x: (depth[x], x)) for v in live if bags_of[v]}
+    residual = set(top)
+    nodes = td.nodes()
+
+    for cc in range(c, 1, -1):
+        total = sum(xi.get(v, 0) for v in residual)
+        if total * c <= total_original:
+            break
+        top_acc = {x: 0 for x in nodes}
+        on_trace = {x: 0 for x in nodes}
+        for v in residual:
+            w = xi.get(v, 0)
+            top_acc[top[v]] += w
+            for x in bags_of[v]:
+                if x != top[v]:
+                    on_trace[x] += w
+        subtree = dict(top_acc)
+        for x in reversed(order):
+            for y in children[x]:
+                subtree[x] += subtree[y]
+        weight = {x: subtree[x] + on_trace[x] for x in nodes}
+
+        heavy = {x for x in nodes if weight[x] * cc >= total}
+        if not heavy:
+            break
+        cands = [x for x in heavy if not any(y in heavy for y in children[x])]
+        y = min(cands, key=lambda x: (-depth[x], x))
+        selected.add(y)
+
+        stack = [y]
+        while stack:
+            x = stack.pop()
+            residual.difference_update(td.bags[x])
+            stack.extend(children[x])
+    return selected
+
+
 def check_separator(g, td, xi, c):
     sel = weighted_separator(g, td, xi, c)
     assert len(sel) <= c - 1
@@ -337,3 +403,32 @@ class TestWeightedSeparator:
         td = minfill_decomposition(g)
         xi = {v: (v * 7) % 4 for v in g.vertices()}
         check_separator(g, td, xi, c)
+
+
+class TestSeparatorMatchesReference:
+    @given(masked_graphs(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_decompositions(self, g, data):
+        td = minfill_decomposition(g)
+        live = g.vertices()
+        weights = data.draw(st.lists(st.integers(0, 5), min_size=len(live),
+                                     max_size=len(live)))
+        xi = dict(zip(live, weights))
+        if data.draw(st.booleans()):
+            xi = {v: Fraction(w, v + 1) for v, w in xi.items()}
+        c = data.draw(st.integers(1, 8))
+        assert weighted_separator(g, td, xi, c) == _reference_separator(g, td, xi, c)
+
+    def test_every_baker_slab_on_a_grid(self, monkeypatch):
+        g, _ = grid_graph(12, 12)
+        calls = []
+
+        def recording(sub, td, xi, c):
+            selected = weighted_separator(sub, td, xi, c)
+            calls.append(selected == _reference_separator(sub, td, xi, c))
+            return selected
+
+        monkeypatch.setattr(fanwidth.sparsify, "weighted_separator", recording)
+        baker_sparsify(g, 8, bfs_layering(g, 0))
+        assert len(calls) > 20
+        assert all(calls)
