@@ -20,12 +20,16 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import Graph, Layering, ProductVertex, bfs_layering
-from .randomness import stream, streams
+from .randomness import PCG64Batch, label_states, stream
 from .sparsify import StructuredSparsifier
 from .starmetric import StarMetric
 from .volumes import FiniteMetric, euclidean_volume, tree_volume
 
 INF = math.inf
+
+# Columns of a scale drawn and written together: the stretch draws and the
+# gathered per-point arrays of one block are ``_COLUMN_CHUNK x n``
+_COLUMN_CHUNK = 512
 
 
 def _row_geometry(rows: np.ndarray, delta: int, r_p: int, n_rows: int):
@@ -208,18 +212,36 @@ def build_embedding(point_ids, placements, sp: StructuredSparsifier,
     col = 0
     for i in range(scales):
         delta = 1 << i
-        geometry = _ScaleGeometry(host, layering, sp, delta, hosts, rows)
-        labels = (f"inst/i={i}/j={jr}/{use}" for jr in range(1, reps + 1)
-                  if selected[i * reps + (jr - 1)] for use in ("offsets", "alpha"))
-        gens = streams(seed, labels)
-        # zip over one iterator pairs each column's offsets and alpha streams
-        for offsets, alpha in zip(gens, gens):
-            r_h = int(offsets.integers(0, delta))
-            r_p = int(offsets.integers(0, delta))
-            bdist, jidx, components = geometry.instance(r_h, r_p)
-            coords[:, col] = (1.0 + alpha.random(components)[jidx]) * bdist
-            col += 1
+        jrs = [jr for jr in range(1, reps + 1) if selected[i * reps + jr - 1]]
+        labels = (f"inst/i={i}/j={jr}/{use}" for jr in jrs for use in ("offsets", "alpha"))
+        # the geometry lives only for the call, so one scale's is freed
+        # before the next is built
+        _fill_scale(coords[:, col:col + len(jrs)], label_states(seed, labels),
+                    _ScaleGeometry(host, layering, sp, delta, hosts, rows))
+        col += len(jrs)
     return Embedding(ids, pvs, coords, k, a, seed, L_full, capped)
+
+
+def _fill_scale(out: np.ndarray, states: np.ndarray, geometry: _ScaleGeometry):
+    """Write one scale's columns into ``out``.  Column ``t`` takes its
+    offsets from the stream of seed state ``states[2t]`` and its stretches
+    from ``states[2t + 1]``: ``(1 + alpha[jidx]) * bdist`` of its instance,
+    where ``alpha`` is ``random(components)`` of the stretch stream."""
+    delta = geometry.delta
+    r_h, r_p = PCG64Batch(states[0::2]).offsets(delta)
+    pairs, inst_of = np.unique(r_h * delta + r_p, return_inverse=True)
+    instances = [geometry.instance(*divmod(int(pair), delta)) for pair in pairs]
+    components = np.array([count for _, _, count in instances])[inst_of]
+    for start in range(0, len(inst_of), _COLUMN_CHUNK):
+        stop = min(start + _COLUMN_CHUNK, len(inst_of))
+        alpha = PCG64Batch(states[2 * start + 1:2 * stop:2]).random(
+            int(components[start:stop].max()))
+        used, local = np.unique(inst_of[start:stop], return_inverse=True)
+        jidx = np.stack([instances[u][1] for u in used])[local]
+        block = np.take_along_axis(alpha, jidx, axis=1)
+        block += 1.0
+        block *= np.stack([instances[u][0] for u in used])[local]
+        out[:, start:stop] = block.T
 
 
 class _ScaleGeometry:

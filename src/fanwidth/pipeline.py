@@ -427,7 +427,8 @@ def kplanar_reduce(dg: DrawnGraph, k: int, D, seed: int, a=193,
     then lift the deleted set back (each dummy costs its four endpoints).
 
     Rejects inputs whose edge count exceeds the k-planar budget
-    ``8 sqrt(k) n`` (classic crossing-lemma constant 1/64).
+    ``8 sqrt(k) n`` (classic crossing-lemma constant 1/64), or at k = 0 the
+    planar bound ``3n - 6`` (n >= 3).
     """
     if k < 0:
         raise InputError("k must be non-negative")
@@ -439,6 +440,11 @@ def kplanar_reduce(dg: DrawnGraph, k: int, D, seed: int, a=193,
         raise InputError(
             f"{m} edges exceed the k-planar budget 8*sqrt(k)*n = "
             f"{8.0 * math.sqrt(k) * n:.0f}; input is not {k}-planar"
+        )
+    if k == 0 and n >= 3 and m > 3 * n - 6:
+        raise InputError(
+            f"{m} edges exceed the planar bound 3n-6 = {3 * n - 6}; "
+            "input is not planar"
         )
     return _reduce_drawing(dg, k, set(), D, seed, a, restarts, dims_cap)
 
@@ -490,6 +496,16 @@ def gk_reduce(dg: DrawnGraph, genus: int, k: int, D, seed: int,
     for v in planarizing:
         if not (0 <= v < g.n + len(dg.crossings)) or v in g.removed:
             raise InputError(f"planarizing vertex {v} is not in the augmented graph")
+    # D is the user's density, so it is checked against the input; the
+    # planar pipeline then runs on what the planarizing set leaves
+    if not (1 <= D <= n):
+        raise InputError(f"D={D} outside [1, {n}]")
+    left = n + len(dg.crossings) - len(planarizing)
+    if 0 < left < D:
+        raise InputError(
+            f"D={D} exceeds the {left} vertices left once the planarizing set "
+            f"(size {len(planarizing)}) is removed"
+        )
     return _reduce_drawing(dg, k, planarizing, D, seed, a, restarts, dims_cap)
 
 

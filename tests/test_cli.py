@@ -333,6 +333,33 @@ class TestReduceCommands:
         assert "Traceback" not in err
         assert not cert.exists()
 
+    def test_kplanar_k0_rejects_a_nonplanar_graph(self, work, capsys):
+        # the plain K5 lists no crossing, but 10 edges exceed 3n - 6 = 9
+        drawing = work / "plain.txt"
+        drawing.write_text(serialize_drawing(DrawnGraph(k5(), [])))
+        cert = work / "cert.txt"
+        assert run("reduce-kplanar", "--drawing", drawing, "--kk", "0",
+                   "--D", "5", "--a", "2", "--out", cert) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 10 edges exceed the planar bound 3n-6 = 9; input is not planar\n"
+        assert not cert.exists()
+
+    def test_gk_checks_d_against_the_input(self, work, capsys):
+        drawing = work / "plain.txt"
+        drawing.write_text(serialize_drawing(DrawnGraph(k5(), [])))
+        pset = work / "pset.txt"
+        pset.write_text(serialize_vertex_set([4]))
+        cert = work / "cert.txt"
+        argv = ["reduce-gk", "--drawing", drawing, "--genus", "1", "--kk", "0",
+                "--planarizing", pset, "--a", "2", "--out", cert]
+        assert run(*argv, "--D", "6") == 2
+        assert capsys.readouterr().err == "error: D=6 outside [1, 5]\n"
+        assert run(*argv, "--D", "5") == 2
+        assert capsys.readouterr().err == (
+            "error: D=5 exceeds the 4 vertices left once the planarizing set "
+            "(size 1) is removed\n")
+        assert not cert.exists()
+
     def test_gk_requires_planarizer(self, work):
         assert run("reduce-gk", "--drawing", work / "d.txt", "--genus", "1",
                    "--kk", "1", "--D", "4", "--out", work / "c.txt") == 2
@@ -358,6 +385,26 @@ class TestReduceCommands:
         assert run(*command, "--drawing", work / "d.txt", "--D", "5",
                    "--k", "3", "--out", cert) == 2
         assert not cert.exists()
+
+
+class TestLazyImports:
+    def test_verify_never_loads_numpy_random(self, work):
+        # importing numpy.random costs verify a few MB of peak memory, and
+        # verify draws nothing
+        import subprocess
+        import sys
+
+        script = (
+            "import sys\n"
+            "import fanwidth.cli\n"
+            "assert 'numpy.random' not in sys.modules, 'after import'\n"
+            "code = fanwidth.cli.main(['verify', '--graph', sys.argv[1], '--cert', sys.argv[2]])\n"
+            "assert code == 0, code\n"
+            "assert 'numpy.random' not in sys.modules, 'after verify'\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script, str(work / "g.txt"),
+                               str(work / "c.txt")], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestCrossProcessDeterminism:

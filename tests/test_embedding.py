@@ -20,6 +20,7 @@ from fanwidth import (
     project_order,
     ttree_complete,
 )
+from fanwidth import embedding
 from fanwidth.embedding import Embedding, _embedding_shape
 from fanwidth.randomness import stream
 
@@ -344,6 +345,23 @@ class TestGeometryDefinition:
             chosen = stream(5, "dims-cap").choice(emb.L_full, size=dims_cap,
                                                   replace=False)
             expected = expected[:, np.sort(chosen)]
+        assert np.array_equal(emb.coords, expected)
+
+    @pytest.mark.parametrize("dims_cap", [None, 25])
+    def test_column_chunks_equal_reference(self, monkeypatch, dims_cap):
+        # three columns per chunk: every scale spans several chunks, and the
+        # capped columns are scattered over the repetitions
+        monkeypatch.setattr(embedding, "_COLUMN_CHUNK", 3)
+        completed, sp, surv, pvs = spider_instance()
+        emb = build_embedding(surv, pvs, sp, k=2, a=1, seed=5, dims_cap=dims_cap)
+        scales, reps = _embedding_shape(len(surv), 2, 1)
+        expected, _ = reference_coords(completed, sp, pvs, 2, 1, 5)
+        if dims_cap is not None:
+            chosen = np.sort(stream(5, "dims-cap").choice(emb.L_full, size=dims_cap,
+                                                          replace=False))
+            assert np.any(np.diff(chosen) > 1)
+            expected = expected[:, chosen]
+        assert reps > 3 and emb.L > 3
         assert np.array_equal(emb.coords, expected)
 
     def test_point_of_x_is_rejected(self):
