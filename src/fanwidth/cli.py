@@ -30,12 +30,12 @@ from .pipeline import (
     kplanar_reduce,
     planar_pipeline,
     product_pipeline,
+    sparsify_product,
     verify_certificate,
 )
 from .randomness import stream
-from .sparsify import baker_sparsify, product_sparsify
+from .sparsify import baker_sparsify
 from .starmetric import StarMetric, metric_local_density, verify_metric_axioms
-from .treedec import minfill_decomposition, ttree_complete
 from .volumes import FiniteMetric, euclidean_volume, reciprocal_sum_check, tree_volume
 
 
@@ -108,18 +108,11 @@ def _config(args) -> RunConfig:
     return cfg
 
 
-def _load_product(path: str):
-    host, td, rows, placements, g = formats.parse_product_input(_read(path))
-    if td is None:
-        td = minfill_decomposition(host)
-    return host, td, rows, placements, g
-
-
 def _sparsify_product(path: str, D):
-    """Load a product document, complete its host and cut the strips."""
-    host, td, _, placements, g = _load_product(path)
-    sp = product_sparsify(ttree_complete(host, td), td, placements, D)
-    return g, td, placements, sp
+    """Load a product document and run ``sparsify_product`` on it; returns
+    ``(g, td, sp, placed, removed)``."""
+    host, td, _, placements, g = formats.parse_product_input(_read(path))
+    return (g, *sparsify_product(host, td, g, placements, D))
 
 
 def _report_lines(pairs) -> str:
@@ -150,8 +143,8 @@ def cmd_sparsify(args) -> int:
             ("w_eff", baker.w_eff),
         ]
     else:
-        g, td, placements, sp = _sparsify_product(args.product, D)
-        removed = sorted(v for v in g.vertices() if sp.in_x(placements[v]))
+        g, td, sp, _, removed = _sparsify_product(args.product, D)
+        removed = sorted(removed)
         text = sp.to_text()
         pairs = [
             ("kind", "product"),
@@ -174,11 +167,11 @@ def cmd_sparsify(args) -> int:
 
 def cmd_embed(args) -> int:
     cfg = _config(args)
-    g, _, placements, sp = _sparsify_product(args.product, cfg.D)
-    ids = [v for v in g.vertices() if not sp.in_x(placements[v])]
+    _, _, sp, placed, removed = _sparsify_product(args.product, cfg.D)
+    ids = [v for v in placed if v not in removed]
     if not ids:
         raise InputError("sparsifier removed every vertex; nothing to embed")
-    pvs = [placements[v] for v in ids]
+    pvs = [placed[v] for v in ids]
     emb = build_embedding(ids, pvs, sp, cfg.k, cfg.a, cfg.seed, cfg.dims_cap)
     formats.write_atomic(args.out, formats.serialize_embedding(emb))
     return 0
@@ -190,7 +183,8 @@ def _run_pipeline(args, cfg: RunConfig):
         result = planar_pipeline(g, cfg.D, cfg.seed, k=cfg.k, a=cfg.a,
                                  restarts=cfg.restarts, dims_cap=cfg.dims_cap)
     else:
-        host, td, rows, placements, g = _load_product(args.product)
+        host, td, _, placements, g = formats.parse_product_input(
+            _read(args.product))
         result = product_pipeline(host, td, g, placements, cfg.D, k=cfg.k,
                                   a=cfg.a, seed=cfg.seed, restarts=cfg.restarts,
                                   dims_cap=cfg.dims_cap)
@@ -234,7 +228,7 @@ def cmd_verify(args) -> int:
     if args.graph:
         g = formats.parse_graph(_read(args.graph))
     else:
-        _, _, _, _, g = _load_product(args.product)
+        g = formats.parse_product_input(_read(args.product))[-1]
     violations = verify_certificate(g, cert)
     if violations:
         for line in violations:
@@ -290,9 +284,9 @@ def cmd_oracle(args) -> int:
             raise InputError("oracle metric-axioms needs --product")
         if args.D is None:
             raise InputError("oracle metric-axioms needs --D")
-        g, _, placements, sp = _sparsify_product(args.product,
-                                                 _parse_density(args.D))
-        pvs = [placements[v] for v in g.vertices() if not sp.in_x(placements[v])]
+        _, _, sp, placed, removed = _sparsify_product(args.product,
+                                                      _parse_density(args.D))
+        pvs = [pv for v, pv in placed.items() if v not in removed]
         if not pvs:
             raise InputError("sparsifier removed every vertex; no metric to check")
         sm = StarMetric(sp, pvs)

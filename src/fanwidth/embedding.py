@@ -48,14 +48,8 @@ def _row_geometry(rows: np.ndarray, delta: int, r_p: int, n_rows: int):
 def _containing_cut(sp: StructuredSparsifier, lo: int, hi: int) -> frozenset:
     """Host vertices of the vertical cuts whose strips fully contain rows
     ``lo..hi``: they trim every block component in those rows."""
-    cut: set = set()
-    for i in range(sp.num_scales):
-        slo = sp.strip_of(lo, i)
-        shi = sp.strip_of(hi, i)
-        for j in range(max(0, shi - 1), min(sp.strips_at(i) - 1, slo + 1) + 1):
-            if slo >= j - 1 and shi <= j + 1:
-                cut |= sp.cells.get((i, j), frozenset())
-    return frozenset(cut)
+    cuts = (sp.cells.get(ij, ()) for ij in sp.widened_strips(lo, hi))
+    return frozenset().union(*cuts)
 
 
 def _block_components(host: Graph, block: list, cut) -> np.ndarray:

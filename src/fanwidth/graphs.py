@@ -11,6 +11,7 @@ correctly under ``max`` and ``+``.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -313,21 +314,32 @@ def graph_local_density(g: Graph) -> Fraction:
     live = g.vertices()
     if not live:
         raise InputError("local density of an empty graph is undefined")
-    best = Fraction(0)
-    for v in live:
-        dist = bfs_distances(g, v)
-        finite = sorted(d for d in dist.values() if d is not INF)
-        # finite is sorted, so |B(v, r)| is the index past the last d <= r
-        count = 0
-        total = len(finite)
-        i = 0
-        while i < total:
-            r = finite[i]
-            while i < total and finite[i] == r:
-                i += 1
-            count = i
+    return ball_density(bfs_distances(g, v).values() for v in live)
+
+
+def ball_density(rows):
+    """Max over centers and realized radii r of ``(|B(r)| - 1) / r``, given
+    one row of distances per center (``INF`` where unreachable).
+
+    The result is a Fraction when every finite distance is a
+    ``numbers.Rational`` (int, numpy integer, Fraction), else a float.  Rows
+    are read one at a time, so they may come from a generator.
+    """
+    exact = True
+    best, best_float = Fraction(0), 0.0
+    for row in rows:
+        finite = sorted(d for d in row if d != INF)
+        kinds = set(map(type, finite))
+        exact = exact and all(issubclass(kind, numbers.Rational) for kind in kinds)
+        # finite is sorted, so |B(r)| is the index past the last d <= r
+        t, total = 0, len(finite)
+        while t < total:
+            r = finite[t]
+            while t < total and finite[t] == r:
+                t += 1
             if r > 0:
-                ratio = Fraction(count - 1, r)
-                if ratio > best:
-                    best = ratio
-    return best
+                best_float = max(best_float, (t - 1) / r)
+                if exact:
+                    best = max(best, Fraction((t - 1) * int(r.denominator),
+                                              int(r.numerator)))
+    return best if exact else best_float

@@ -255,15 +255,16 @@ def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=193,
     return PipelineResult(set(baker.x), ordering, bw, bw_med, info)
 
 
-def product_pipeline(host: Graph, td: TreeDecomposition | None, g: Graph,
-                     placements, D, k: int | None = None, a=193,
-                     seed: int = 0, restarts: int = 5,
-                     dims_cap: int | None = None) -> PipelineResult:
-    """Full product run: complete the host, cut the strips, embed the
-    survivors, and keep the best of R projections."""
-    n = g.num_vertices
-    if n == 0:
-        return PipelineResult(set(), [], 0, 0.0)
+def sparsify_product(host: Graph, td: TreeDecomposition | None, g: Graph,
+                     placements, D):
+    """The front half of every product command: complete the host (with a
+    min-fill decomposition when ``td`` is None), renumber the occupied rows
+    1, 2, ... and cut the strips.
+
+    Returns ``(td, sp, placed, removed)``: the host decomposition, the
+    sparsifier, each live vertex's renumbered placement (in vertex order)
+    and the live vertices that lie in X.
+    """
     placements = list(placements)
     if len(placements) != g.n:
         raise InputError("one placement per vertex is required")
@@ -274,23 +275,35 @@ def product_pipeline(host: Graph, td: TreeDecomposition | None, g: Graph,
     # compress empty rows; product edges span at most one row either way
     live_ids = g.vertices()
     rows = _compressed_rows(live_ids, {v: placements[v].p for v in live_ids})
-    shifted = {v: ProductVertex(placements[v].h, rows[v]) for v in live_ids}
+    placed = {v: ProductVertex(placements[v].h, rows[v]) for v in live_ids}
 
-    sp = product_sparsify(completed, td, [shifted[v] for v in live_ids], D)
-    removed = {v for v in live_ids if sp.in_x(shifted[v])}
+    sp = product_sparsify(completed, td, list(placed.values()), D)
+    removed = {v for v in live_ids if sp.in_x(placed[v])}
+    return td, sp, placed, removed
+
+
+def product_pipeline(host: Graph, td: TreeDecomposition | None, g: Graph,
+                     placements, D, k: int | None = None, a=193,
+                     seed: int = 0, restarts: int = 5,
+                     dims_cap: int | None = None) -> PipelineResult:
+    """Full product run: complete the host, cut the strips, embed the
+    survivors, and keep the best of R projections."""
+    if g.num_vertices == 0:
+        return PipelineResult(set(), [], 0, 0.0)
+    td, sp, placed, removed = sparsify_product(host, td, g, placements, D)
     gp = g.delete(removed)
     survivors = gp.vertices()
     info = {
         "host_width": td.width,
         "x_size": len(removed),
         "x_cylinder_size": sp.x_size(),
-        "x_bound": Fraction(18) * (td.computed_width() + 1) * len(live_ids)
+        "x_bound": Fraction(18) * (td.computed_width() + 1) * len(placed)
         * sp.num_scales / Fraction(D),
     }
     if len(survivors) < 2:
         return PipelineResult(removed, survivors, 0, 0.0, info)
 
-    surv_pvs = [shifted[v] for v in survivors]
+    surv_pvs = [placed[v] for v in survivors]
     emb = build_embedding(survivors, surv_pvs, sp, k, a, seed, dims_cap)
     ordering, bw, bw_med = _best_of_orderings(gp, emb, seed, restarts)
     return PipelineResult(removed, ordering, bw, bw_med, info)
@@ -392,6 +405,17 @@ def _reduce_drawing(dg: DrawnGraph, k: int, planarizing: set, D, seed: int,
     the planar pipeline on the rest and lift the deleted set back: each
     deleted dummy costs the four endpoints of its crossing edges."""
     g = dg.graph
+    n = g.num_vertices
+    # D is the user's density, so it is checked against the input, not the
+    # planarization; the planar pipeline then runs on what is left
+    if not (1 <= D <= n):
+        raise InputError(f"D={D} outside [1, {n}]")
+    left = n + len(dg.crossings) - len(planarizing)
+    if 0 < left < D:
+        raise InputError(
+            f"D={D} exceeds the {left} vertices left once the planarizing set "
+            f"(size {len(planarizing)}) is removed"
+        )
     g_prime, dummy_edges = planarize_drawing(dg)
     inner = planar_pipeline(g_prime.delete(planarizing), D, seed, a=a,
                             restarts=restarts, dims_cap=dims_cap)
@@ -496,16 +520,6 @@ def gk_reduce(dg: DrawnGraph, genus: int, k: int, D, seed: int,
     for v in planarizing:
         if not (0 <= v < g.n + len(dg.crossings)) or v in g.removed:
             raise InputError(f"planarizing vertex {v} is not in the augmented graph")
-    # D is the user's density, so it is checked against the input; the
-    # planar pipeline then runs on what the planarizing set leaves
-    if not (1 <= D <= n):
-        raise InputError(f"D={D} outside [1, {n}]")
-    left = n + len(dg.crossings) - len(planarizing)
-    if 0 < left < D:
-        raise InputError(
-            f"D={D} exceeds the {left} vertices left once the planarizing set "
-            f"(size {len(planarizing)}) is removed"
-        )
     return _reduce_drawing(dg, k, planarizing, D, seed, a, restarts, dims_cap)
 
 

@@ -144,17 +144,20 @@ class StructuredSparsifier:
     def pad_range(self):
         return -self.N + 1, 2 * self.N
 
+    def widened_strips(self, lo: int, hi: int):
+        """Each strip (i, j) whose widened rows ``plus_interval(i, j)``
+        contain all of rows ``lo..hi``: at most three per scale."""
+        for i in range(self.num_scales):
+            first = max(0, self.strip_of(hi, i) - 1)
+            last = min(self.strips_at(i) - 1, self.strip_of(lo, i) + 1)
+            for j in range(first, last + 1):
+                yield i, j
+
     # -- membership and size ------------------------------------------------
 
     def in_x(self, pv: ProductVertex) -> bool:
-        for i in range(self.num_scales):
-            s = self.strip_of(pv.p, i)
-            for j in (s - 1, s, s + 1):
-                if 0 <= j < self.strips_at(i) and pv.h in self.cells.get((i, j), ()):
-                    lo, hi = self.plus_interval(i, j)
-                    if lo <= pv.p <= hi:
-                        return True
-        return False
+        cells = self.cells
+        return any(pv.h in cells.get(ij, ()) for ij in self.widened_strips(pv.p, pv.p))
 
     def x_size(self) -> int:
         """Exact size of the union of cylinders, clipped to the padded path."""

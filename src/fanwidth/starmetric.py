@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import InputError
-from .graphs import ProductVertex, all_pairs_distances
+from .graphs import ProductVertex, all_pairs_distances, ball_density
 from .randomness import stream
 from .sparsify import StructuredSparsifier
 
@@ -94,19 +93,17 @@ class StarMetric:
     def d_star(self, u: ProductVertex, v: ProductVertex):
         """Max of the product distance and all strip detours.
 
-        Only the three strips per scale around u's row can be positive, so
-        the scan is O(log N).
+        Only the strips whose widened rows hold both rows can be positive,
+        at most three per scale, so the scan is O(log N).
         """
         for pv in (u, v):
             if pv not in self._point_set and self.sp.in_x(pv):
                 raise InputError(f"vertex {pv} lies in the sparsifying set")
         best = self.product_distance(u, v)
-        for i in range(self.sp.num_scales):
-            s = self.sp.strip_of(u.p, i)
-            for j in (s - 1, s, s + 1):
-                d = self.d_ij(i, j, u, v)
-                if d > best:
-                    best = d
+        for i, j in self.sp.widened_strips(min(u.p, v.p), max(u.p, v.p)):
+            d = self.d_ij(i, j, u, v)
+            if d > best:
+                best = d
         return best
 
     def matrix(self) -> np.ndarray:
@@ -183,10 +180,10 @@ def verify_metric_axioms(sm: StarMetric, mode: str = "exhaustive",
 
 def metric_local_density(points, dist):
     """Exact local density of a finite metric: max over centers and realized
-    radii of (ball size - 1) / r.
+    radii of (ball size - 1) / r (see ``graphs.ball_density``).
 
     ``dist`` is either a callable on point pairs or a square matrix aligned
-    with ``points``.  Returns a Fraction when all distances are integral,
+    with ``points``.  Returns a Fraction when all distances are rational,
     else a float.  A single point yields 0.
     """
     pts = list(points)
@@ -194,28 +191,5 @@ def metric_local_density(points, dist):
     if n == 0:
         raise InputError("empty point set")
     if callable(dist):
-        rows = [[dist(pts[i], pts[j]) for j in range(n)] for i in range(n)]
-    else:
-        rows = [[dist[i][j] for j in range(n)] for i in range(n)]
-    exact = all(
-        isinstance(d, (int, np.integer)) or (isinstance(d, Fraction))
-        for row in rows for d in row if d != INF
-    )
-    best = Fraction(0) if exact else 0.0
-    for i in range(n):
-        finite = sorted(d for d in rows[i] if d != INF)
-        t = 0
-        total = len(finite)
-        while t < total:
-            r = finite[t]
-            while t < total and finite[t] == r:
-                t += 1
-            if r > 0:
-                if exact:
-                    rr = r if isinstance(r, Fraction) else int(r)
-                    ratio = Fraction(t - 1) / rr
-                else:
-                    ratio = (t - 1) / r
-                if ratio > best:
-                    best = ratio
-    return best
+        return ball_density([dist(u, v) for v in pts] for u in pts)
+    return ball_density([dist[i][j] for j in range(n)] for i in range(n))

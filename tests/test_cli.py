@@ -4,10 +4,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fanwidth import cli, fan_certificate, grid_graph, minfill_decomposition, path_graph
+import fanwidth
+from fanwidth import (
+    Graph,
+    ProductVertex,
+    cli,
+    fan_certificate,
+    grid_graph,
+    minfill_decomposition,
+    path_graph,
+    product_pipeline,
+)
 from fanwidth.cli import main
 from fanwidth.formats import (
     parse_certificate,
+    parse_product_input,
     serialize_certificate,
     serialize_drawing,
     serialize_graph,
@@ -18,6 +29,8 @@ from fanwidth.pipeline import DrawnGraph
 
 from conftest import grid_in_product
 from test_pipeline import k5, k5_drawing
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 @pytest.fixture
@@ -191,6 +204,21 @@ class TestCertifyAndVerify:
                    "--seed", "7", "--a", "2", "--k", "3", "--out", cert) == 0
         assert run("verify", "--product", work / "p.txt", "--cert", cert) == 0
 
+    def test_verify_product_never_runs_minfill(self, work, monkeypatch):
+        # verify reads only the embedded graph of a product document, so a
+        # document without [TD] must not cost a host decomposition
+        cert = work / "cert.txt"
+        assert run("certify", "--product", work / "p.txt", "--D", "8",
+                   "--seed", "5", "--a", "2", "--k", "3", "--out", cert) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify ran minfill_decomposition")
+
+        for mod in (fanwidth, fanwidth.treedec, fanwidth.sparsify, fanwidth.pipeline,
+                    cli):
+            monkeypatch.setattr(mod, "minfill_decomposition", refuse, raising=False)
+        assert run("verify", "--product", work / "p.txt", "--cert", cert) == 0
+
     def test_tampered_certificate_exits_1(self, work, capsys):
         cert = work / "cert.txt"
         run("certify", "--graph", work / "g.txt", "--D", "8", "--seed", "7",
@@ -360,6 +388,19 @@ class TestReduceCommands:
             "(size 1) is removed\n")
         assert not cert.exists()
 
+    def test_kplanar_checks_d_against_the_input(self, work, capsys):
+        # the planarization of the one-crossing K5 has 6 vertices, the
+        # input 5: D is the user's density, so its range is the input's
+        cert = work / "cert.txt"
+        argv = ["reduce-kplanar", "--drawing", work / "d.txt", "--kk", "1",
+                "--seed", "3", "--a", "2", "--out", cert]
+        assert run(*argv, "--D", "6") == 2
+        err = capsys.readouterr().err
+        assert err == "error: D=6 outside [1, 5]\n"
+        assert not cert.exists()
+        assert run(*argv, "--D", "5") == 0
+        assert cert.read_bytes() == (GOLDEN / "k5_kplanar_D5_seed3.txt").read_bytes()
+
     def test_gk_requires_planarizer(self, work):
         assert run("reduce-gk", "--drawing", work / "d.txt", "--genus", "1",
                    "--kk", "1", "--D", "4", "--out", work / "c.txt") == 2
@@ -385,6 +426,49 @@ class TestReduceCommands:
         assert run(*command, "--drawing", work / "d.txt", "--D", "5",
                    "--k", "3", "--out", cert) == 2
         assert not cert.exists()
+
+
+@st.composite
+def sparse_row_products(draw):
+    """A product document over path(w) x path whose occupied rows have gaps
+    (the row count may exceed the number of points), with every legal
+    product edge between the placed points."""
+    width = draw(st.integers(1, 3))
+    occupied = sorted(draw(st.sets(st.integers(1, 30), min_size=1, max_size=6)))
+    placements = [ProductVertex(h, p) for p in occupied
+                  for h in sorted(draw(st.sets(st.integers(0, width - 1), min_size=1)))]
+    n = len(placements)
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if abs(placements[u].h - placements[v].h) <= 1
+             and abs(placements[u].p - placements[v].p) <= 1]
+    rows = occupied[-1] + draw(st.integers(0, 3))
+    return serialize_product_input(path_graph(width), None, rows, placements,
+                                   Graph(n, edges))
+
+
+class TestProductFrontEnd:
+    @given(text=sparse_row_products(), D=st.integers(2, 6))
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_unoccupied_rows_are_renumbered_everywhere(self, work, capsys, text, D):
+        # every --product command sparsifies the rows that certify uses
+        doc = work / "sparse.txt"
+        doc.write_text(text)
+        host, td, _, placements, g = parse_product_input(text)
+        x = product_pipeline(host, td, g, placements, D, a=2, k=2, restarts=1).x
+        out = work / "x.txt"
+        assert run("sparsify", "--product", doc, "--D", D, "--out", out) == 0
+        report = dict(line.split(" ", 1) for line in
+                      (work / "x.txt.report").read_text().splitlines())
+        assert report["removed_g"].split() == [str(v) for v in sorted(x)]
+        for argv in (["embed", "--a", "2", "--k", "2", "--out", work / "emb.txt"],
+                     ["oracle", "--what", "metric-axioms"]):
+            code = run(*argv, "--product", doc, "--D", D)
+            if len(x) < g.n:
+                assert code == 0
+            else:  # nothing survives to embed or measure
+                assert code == 2
+                assert "sparsifier removed every vertex" in capsys.readouterr().err
 
 
 class TestLazyImports:
@@ -443,6 +527,33 @@ class TestGoldenCertificate:
         golden = (pathlib.Path(__file__).parent / "golden"
                   / "cert_column8_seed3.txt").read_text()
         assert serialize_certificate(cert) == golden
+
+
+class TestGoldenProductOutputs:
+    """Regression pins for the outputs of the product commands that are not
+    certificates, on the 5x5 grid product of the ``work`` fixture."""
+
+    def test_sparsify_bytes(self, work):
+        out = work / "sp.txt"
+        assert run("sparsify", "--product", work / "p.txt", "--D", "6",
+                   "--out", out) == 0
+        assert out.read_bytes() == (GOLDEN / "product5_sparsify_D6.txt").read_bytes()
+        assert (work / "sp.txt.report").read_bytes() == (
+            GOLDEN / "product5_sparsify_D6.txt.report").read_bytes()
+
+    def test_embed_bytes(self, work):
+        out = work / "emb.txt"
+        assert run("embed", "--product", work / "p.txt", "--D", "8", "--seed", "5",
+                   "--a", "2", "--k", "3", "--out", out) == 0
+        assert out.read_bytes() == (GOLDEN / "product5_embed_D8_seed5.txt").read_bytes()
+
+    def test_metric_axioms_bytes(self, work, capsys):
+        out = work / "axioms.txt"
+        assert run("oracle", "--what", "metric-axioms", "--product", work / "p.txt",
+                   "--D", "8", "--seed", "1", "--out", out) == 0
+        golden = (GOLDEN / "product5_metric_axioms_D8_seed1.txt").read_bytes()
+        assert out.read_bytes() == golden
+        assert capsys.readouterr().out.encode() == golden
 
 
 class TestOracleCommand:

@@ -8,6 +8,7 @@ from fanwidth import (
     InputError,
     ProductVertex,
     StarMetric,
+    StructuredSparsifier,
     baker_sparsify,
     bfs_distances,
     bfs_layering,
@@ -18,6 +19,8 @@ from fanwidth import (
     product_sparsify,
     ttree_complete,
 )
+
+from fanwidth.randomness import stream
 
 from conftest import column_in_product, grid_in_product
 
@@ -189,3 +192,48 @@ class TestProductSparsify:
                 for j in range(sp.strips_at(i))
             )
             assert sp.in_x(pv) == member
+
+
+def _reference_in_x(sp, pv) -> bool:
+    """Membership as written before ``widened_strips``: the three strips per
+    scale around the row, each checked for the row inside its widened
+    interval."""
+    for i in range(sp.num_scales):
+        s = sp.strip_of(pv.p, i)
+        for j in (s - 1, s, s + 1):
+            if 0 <= j < sp.strips_at(i) and pv.h in sp.cells.get((i, j), ()):
+                lo, hi = sp.plus_interval(i, j)
+                if lo <= pv.p <= hi:
+                    return True
+    return False
+
+
+class TestWidenedStrips:
+    def test_equals_the_strips_whose_interval_holds_the_rows(self):
+        for n_points in (1, 2, 4, 8, 16, 32, 64):
+            sp = StructuredSparsifier(path_graph(1), n_points, 2, {})
+            assert sp.N == n_points
+            intervals = [(i, j, *sp.plus_interval(i, j))
+                         for i in range(sp.num_scales) for j in range(sp.strips_at(i))]
+            pad_lo, pad_hi = sp.pad_range()
+            for lo in range(pad_lo, pad_hi + 1):
+                for hi in range(lo, pad_hi + 1):
+                    brute = [(i, j) for i, j, slo, shi in intervals
+                             if slo <= lo and hi <= shi]
+                    assert list(sp.widened_strips(lo, hi)) == brute, (n_points, lo, hi)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_in_x_matches_the_reference_loop(self, seed):
+        rng = stream(seed, "test/in_x")
+        width = int(rng.integers(1, 6))
+        sp = StructuredSparsifier(path_graph(width), int(rng.integers(1, 70)), 2, {})
+        for i in range(sp.num_scales):
+            for j in range(sp.strips_at(i)):
+                if rng.random() < 0.7:  # a strip may have no entry at all
+                    sp.cells[(i, j)] = frozenset(
+                        h for h in range(width) if rng.random() < 0.15)
+        pad_lo, pad_hi = sp.pad_range()
+        for h in range(width):
+            for p in range(pad_lo, pad_hi + 1):
+                pv = ProductVertex(h, p)
+                assert sp.in_x(pv) == _reference_in_x(sp, pv), pv

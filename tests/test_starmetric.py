@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fanwidth import (
@@ -19,6 +20,8 @@ from fanwidth import (
     ttree_complete,
     verify_metric_axioms,
 )
+
+from fanwidth.randomness import stream
 
 from conftest import grid_in_product, random_connected_graph
 
@@ -120,6 +123,29 @@ class TestDStar:
             for v in placements[-8:]:
                 assert sm.d_star(u, v) == sm.product_distance(u, v)
 
+    @pytest.mark.parametrize("cut_prob", [0.02, 0.05, 0.1])
+    def test_matches_the_three_strip_scan(self, cut_prob):
+        # the scan as written before widened_strips: the three strips per
+        # scale around u's row, each d_ij guarding its own rows
+        rng = stream(5, f"test/d_star/{cut_prob}")
+        sp = StructuredSparsifier(path_graph(5), 16, 4, {})
+        for i in range(sp.num_scales):
+            for j in range(sp.strips_at(i)):
+                sp.cells[(i, j)] = frozenset(h for h in range(5) if rng.random() < cut_prob)
+        pvs = [ProductVertex(h, p) for h in range(5) for p in range(1, 17)
+               if not sp.in_x(ProductVertex(h, p))]
+        sm = StarMetric(sp, pvs)
+        separated = 0
+        for u in pvs:
+            for v in pvs:
+                best = sm.product_distance(u, v)
+                for i in range(sp.num_scales):
+                    s = sp.strip_of(u.p, i)
+                    best = max([best] + [sm.d_ij(i, j, u, v) for j in (s - 1, s, s + 1)])
+                assert sm.d_star(u, v) == best, (u, v)
+                separated += best > sm.product_distance(u, v)
+        assert separated  # some pair takes a detour
+
     def test_rejects_points_in_x(self):
         completed, g, placements, sp, surv, pvs = sparsified_grid()
         removed = next(placements[v] for v in range(g.n) if sp.in_x(placements[v]))
@@ -207,6 +233,17 @@ class TestMetricLocalDensity:
     def test_empty_rejected(self):
         with pytest.raises(InputError):
             metric_local_density([], lambda u, v: 0)
+
+    @pytest.mark.parametrize("matrix, expected", [
+        (np.array([[0, 2, 4], [2, 0, 2], [4, 2, 0]]), Fraction(1)),
+        ([[0, Fraction(1, 3), 1], [Fraction(1, 3), 0, 1], [1, 1, 0]], Fraction(3)),
+        (np.array([[0.0, 2.0], [2.0, 0.0]]), 0.5),
+        ([[0, 2, 4.0], [2, 0, 2], [4.0, 2, 0]], 1.0),
+    ], ids=["numpy-int", "fraction", "float", "mixed"])
+    def test_exact_only_when_every_distance_is_rational(self, matrix, expected):
+        val = metric_local_density(range(len(matrix)), matrix)
+        assert val == expected
+        assert isinstance(val, Fraction) == isinstance(expected, Fraction)
 
     def test_infinite_distances_ignored(self):
         d = {(0, 1): 1, (0, 2): INF, (1, 2): INF}
