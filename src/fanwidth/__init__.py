@@ -27,7 +27,6 @@ from .treedec import (
     weighted_separator,
 )
 from .sparsify import BakerResult, StructuredSparsifier, baker_sparsify, product_sparsify
-from .starmetric import StarMetric, interval_detour, metric_local_density, verify_metric_axioms
 from .volumes import (
     FiniteMetric,
     euclidean_volume,
@@ -40,9 +39,14 @@ from .embedding import (
     DecompInstance,
     Embedding,
     build_embedding,
-    distortion_volume_report,
     project_order,
+)
+from .starmetric import (
+    StarMetric,
+    distortion_volume_report,
+    metric_local_density,
     theoretical_distortion_bound,
+    verify_metric_axioms,
 )
 from .oracles import exact_bandwidth, exhaustive_local_density
 from .pipeline import (

@@ -79,11 +79,14 @@ def _parse_density(raw: str):
     try:
         if "/" in raw:
             return Fraction(raw)
-        if "." in raw or "e" in raw.lower():
-            return float(raw)
-        return int(raw)
+        if "." not in raw and "e" not in raw.lower():
+            return int(raw)
+        value = float(raw)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"--D {raw!r} is not an integer, fraction p/q or float")
+    if not math.isfinite(value):
+        raise InputError(f"--D {raw!r} is not finite")
+    return value
 
 
 def _read(path: str) -> str:
@@ -271,6 +274,7 @@ def cmd_oracle(args) -> int:
     if args.trials < 1:
         raise InputError("--trials must be at least 1")
     lines = []
+    failure = None
     if args.what in ("bandwidth", "density"):
         if not args.graph:
             raise InputError(f"oracle {args.what} needs --graph")
@@ -298,14 +302,10 @@ def cmd_oracle(args) -> int:
         lines.append(f"triples_checked {rep.triples_checked}")
         lines.append(f"violations {len(rep.violations)}")
         lines.extend(rep.violations)
-        density = metric_local_density(pvs, lambda u, v: sm.d_star(u, v))
+        density = metric_local_density(pvs, sm.matrix())
         lines.append(f"detour_metric_density {formats.format_density(density)}")
         if rep.violations:
-            text = "\n".join(lines) + "\n"
-            if args.out:
-                formats.write_atomic(args.out, text)
-            sys.stdout.write(text)
-            raise VerificationFailure(rep.violations[0])
+            failure = rep.violations[0]
     elif args.what == "volume-sandwich":
         rng = stream(args.seed, "oracle/volume")
         bad = 0
@@ -347,6 +347,8 @@ def cmd_oracle(args) -> int:
     if args.out:
         formats.write_atomic(args.out, text)
     sys.stdout.write(text)
+    if failure is not None:
+        raise VerificationFailure(failure)
     return 0
 
 

@@ -22,8 +22,6 @@ from .errors import InputError
 from .graphs import Graph, Layering, ProductVertex, bfs_layering
 from .randomness import PCG64Batch, label_states, stream
 from .sparsify import StructuredSparsifier
-from .starmetric import StarMetric
-from .volumes import FiniteMetric, euclidean_volume, tree_volume
 
 INF = math.inf
 
@@ -361,92 +359,3 @@ def project_order(emb: Embedding, seed: int) -> list:
         h = emb.coords @ r
     order = np.lexsort((ids, h))
     return [int(ids[t]) for t in order]
-
-
-@dataclass
-class DistortionReport:
-    pairs: int
-    contraction_violations: int
-    max_distortion: float
-    distortion_bound: float
-    sampled_subsets: int
-    skipped_subsets: int
-    volume_pass_fraction: float
-
-    @property
-    def ok(self) -> bool:
-        return self.contraction_violations == 0
-
-
-def theoretical_distortion_bound(n: int) -> float:
-    """Distortion guarantee of the scaled embedding at full dimension."""
-    return 1920.0 * math.sqrt(2.0 * math.floor(1 + math.log2(n)))
-
-
-def distortion_volume_report(emb: Embedding, sm: StarMetric,
-                             sample_size: int = 1000, subset_size: int = 3,
-                             seed: int = 0,
-                             dstar_matrix: np.ndarray | None = None) -> DistortionReport:
-    """Contraction, worst pairwise distortion, and the sampled subset-volume
-    threshold of the embedding against the strip-detour metric."""
-    n = len(emb.point_ids)
-    if dstar_matrix is None:
-        pairs = {pv: t for t, pv in enumerate(sm.points)}
-        if all(pv in pairs for pv in emb.placements):
-            full = sm.matrix()
-            sel = [pairs[pv] for pv in emb.placements]
-            dstar_matrix = full[np.ix_(sel, sel)]
-        else:
-            dstar_matrix = np.zeros((n, n))
-            for s in range(n):
-                for t in range(s + 1, n):
-                    d = sm.d_star(emb.placements[s], emb.placements[t])
-                    dstar_matrix[s, t] = dstar_matrix[t, s] = d
-
-    scaled = emb.scaled()
-    sq = np.sum(scaled * scaled, axis=1)
-    d2sq = sq[:, None] + sq[None, :] - 2.0 * (scaled @ scaled.T)
-    np.maximum(d2sq, 0.0, out=d2sq)
-    d2 = np.sqrt(d2sq)
-
-    iu = np.triu_indices(n, k=1)
-    emb_d = d2[iu]
-    star_d = dstar_matrix[iu]
-    finite = np.isfinite(star_d)
-    violations = int(np.sum(emb_d[finite] > star_d[finite] * (1 + 1e-9) + 1e-12))
-    with np.errstate(divide="ignore"):
-        ratios = np.where(emb_d > 0, star_d / np.maximum(emb_d, 1e-300), np.inf)
-        ratios = np.where(star_d > 0, ratios, 1.0)
-    max_distortion = float(np.max(ratios[finite])) if finite.any() else 1.0
-
-    reps = math.ceil(emb.a * emb.k * math.log(n)) if n >= 2 else 1
-    zeta = math.sqrt(reps) / (640.0 * math.sqrt(2.0))
-    rng = stream(seed, "report/subsets")
-    passed = 0
-    skipped = 0
-    total = 0
-    ksub = subset_size
-    if n > ksub:
-        for _ in range(sample_size):
-            sel = sorted(rng.choice(n, size=ksub, replace=False))
-            sub = dstar_matrix[np.ix_(sel, sel)]
-            if not np.isfinite(sub).all():
-                skipped += 1
-                continue
-            total += 1
-            tvol = tree_volume(FiniteMetric(sub.tolist()))
-            evol = euclidean_volume(emb.coords[sel])
-            lhs = evol * math.factorial(ksub - 1)
-            rhs = tvol * (2.0 * zeta / 3.0) ** (ksub - 1)
-            if lhs >= rhs:
-                passed += 1
-    frac = passed / total if total else 1.0
-    return DistortionReport(
-        pairs=int(finite.sum()),
-        contraction_violations=violations,
-        max_distortion=max_distortion,
-        distortion_bound=theoretical_distortion_bound(max(n, 2)),
-        sampled_subsets=total,
-        skipped_subsets=skipped,
-        volume_pass_fraction=frac,
-    )

@@ -384,7 +384,7 @@ def parse_certificate(text: str) -> FanCertificate:
 def serialize_embedding(emb) -> str:
     lines = [f"{len(emb.point_ids)} {emb.L} {emb.k} {emb.a!r} {emb.seed}"]
     for t, vid in enumerate(emb.point_ids):
-        coords = " ".join(f"{c!r}" for c in emb.coords[t])
+        coords = " ".join(map(repr, emb.coords[t].tolist()))
         lines.append(f"{vid} {coords}".rstrip())
     return "\n".join(lines) + "\n"
 

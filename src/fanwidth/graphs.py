@@ -317,6 +317,18 @@ def graph_local_density(g: Graph) -> Fraction:
     return ball_density(bfs_distances(g, v).values() for v in live)
 
 
+def all_rational(values) -> bool:
+    """True when every value is a ``numbers.Rational`` (int, numpy integer,
+    Fraction): the values whose arithmetic is kept exact."""
+    return all(issubclass(kind, numbers.Rational) for kind in set(map(type, values)))
+
+
+def as_fraction(x) -> Fraction:
+    """A rational ``x`` as a Fraction of Python ints; a numpy integer left in
+    Fraction arithmetic would turn the result into a numpy float."""
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
 def ball_density(rows):
     """Max over centers and realized radii r of ``(|B(r)| - 1) / r``, given
     one row of distances per center (``INF`` where unreachable).
@@ -329,8 +341,7 @@ def ball_density(rows):
     best, best_float = Fraction(0), 0.0
     for row in rows:
         finite = sorted(d for d in row if d != INF)
-        kinds = set(map(type, finite))
-        exact = exact and all(issubclass(kind, numbers.Rational) for kind in kinds)
+        exact = exact and all_rational(finite)
         # finite is sorted, so |B(r)| is the index past the last d <= r
         t, total = 0, len(finite)
         while t < total:
@@ -340,6 +351,5 @@ def ball_density(rows):
             if r > 0:
                 best_float = max(best_float, (t - 1) / r)
                 if exact:
-                    best = max(best, Fraction((t - 1) * int(r.denominator),
-                                              int(r.numerator)))
+                    best = max(best, (t - 1) / as_fraction(r))
     return best if exact else best_float

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from .errors import InputError
 from .graphs import Graph, graph_local_density
-from .starmetric import metric_local_density
 
 
 def exact_bandwidth(g: Graph, max_vertices: int = 12) -> int:
@@ -66,14 +65,8 @@ def exact_bandwidth(g: Graph, max_vertices: int = 12) -> int:
     return target
 
 
-def exhaustive_local_density(g_or_metric, max_points: int = 5000):
-    """Exact local density of a graph, or of ``(points, matrix)``."""
-    if isinstance(g_or_metric, Graph):
-        if g_or_metric.num_vertices > max_points:
-            raise InputError(f"density oracle is limited to {max_points} points")
-        return graph_local_density(g_or_metric)
-    points, dist = g_or_metric
-    if len(points) > max_points:
+def exhaustive_local_density(g: Graph, max_points: int = 5000):
+    """Exact local density of a graph."""
+    if g.num_vertices > max_points:
         raise InputError(f"density oracle is limited to {max_points} points")
-    return metric_local_density(points, dist)
-
+    return graph_local_density(g)

@@ -225,11 +225,8 @@ def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=193,
     (path of compressed BFS layers), with an empty structured sparsifier, so
     one embedding engine serves both this and the product pipeline.
     """
-    n = g.num_vertices
-    if n == 0:
+    if g.num_vertices == 0:
         return PipelineResult(set(), [], 0, 0.0)
-    if not (1 <= D <= n):
-        raise InputError(f"D={D} outside [1, {n}]")
 
     layering = bfs_layering(g, min(g.vertices()))
     baker = baker_sparsify(g, D, layering)

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
 from .errors import DegenerateMetricError, InputError
+from .graphs import all_rational, as_fraction
 
 
 class FiniteMetric:
@@ -141,23 +142,25 @@ def reciprocal_sum_check(m: FiniteMetric, density, k: int):
 
     Caller asserts the metric has local density at most ``density``.  Returns
     ``(lhs, rhs, ok)`` with a non-strict comparison; boundary cases can be
-    tight.
+    tight.  The sums are Fractions when ``density`` and every distance are
+    rational (``graphs.all_rational``), else floats.
     """
     n = m.size
     if n > 14:
         raise InputError("subset enumeration is limited to 14 points")
     if k < 1 or k > n:
         raise InputError(f"subset size {k} out of range 1..{n}")
-    exact = all(
-        isinstance(m.d[i][j], (int, Fraction)) for i in range(n) for j in range(n)
-    ) and isinstance(density, (int, Fraction))
+    exact = all_rational([density, *chain.from_iterable(m.d)])
+    if exact:
+        m = FiniteMetric([[as_fraction(d) for d in row] for row in m.d])
+        density = as_fraction(density)
     lhs = Fraction(0) if exact else 0.0
     one = Fraction(1) if exact else 1.0
     for idx in combinations(range(n), k):
         lhs += one / tree_volume(m.submetric(idx))
     hn = harmonic_number(n)
     if exact:
-        rhs = n * (Fraction(density) * hn / 2) ** (k - 1)
+        rhs = n * (density * hn / 2) ** (k - 1)
     else:
         rhs = n * (float(density) * float(hn) / 2.0) ** (k - 1)
     return lhs, rhs, lhs <= rhs

@@ -147,10 +147,7 @@ def desk_instance():
     surv = [v for v in range(g.n) if not sp.in_x(placements[v])]
     pvs = [placements[v] for v in surv]
     sm = StarMetric(sp, pvs)
-    dstar = np.zeros((len(pvs), len(pvs)))
-    for i in range(len(pvs)):
-        for j in range(i + 1, len(pvs)):
-            dstar[i, j] = dstar[j, i] = sm.d_star(pvs[i], pvs[j])
+    dstar = np.array(sm.matrix(), dtype=float)
     return completed, sp, g, placements, surv, pvs, sm, dstar
 
 

@@ -1,13 +1,16 @@
 import pathlib
 
+import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fanwidth
 from fanwidth import (
     Graph,
     ProductVertex,
+    StarMetric,
+    build_embedding,
     cli,
     fan_certificate,
     grid_graph,
@@ -25,7 +28,7 @@ from fanwidth.formats import (
     serialize_product_input,
     serialize_vertex_set,
 )
-from fanwidth.pipeline import DrawnGraph
+from fanwidth.pipeline import DrawnGraph, sparsify_product
 
 from conftest import grid_in_product
 from test_pipeline import k5, k5_drawing
@@ -151,9 +154,11 @@ class TestSparsifyCommand:
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(D=st.text(max_size=12))
+    @example(D="1e400")
     def test_any_density_text_ends_in_an_exit_code(self, work, D):
-        assert run("sparsify", "--graph", work / "g.txt", f"--D={D}", "--out",
-                   work / "x.txt") in (0, 1, 2)
+        for source in (["--graph", work / "g.txt"], ["--product", work / "p.txt"]):
+            assert run("sparsify", *source, f"--D={D}", "--out",
+                       work / "x.txt") in (0, 1, 2)
 
     @pytest.mark.parametrize("kind", sorted(FUZZ_COMMANDS))
     @settings(max_examples=40, deadline=None,
@@ -291,6 +296,22 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("sparsify", "--out", "x.txt"),
+        ("embed", "--out", "emb.txt"),
+        ("order", "--out", "ord.txt"),
+        ("certify", "--out", "cert.txt"),
+        ("oracle", "--what", "metric-axioms"),
+    ], ids=lambda argv: argv[0])
+    def test_overflowing_density_exits_2_on_every_product_command(self, work, capsys,
+                                                                  argv):
+        # float("1e400") is inf, which no Fraction can hold
+        command, *flags = argv
+        flags = [work / f if f.endswith(".txt") else f for f in flags]
+        assert run(command, *flags, "--product", work / "p.txt", "--D", "1e400") == 2
+        err = capsys.readouterr().err
+        assert err == "error: --D '1e400' is not finite\n"
+
     @pytest.mark.parametrize("field", ["X", "ordering"])
     def test_non_integer_certificate_id_exits_2(self, work, capsys, field):
         lines = (work / "c.txt").read_text().splitlines()
@@ -338,6 +359,20 @@ class TestOrderAndEmbed:
             run("embed", "--product", work / "p.txt", "--D", "8", "--seed", "7",
                 "--restarts", restarts, "--out", work / "emb.txt")
         assert exc.value.code == 2
+
+    def test_embed_writes_plain_numbers(self, work):
+        # each token reads back with float() to the coordinate, bit for bit
+        out = work / "emb.txt"
+        assert run("embed", "--product", work / "p.txt", "--D", "8", "--seed", "5",
+                   "--a", "2", "--k", "3", "--out", out) == 0
+        host, td, _, placements, g = parse_product_input((work / "p.txt").read_text())
+        _, sp, placed, removed = sparsify_product(host, td, g, placements, 8)
+        ids = [v for v in placed if v not in removed]
+        emb = build_embedding(ids, [placed[v] for v in ids], sp, 3, 2.0, 5)
+        rows = [line.split() for line in out.read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows] == ids
+        coords = np.array([[float(tok) for tok in row[1:]] for row in rows])
+        assert coords.tobytes() == emb.coords.tobytes()
 
     def test_embed_everything_removed_is_input_error(self, work):
         # a dense grid at the minimum density has no survivors to embed
@@ -581,6 +616,39 @@ class TestOracleCommand:
 
     def test_missing_graph_flag(self):
         assert run("oracle", "--what", "bandwidth") == 2
+
+    def test_metric_axioms_tabulates_d_star_once(self, work, capsys, monkeypatch):
+        # the axioms and the density both read StarMetric.matrix(): one
+        # d_star call per ordered pair of the 5 points
+        calls = []
+        d_star = StarMetric.d_star
+
+        def counted(self, u, v):
+            calls.append((u, v))
+            return d_star(self, u, v)
+
+        monkeypatch.setattr(StarMetric, "d_star", counted)
+        assert run("oracle", "--what", "metric-axioms", "--product", work / "p.txt",
+                   "--D", "8", "--seed", "1") == 0
+        assert "points 5\n" in capsys.readouterr().out
+        assert len(calls) == 25
+
+    def test_metric_axioms_writes_then_fails(self, work, capsys, monkeypatch):
+        # a violation is written and printed like a pass, then exits 1
+        def broken(self):
+            # the last point is 7 from every point, itself included
+            n = len(self.points)
+            return tuple(tuple(int(i != j) for j in range(n))
+                         for i in range(n - 1)) + ((7,) * n,)
+
+        monkeypatch.setattr(StarMetric, "matrix", broken)
+        out = work / "axioms.txt"
+        assert run("oracle", "--what", "metric-axioms", "--product", work / "p.txt",
+                   "--D", "8", "--seed", "1", "--out", out) == 1
+        captured = capsys.readouterr()
+        assert captured.out == out.read_text()
+        assert "asymmetry on (p0,p4): 1 vs 7" in captured.out
+        assert captured.err == "verification failed: d(p4,p4) != 0\n"
 
     def test_metric_axioms_report(self, work, capsys):
         assert run("oracle", "--what", "metric-axioms", "--product",

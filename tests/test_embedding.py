@@ -420,3 +420,14 @@ class TestDistortionReport:
         rep = distortion_volume_report(emb, sm, sample_size=150, seed=1)
         assert rep.contraction_violations == 0
         assert rep.max_distortion >= 1.0
+
+    def test_d_star_defaults_to_the_placements(self):
+        # a metric over other points gives way to d* over the placements
+        completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
+        emb = build_embedding(surv, pvs, sp, k=3, a=2, seed=15)
+        rep = distortion_volume_report(emb, sm, sample_size=50, seed=1)
+        assert rep == distortion_volume_report(emb, StarMetric(sp, pvs[1:] + pvs[:1]),
+                                               sample_size=50, seed=1)
+        assert rep == distortion_volume_report(emb, StarMetric(sp, pvs[:1]),
+                                               sample_size=50, seed=1,
+                                               dstar_matrix=sm.matrix())

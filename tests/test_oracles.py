@@ -65,11 +65,6 @@ class TestExhaustiveDensity:
         g = Graph(6, [(0, v) for v in range(1, 6)])
         assert exhaustive_local_density(g) == 5
 
-    def test_metric_form(self):
-        pts = [0, 1, 2]
-        mat = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
-        assert exhaustive_local_density((pts, mat)) == 2
-
     def test_oversize_rejected(self):
         with pytest.raises(InputError):
             exhaustive_local_density(Graph(5001, []))

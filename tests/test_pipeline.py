@@ -187,6 +187,12 @@ class TestPlanarPipeline:
         assert res.x == set()
         assert res.bandwidth == 1  # best-of-R recovers a path order here
 
+    @pytest.mark.parametrize("D", [0, 5])
+    def test_density_outside_the_vertex_range_rejected(self, D):
+        # baker_sparsify holds the check
+        with pytest.raises(InputError, match=rf"^D={D} outside \[1, 4\]$"):
+            planar_pipeline(path_graph(4), D=D, seed=0)
+
     def test_single_vertex(self):
         res = planar_pipeline(Graph(1, []), D=1, seed=0)
         assert res.x == set() and res.bandwidth == 0

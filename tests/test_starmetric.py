@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 
 from fanwidth import (
+    Graph,
     InputError,
     ProductVertex,
     StarMetric,
     StructuredSparsifier,
     bfs_distances,
     graph_local_density,
-    interval_detour,
     metric_local_density,
     minfill_decomposition,
     path_graph,
@@ -28,29 +28,43 @@ from conftest import grid_in_product, random_connected_graph
 INF = math.inf
 
 
+def detour_strip():
+    """StarMetric over path(5) x path(16) whose only cut, host vertex 2, is
+    in strip (2, 1): its widened rows are 1..12, so rows 0 and 13 exist
+    for the detour and host columns 0 and 4 are separated."""
+    sp = StructuredSparsifier(path_graph(5), 16, 4, {(2, 1): frozenset({2})})
+    assert sp.plus_interval(2, 1) == (1, 12)
+    return StarMetric(sp, [])
+
+
 class TestIntervalDetour:
     def test_exit_below(self):
-        assert interval_detour(3, 5, 1, 12) == 8
+        sm = detour_strip()
+        assert sm.d_ij(2, 1, ProductVertex(0, 3), ProductVertex(4, 5)) == 8
 
     def test_step_out_and_back_low(self):
-        assert interval_detour(1, 1, 1, 4) == 2
+        sm = detour_strip()
+        assert sm.d_ij(2, 1, ProductVertex(0, 1), ProductVertex(4, 1)) == 2
 
     def test_step_out_and_back_high(self):
-        assert interval_detour(4, 4, 1, 4) == 2
+        sm = detour_strip()
+        assert sm.d_ij(2, 1, ProductVertex(0, 12), ProductVertex(4, 12)) == 2
 
     def test_matches_enumeration(self):
-        lo, hi = 2, 9
+        sm = detour_strip()
+        lo, hi = 1, 12
         for up in range(lo, hi + 1):
             for vp in range(lo, hi + 1):
                 best = min(
                     abs(up - x) + abs(x - vp)
                     for x in (lo - 1, hi + 1)
                 )
-                assert interval_detour(up, vp, lo, hi) == best
+                assert sm.d_ij(2, 1, ProductVertex(0, up), ProductVertex(4, vp)) == best
 
-    def test_rejects_outside_rows(self):
-        with pytest.raises(InputError):
-            interval_detour(0, 3, 1, 4)
+    def test_rows_outside_the_strip_give_zero(self):
+        sm = detour_strip()
+        assert sm.d_ij(2, 1, ProductVertex(0, 0), ProductVertex(4, 3)) == 0
+        assert sm.d_ij(2, 1, ProductVertex(0, 3), ProductVertex(4, 13)) == 0
 
 
 def sparsified_grid(D=16, size=16):
@@ -80,13 +94,9 @@ class TestDij:
         assert sm.d_ij(0, sp.strip_of(pvs[0].p, 0), pvs[0], pvs[0]) == 0
 
     def test_strip_one_scale_two_matches_worked_numbers(self):
-        # widened strip (2,1) covers rows 1..12; hosts at distance 4 on a
-        # path, rows 3 and 5: product distance 4, detour 8, so d* = 8
-        host = path_graph(5)
-        cells = {(2, 1): frozenset({2})}
-        sp = StructuredSparsifier(host, 16, 4, cells)
-        sm = StarMetric(sp, [])
-        assert sp.plus_interval(2, 1) == (1, 12)
+        # hosts at distance 4 on a path, rows 3 and 5: product distance 4,
+        # detour 8, so d* = 8
+        sm = detour_strip()
         u, v = ProductVertex(0, 3), ProductVertex(4, 5)
         assert sm.product_distance(u, v) == 4
         assert sm.d_ij(2, 1, u, v) == 8
@@ -145,6 +155,19 @@ class TestDStar:
                 assert sm.d_star(u, v) == best, (u, v)
                 separated += best > sm.product_distance(u, v)
         assert separated  # some pair takes a detour
+
+    def test_matrix_is_exact_and_built_once(self):
+        completed, g, placements, sp, surv, pvs = sparsified_grid(D=8, size=8)
+        sm = StarMetric(sp, pvs)
+        d = sm.matrix()
+        assert d is sm.matrix()
+        assert d == tuple(tuple(sm.d_star(u, v) for v in pvs) for u in pvs)
+        assert {type(x) for row in d for x in row} == {int}
+
+    def test_matrix_keeps_inf_between_host_components(self):
+        sp = StructuredSparsifier(Graph(2, []), 1, 4, {})
+        sm = StarMetric(sp, [ProductVertex(0, 1), ProductVertex(1, 1)])
+        assert sm.matrix() == ((0, INF), (INF, 0))
 
     def test_rejects_points_in_x(self):
         completed, g, placements, sp, surv, pvs = sparsified_grid()

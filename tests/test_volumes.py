@@ -201,6 +201,25 @@ class TestReciprocalSum:
         lhs, rhs, ok = reciprocal_sum_check(m, dens, 2)
         assert ok
 
+    def test_numpy_integer_distances_stay_exact(self):
+        # the exactness rule of graphs.ball_density: numpy integers are
+        # rational, and they are turned into Fractions before any division
+        m = FiniteMetric(np.abs(np.arange(4)[:, None] - np.arange(4)[None, :]))
+        density = metric_local_density(range(4), m.d)
+        assert density == 2 and isinstance(density, Fraction)
+        lhs, rhs, ok = reciprocal_sum_check(m, density, 2)
+        assert (lhs, rhs, ok) == (Fraction(13, 3), Fraction(25, 3), True)
+        assert type(lhs) is type(rhs) is Fraction and ok is True
+        assert reciprocal_sum_check(m, np.int64(2), 2)[:2] == (lhs, rhs)
+
+    def test_numpy_integer_tree_volumes_do_not_overflow(self):
+        # a triple's tree volume here is 2^64, past the int64 range
+        path = np.abs(np.arange(4)[:, None] - np.arange(4)[None, :])
+        big = FiniteMetric(path * np.int64(2**32))
+        exact = FiniteMetric((path * 2**32).tolist())
+        density = Fraction(2, 2**32)
+        assert reciprocal_sum_check(big, density, 3) == reciprocal_sum_check(exact, density, 3)
+
     def test_rejects_oversize(self):
         n = 15
         m = FiniteMetric([[abs(i - j) for j in range(n)] for i in range(n)])
