@@ -7,7 +7,9 @@ Components are trimmed first so that no vertical cut of the sparsifier runs
 through them, which caps their detour-metric diameter at 5 * block size.
 
 Block components are never materialized in the product: a block component is
-(host component) x (row range), so all work happens on the host graph.
+(host component) x (row range), so all work happens on the host graph.  Nor
+do the pipelines materialize the coordinate matrix: they order the points by
+random projections summed per decomposition instance (``projection_orders``).
 """
 
 from __future__ import annotations
@@ -161,79 +163,105 @@ def _embedding_shape(n: int, k: int, a) -> tuple[int, int]:
     return scales, reps
 
 
-def build_embedding(point_ids, placements, sp: StructuredSparsifier,
-                    k: int | None, a, seed: int,
-                    dims_cap: int | None = None) -> Embedding:
-    """Random coordinate matrix for the surviving points of ``sp``'s product.
+class _Columns:
+    """The one path from points, sparsifier and seed to coordinate columns.
 
-    One coordinate per (scale i, repetition j): an independent block
+    One column per (scale i, repetition j): an independent block
     decomposition with block size 2^i and fresh offsets, trimmed, with fresh
     per-component stretches.  ``k`` defaults to ``max(2, ceil(log2 n))``.
-    ``dims_cap`` subsamples the coordinate set uniformly for exploratory
-    runs; certified use keeps the full dimension
-    ``floor(1 + log2 n) * ceil(a k ln n)``.
+    ``dims_cap`` subsamples the columns uniformly for exploratory runs;
+    certified use keeps the full dimension
+    ``floor(1 + log2 n) * ceil(a k ln n)``.  The checks run on construction;
+    ``scales`` draws the columns.
     """
-    ids = list(point_ids)
-    pvs = list(placements)
-    if len(ids) != len(pvs) or not ids:
-        raise InputError("point ids and placements must align and be nonempty")
-    n = len(ids)
-    if k is None:
-        k = max(2, math.ceil(math.log2(n)))
-    if k < 2:
-        raise InputError("embedding needs k >= 2")
-    if a <= 0:
-        raise InputError("embedding needs a > 0")
-    host = sp.host
-    layering = bfs_layering(host, min(host.vertices()))
 
-    scales, reps = _embedding_shape(n, k, a)
-    L_full = scales * reps
-    if dims_cap is not None and dims_cap < L_full:
-        chosen = stream(seed, "dims-cap").choice(L_full, size=dims_cap, replace=False)
-        selected = np.zeros(L_full, dtype=bool)
-        selected[chosen] = True
-        capped = True
-    else:
-        selected = np.ones(L_full, dtype=bool)
-        capped = False
+    def __init__(self, point_ids, placements, sp: StructuredSparsifier,
+                 k: int | None, a, seed: int, dims_cap: int | None):
+        self.ids = list(point_ids)
+        self.pvs = list(placements)
+        if len(self.ids) != len(self.pvs) or not self.ids:
+            raise InputError("point ids and placements must align and be nonempty")
+        n = len(self.ids)
+        if k is None:
+            k = max(2, math.ceil(math.log2(n)))
+        if k < 2:
+            raise InputError("embedding needs k >= 2")
+        if a <= 0:
+            raise InputError("embedding needs a > 0")
+        self.k, self.sp, self.seed = k, sp, seed
+        self.num_scales, self.reps = _embedding_shape(n, k, a)
+        self.L_full = self.num_scales * self.reps
+        self.capped = dims_cap is not None and dims_cap < self.L_full
+        if self.capped:
+            chosen = stream(seed, "dims-cap").choice(self.L_full, size=dims_cap,
+                                                     replace=False)
+            self.selected = np.zeros(self.L_full, dtype=bool)
+            self.selected[chosen] = True
+        else:
+            self.selected = np.ones(self.L_full, dtype=bool)
+        self.L = int(self.selected.sum())
 
-    coords = np.empty((n, int(selected.sum())), dtype=np.float64)
-    hosts = np.array([pv.h for pv in pvs], dtype=np.int64)
-    rows = np.array([pv.p for pv in pvs], dtype=np.int64)
-    col = 0
-    for i in range(scales):
-        delta = 1 << i
-        jrs = [jr for jr in range(1, reps + 1) if selected[i * reps + jr - 1]]
-        labels = (f"inst/i={i}/j={jr}/{use}" for jr in jrs for use in ("offsets", "alpha"))
-        # the geometry lives only for the call, so one scale's is freed
-        # before the next is built
-        _fill_scale(coords[:, col:col + len(jrs)], label_states(seed, labels),
-                    _ScaleGeometry(host, layering, sp, delta, hosts, rows))
-        col += len(jrs)
-    return Embedding(ids, pvs, coords, k, a, seed, L_full, capped)
+    def scales(self):
+        """Yield ``(instances, chunks)`` per scale, in column order.
+        ``instances`` lists the scale's distinct ``(bdist, jidx, components)``
+        (see ``_ScaleGeometry.instance_index``).  ``chunks`` yields
+        ``(inst_of, alpha)`` per run of at most ``_COLUMN_CHUNK`` columns:
+        each column's index in ``instances`` and its stretch draws, one row
+        per column.  Column ``t`` is ``(1 + alpha[t, jidx]) * bdist`` of its
+        instance."""
+        host = self.sp.host
+        layering = bfs_layering(host, min(host.vertices()))
+        hosts = np.array([pv.h for pv in self.pvs], dtype=np.int64)
+        rows = np.array([pv.p for pv in self.pvs], dtype=np.int64)
+        for i in range(self.num_scales):
+            delta = 1 << i
+            jrs = [jr for jr in range(1, self.reps + 1)
+                   if self.selected[i * self.reps + jr - 1]]
+            if not jrs:
+                continue
+            # column t takes its offsets from the stream of states[2t] and
+            # its stretches, random(components), from states[2t + 1]
+            labels = (f"inst/i={i}/j={jr}/{use}" for jr in jrs
+                      for use in ("offsets", "alpha"))
+            states = label_states(self.seed, labels)
+            geometry = _ScaleGeometry(host, layering, self.sp, delta, hosts, rows)
+            r_h, r_p = PCG64Batch(states[0::2]).offsets(delta)
+            pairs, pair_of = np.unique(r_h * delta + r_p, return_inverse=True)
+            index = np.array([geometry.instance_index(*divmod(int(pair), delta))
+                              for pair in pairs])
+            yield geometry.instances, _chunks(states[1::2], index[pair_of],
+                                              geometry.instances)
 
 
-def _fill_scale(out: np.ndarray, states: np.ndarray, geometry: _ScaleGeometry):
-    """Write one scale's columns into ``out``.  Column ``t`` takes its
-    offsets from the stream of seed state ``states[2t]`` and its stretches
-    from ``states[2t + 1]``: ``(1 + alpha[jidx]) * bdist`` of its instance,
-    where ``alpha`` is ``random(components)`` of the stretch stream."""
-    delta = geometry.delta
-    r_h, r_p = PCG64Batch(states[0::2]).offsets(delta)
-    pairs, inst_of = np.unique(r_h * delta + r_p, return_inverse=True)
-    instances = [geometry.instance(*divmod(int(pair), delta)) for pair in pairs]
+def _chunks(alpha_states: np.ndarray, inst_of: np.ndarray, instances: list):
     components = np.array([count for _, _, count in instances])[inst_of]
     for start in range(0, len(inst_of), _COLUMN_CHUNK):
         stop = min(start + _COLUMN_CHUNK, len(inst_of))
-        alpha = PCG64Batch(states[2 * start + 1:2 * stop:2]).random(
+        alpha = PCG64Batch(alpha_states[start:stop]).random(
             int(components[start:stop].max()))
-        used, local = np.unique(inst_of[start:stop], return_inverse=True)
-        jidx = np.stack([instances[u][1] for u in used])[local]
-        block = np.take_along_axis(alpha, jidx, axis=1)
-        block += 1.0
-        block *= np.stack([instances[u][0] for u in used])[local]
-        out[:, start:stop] = block.T
+        yield inst_of[start:stop], alpha
+
+
+def build_embedding(point_ids, placements, sp: StructuredSparsifier,
+                    k: int | None, a, seed: int,
+                    dims_cap: int | None = None) -> Embedding:
+    """The coordinate matrix of ``_Columns`` for the surviving points of
+    ``sp``'s product.  Only ``embed`` and the checks of the embedding need
+    it; the pipelines order by ``projection_orders``."""
+    columns = _Columns(point_ids, placements, sp, k, a, seed, dims_cap)
+    coords = np.empty((len(columns.ids), columns.L), dtype=np.float64)
+    col = 0
+    for instances, chunks in columns.scales():
+        for inst_of, alpha in chunks:
+            used, local = np.unique(inst_of, return_inverse=True)
+            jidx = np.stack([instances[u][1] for u in used])[local]
+            block = np.take_along_axis(alpha, jidx, axis=1)
+            block += 1.0
+            block *= np.stack([instances[u][0] for u in used])[local]
+            coords[:, col:col + len(inst_of)] = block.T
+            col += len(inst_of)
+    return Embedding(columns.ids, columns.pvs, coords, columns.k, a, seed,
+                     columns.L_full, columns.capped)
 
 
 class _ScaleGeometry:
@@ -249,7 +277,7 @@ class _ScaleGeometry:
 
     Offsets that cut the live host layers and the points' rows alike give
     the same partition of the points: ``a`` and ``b`` differ by constants,
-    which keep the ``(a, b, jroot)`` order, so ``instance`` is computed once
+    which keep the ``(a, b, jroot)`` order, so an instance is computed once
     per partition.
     """
 
@@ -269,6 +297,7 @@ class _ScaleGeometry:
         self._host_parts: dict = {}
         self._row_parts: dict = {}
         self._instances: dict = {}
+        self.instances: list = []
 
     def _host_key(self, r_h: int):
         """The host partition of ``r_h``: the first layer above the lowest
@@ -327,35 +356,83 @@ class _ScaleGeometry:
         host partition and the occupied row cells."""
         return self._host_key(r_h), self._row_part(r_p)[-1]
 
-    def instance(self, r_h: int, r_p: int):
-        """``(bdist, jidx, components)`` of the instance with offsets
-        ``(r_h, r_p)``: each point's boundary distance and the index of its
-        trimmed component among the instance's ``components`` trimmed
-        components, in sorted ``(a, b, jroot)`` order."""
+    def instance_index(self, r_h: int, r_p: int) -> int:
+        """Index in ``instances`` of the instance with offsets ``(r_h, r_p)``:
+        ``(bdist, jidx, components)``, each point's boundary distance and the
+        index of its trimmed component among the instance's ``components``
+        trimmed components, in sorted ``(a, b, jroot)`` order."""
         key = self.partition(r_h, r_p)
-        geom = self._instances.get(key)
-        if geom is None:
+        index = self._instances.get(key)
+        if index is None:
             bdist, a, b, jroot = self.points(r_h, r_p)
             order = (a * self._b_span + b) * self.host.n + jroot
             keys, jidx = np.unique(order, return_inverse=True)
-            geom = self._instances[key] = (bdist, jidx, len(keys))
-        return geom
+            index = self._instances[key] = len(self.instances)
+            self.instances.append((bdist, jidx, len(keys)))
+        return index
+
+
+def _direction(seed: int, L: int) -> np.ndarray:
+    """The random unit direction of ``seed`` in ``L`` dimensions."""
+    r = stream(seed, "projection").standard_normal(L)
+    norm = float(np.linalg.norm(r))
+    return r / norm if norm > 0 else r
+
+
+def _order(ids: np.ndarray, h: np.ndarray) -> list:
+    """The ids by ``h``, ties broken by id."""
+    return ids[np.lexsort((ids, h))].tolist()
 
 
 def project_order(emb: Embedding, seed: int) -> list:
     """Order the points by inner product with a random unit direction,
-    ties broken by point id."""
-    n = len(emb.point_ids)
-    if n == 0:
+    ties broken by point id.  The products are row sums in a fixed order,
+    so identical rows get identical values."""
+    if len(emb.point_ids) == 0:
         raise InputError("empty embedding")
-    ids = np.asarray(emb.point_ids)
-    if emb.L == 0:
-        h = np.zeros(n)
-    else:
-        r = stream(seed, "projection").standard_normal(emb.L)
-        norm = float(np.linalg.norm(r))
-        if norm > 0:
-            r = r / norm
-        h = emb.coords @ r
-    order = np.lexsort((ids, h))
-    return [int(ids[t]) for t in order]
+    h = (emb.coords * _direction(seed, emb.L)).sum(axis=1)
+    return _order(np.asarray(emb.point_ids), h)
+
+
+def _heights(columns: _Columns, directions: np.ndarray) -> np.ndarray:
+    """``coords @ directions.T`` without ``coords``: row ``r`` holds
+    ``h[p] = sum_i bdist_i[p] * S_i[jidx_i[p]]`` over the instances ``i``,
+    where ``S_i[j] = sum_{c in i} directions[r, c] * (1 + alpha_c[j])``.
+
+    The sums run in a fixed order with no BLAS call: per chunk, columns
+    sorted by instance and added along the column axis, chunk after chunk,
+    then the instances scale by scale in ``instances`` order.  Each value
+    depends only on its own direction, and points with equal
+    ``(bdist_i, jidx_i)`` in every instance get equal sums.
+    """
+    R = len(directions)
+    h = np.zeros((R, len(columns.ids)))
+    col = 0
+    for instances, chunks in columns.scales():
+        sums = [np.zeros((R, count)) for _, _, count in instances]
+        for inst_of, alpha in chunks:
+            order = np.argsort(inst_of, kind="stable")
+            used, starts = np.unique(inst_of[order], return_index=True)
+            alpha += 1.0
+            terms = directions[:, col + order, None] * alpha[order]
+            block = np.add.reduceat(terms, starts, axis=1)
+            for t, u in enumerate(used.tolist()):
+                sums[u] += block[:, t, :sums[u].shape[1]]
+            col += len(inst_of)
+        for (bdist, jidx, _), s in zip(instances, sums):
+            h += bdist * s[:, jidx]
+    return h
+
+
+def projection_orders(point_ids, placements, sp: StructuredSparsifier,
+                      k: int | None, a, seed: int, direction_seeds,
+                      dims_cap: int | None = None) -> list:
+    """For each of ``direction_seeds``, the order of ``project_order`` on
+    ``build_embedding(point_ids, placements, sp, k, a, seed, dims_cap)``,
+    computed from per-instance sums (``_heights``) in O(R * components +
+    instances * n) memory instead of the ``n x L`` matrix."""
+    columns = _Columns(point_ids, placements, sp, k, a, seed, dims_cap)
+    directions = np.array([_direction(s, columns.L) for s in direction_seeds]
+                          ).reshape(len(direction_seeds), columns.L)
+    ids = np.asarray(columns.ids)
+    return [_order(ids, h) for h in _heights(columns, directions)]

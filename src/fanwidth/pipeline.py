@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .embedding import build_embedding, project_order
+from .embedding import projection_orders
 from .errors import ConstraintError, InputError
 from .graphs import (
     Graph,
@@ -198,12 +198,17 @@ def blowup_to_bandwidth(g: Graph, cert: FanCertificate):
 # pipelines
 
 
-def _best_of_orderings(gp: Graph, emb, seed: int, restarts: int):
-    results = []
-    for r in range(restarts):
-        sub = stream(seed, f"order/restart={r}").integers(0, 2**63 - 1)
-        ordering = project_order(emb, int(sub))
-        results.append((bandwidth_of_ordering(gp, ordering), r, ordering))
+def _best_of_orderings(gp: Graph, survivors: list, placements: list,
+                       sp: StructuredSparsifier, k, a, seed: int, restarts: int,
+                       dims_cap):
+    """The least-bandwidth projection order of the survivors (the first
+    such restart on a tie) and the median bandwidth over the restarts."""
+    subs = [int(stream(seed, f"order/restart={r}").integers(0, 2**63 - 1))
+            for r in range(restarts)]
+    orderings = projection_orders(survivors, placements, sp, k, a, seed, subs,
+                                  dims_cap)
+    results = [(bandwidth_of_ordering(gp, ordering), r, ordering)
+               for r, ordering in enumerate(orderings)]
     results.sort(key=lambda t: (t[0], t[1]))
     bws = sorted(t[0] for t in results)
     return results[0][2], results[0][0], float(statistics.median(bws))
@@ -246,8 +251,8 @@ def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=193,
     rows = _compressed_rows(survivors, layering.layer_of)
     placements = [ProductVertex(v, rows[v]) for v in survivors]
     sp = StructuredSparsifier(host, len(survivors), max(D, 2), {})
-    emb = build_embedding(survivors, placements, sp, k, a, seed, dims_cap)
-    ordering, bw, bw_med = _best_of_orderings(gp, emb, seed, restarts)
+    ordering, bw, bw_med = _best_of_orderings(gp, survivors, placements, sp, k, a,
+                                              seed, restarts, dims_cap)
     info["host_width"] = td.width
     return PipelineResult(set(baker.x), ordering, bw, bw_med, info)
 
@@ -301,8 +306,8 @@ def product_pipeline(host: Graph, td: TreeDecomposition | None, g: Graph,
         return PipelineResult(removed, survivors, 0, 0.0, info)
 
     surv_pvs = [placed[v] for v in survivors]
-    emb = build_embedding(survivors, surv_pvs, sp, k, a, seed, dims_cap)
-    ordering, bw, bw_med = _best_of_orderings(gp, emb, seed, restarts)
+    ordering, bw, bw_med = _best_of_orderings(gp, survivors, surv_pvs, sp, k, a,
+                                              seed, restarts, dims_cap)
     return PipelineResult(removed, ordering, bw, bw_med, info)
 
 

@@ -107,7 +107,7 @@ class PCG64Batch:
     in lockstep as ``uint64`` arrays: a 128-bit LCG with XSL-RR output
     (O'Neill 2014), each 128-bit word held as a high and a low array.
 
-    It makes exactly the draws ``build_embedding`` takes from a fresh stream,
+    It makes exactly the draws an embedding column takes from a fresh stream,
     bit for bit: ``random(count)`` and, for a power of two ``delta``, the
     pair ``integers(0, delta)``, ``integers(0, delta)``.
     """

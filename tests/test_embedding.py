@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fanwidth import (
     DecompInstance,
@@ -21,7 +24,7 @@ from fanwidth import (
     ttree_complete,
 )
 from fanwidth import embedding
-from fanwidth.embedding import Embedding, _embedding_shape
+from fanwidth.embedding import Embedding, _embedding_shape, projection_orders
 from fanwidth.randomness import stream
 
 from conftest import (
@@ -29,6 +32,7 @@ from conftest import (
     component_groups,
     grid_in_product,
     instance_offsets,
+    random_connected_graph,
     scale_geometry,
 )
 
@@ -221,13 +225,18 @@ class TestBuildEmbedding:
             assert tuple(capped.coords[:, c]) in full_cols
 
     def test_rejects_bad_parameters(self):
+        # both consumers of the one column path check their input alike
         completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
-        with pytest.raises(InputError):
-            build_embedding(surv, pvs, sp, k=1, a=1, seed=0)
-        with pytest.raises(InputError):
-            build_embedding(surv, pvs, sp, k=2, a=0, seed=0)
-        with pytest.raises(InputError):
-            build_embedding([], [], sp, k=2, a=1, seed=0)
+        for run in (build_embedding,
+                    lambda *args: projection_orders(*args, direction_seeds=[1])):
+            for ids, points, k, a, message in [
+                    (surv, pvs, 1, 1, "k >= 2"),
+                    (surv, pvs, 2, 0, "a > 0"),
+                    (surv, pvs, 2, -1, "a > 0"),
+                    (surv[1:], pvs, 2, 1, "must align"),
+                    ([], [], 2, 1, "nonempty")]:
+                with pytest.raises(InputError, match=message):
+                    run(ids, points, sp, k, a, 0)
 
 
 def reference_coords(host, sp, pvs, k, a, seed):
@@ -369,9 +378,11 @@ class TestGeometryDefinition:
         host, g, placements = grid_in_product(16)
         completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
         inside = next(v for v in range(g.n) if sp.in_x(placements[v]))
+        args = (surv + [inside], pvs + [placements[inside]], sp, 2, 1, 5)
         with pytest.raises(RuntimeError, match="deleted by a trim cut"):
-            build_embedding(surv + [inside], pvs + [placements[inside]], sp,
-                            k=2, a=1, seed=5)
+            build_embedding(*args)
+        with pytest.raises(RuntimeError, match="deleted by a trim cut"):
+            projection_orders(*args, direction_seeds=[1])
 
 
 class TestProjectOrder:
@@ -392,6 +403,92 @@ class TestProjectOrder:
         completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
         emb = build_embedding(surv, pvs, sp, k=2, a=1, seed=14)
         assert project_order(emb, 7) == project_order(emb, 7)
+
+
+@st.composite
+def product_instances(draw):
+    """Survivors of a random host x path product after the strip cut, with
+    their ids in random order."""
+    width = draw(st.integers(1, 7))
+    host = random_connected_graph(width, draw(st.sampled_from([0.0, 0.3, 0.8])),
+                                  draw(st.integers(0, 999)))
+    cells = [ProductVertex(h, p) for p in range(1, draw(st.integers(1, 6)) + 1)
+             for h in range(width)]
+    placements = draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
+    assume(len(placements) >= 2)
+    # occupied rows renumbered 1, 2, ... as the product front end does
+    rank = {p: t + 1 for t, p in enumerate(sorted({pv.p for pv in placements}))}
+    placements = [ProductVertex(pv.h, rank[pv.p]) for pv in placements]
+    td = minfill_decomposition(host)
+    sp = product_sparsify(ttree_complete(host, td), td, placements,
+                          draw(st.integers(2, 32)))
+    pvs = [pv for pv in placements if not sp.in_x(pv)]
+    assume(len(pvs) >= 2)
+    return sp, draw(st.permutations(range(len(pvs)))), pvs
+
+
+def twins_instance():
+    """Two rows of a clique host: BFS from vertex 0 puts the others in one
+    layer, so in each row they share every trimmed component and boundary
+    distance, and their coordinate rows are equal."""
+    host = Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    placements = [ProductVertex(h, p) for p in (1, 2) for h in range(5)]
+    td = minfill_decomposition(host)
+    sp = product_sparsify(ttree_complete(host, td), td, placements, 64)
+    pvs = [pv for pv in placements if not sp.in_x(pv)]
+    # ids against the placement order, so id order is not row order
+    ids = [40 - 3 * t for t in range(len(pvs))]
+    return sp, ids, pvs
+
+
+DIRECTION_SEEDS = [101, 7, 2**40 + 3, 0, 55]
+
+
+class TestProjectionOrders:
+    @settings(max_examples=40, deadline=None)
+    @given(instance=product_instances(), seed=st.integers(0, 2**32),
+           capped=st.booleans())
+    def test_sums_equal_the_dense_products(self, instance, seed, capped):
+        sp, ids, pvs = instance
+        scales, reps = _embedding_shape(len(pvs), 2, 1)
+        dims_cap = max(1, scales * reps // 3) if capped else None
+        for chunk in (512, 3):
+            with mock.patch.object(embedding, "_COLUMN_CHUNK", chunk):
+                emb = build_embedding(ids, pvs, sp, 2, 1, seed, dims_cap)
+                columns = embedding._Columns(ids, pvs, sp, 2, 1, seed, dims_cap)
+                directions = np.array([embedding._direction(s, emb.L)
+                                       for s in DIRECTION_SEEDS])
+                h = embedding._heights(columns, directions)
+                dense = emb.coords @ directions.T
+                assert np.abs(h - dense.T).max() <= 1e-12 * np.abs(dense).max()
+                # the batch sums each direction on its own
+                for r, direction in enumerate(directions):
+                    alone = embedding._heights(columns, direction[None])
+                    assert np.array_equal(alone[0], h[r])
+                orders = projection_orders(ids, pvs, sp, 2, 1, seed,
+                                           DIRECTION_SEEDS, dims_cap)
+                assert orders == [project_order(emb, s) for s in DIRECTION_SEEDS]
+
+    def test_identical_rows_tie_and_fall_back_to_id_order(self):
+        sp, ids, pvs = twins_instance()
+        emb = build_embedding(ids, pvs, sp, 2, 1, 4)
+        groups = {}
+        for t, row in enumerate(emb.coords):
+            groups.setdefault(row.tobytes(), []).append(t)
+        groups = [members for members in groups.values() if len(members) > 1]
+        assert sum(len(members) for members in groups) >= 8  # not vacuous
+        columns = embedding._Columns(ids, pvs, sp, 2, 1, 4, None)
+        directions = np.array([embedding._direction(s, columns.L)
+                               for s in DIRECTION_SEEDS])
+        h = embedding._heights(columns, directions)
+        orders = projection_orders(ids, pvs, sp, 2, 1, 4, DIRECTION_SEEDS)
+        for heights, order in zip(h, orders):
+            position = {v: t for t, v in enumerate(order)}
+            for members in groups:
+                assert len({heights[t] for t in members}) == 1
+                places = sorted(position[ids[t]] for t in members)
+                assert places == list(range(places[0], places[0] + len(members)))
+                assert [order[t] for t in places] == sorted(ids[t] for t in members)
 
 
 class TestBoundaryProbability:

@@ -1,3 +1,6 @@
+import math
+import tracemalloc
+
 import pytest
 
 from fanwidth import (
@@ -20,6 +23,7 @@ from fanwidth import (
     product_pipeline,
     verify_certificate,
 )
+from fanwidth.embedding import _embedding_shape
 from fanwidth.pipeline import CENTER
 
 from conftest import column_in_product, grid_in_product, stacked_triangulation
@@ -245,6 +249,21 @@ class TestProductPipeline:
         res = product_pipeline(host, td, g, placements, D=2, seed=0, a=2, k=2,
                                restarts=1)
         assert res.bandwidth == 0
+
+    def test_orders_without_the_coordinate_matrix(self):
+        # the n x L float64 matrix would take 12 MB here; the orderings come
+        # from per-instance sums, so the whole run allocates less than that
+        host, g, placements = grid_in_product(12)
+        tracemalloc.start()
+        try:
+            res = product_pipeline(host, None, g, placements, D=32, seed=3, a=100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(res.ordering)
+        scales, reps = _embedding_shape(n, max(2, math.ceil(math.log2(n))), 100)
+        assert n * scales * reps * 8 > 10**7
+        assert peak < n * scales * reps * 8
 
 
 class TestKPlanarReduce:

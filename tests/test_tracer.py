@@ -9,41 +9,43 @@ import sys
 
 from fanwidth import bfs_layering, minfill_decomposition, product_sparsify, ttree_complete
 from fanwidth.embedding import _embedding_shape
-from fanwidth.formats import serialize_product_input
+from fanwidth.formats import parse_certificate, serialize_product_input
+from fanwidth.pipeline import verify_certificate
 
 from conftest import grid_in_product, instance_offsets
 
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
-def test_tracer_spans_the_embedding_layers(tmp_path):
-    # perfbench's per-layer metrics need DecompInstance to stay a class and
-    # every traced function to keep its module binding
+def _trace(tmp_path, command: str, out: pathlib.Path):
+    """Summary of ``command`` on a 4x4 grid product, run under the tracer."""
     host, g, placements = grid_in_product(4)
     product = tmp_path / "p.txt"
     product.write_text(serialize_product_input(host, None, 4, placements, g))
-    summary, spans = tmp_path / "summary.json", tmp_path / "spans.tsv"
+    summary, spans = tmp_path / f"{command}.json", tmp_path / f"{command}.tsv"
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     proc = subprocess.run(
         [sys.executable, str(REPO / "perfbench" / "tracer.py"), str(summary),
-         str(spans), "--", "certify", "--product", str(product), "--D", "16",
-         "--a", "1", "--seed", "1", "--out", str(tmp_path / "cert.txt")],
+         str(spans), "--", command, "--product", str(product), "--D", "16",
+         "--a", "1", "--seed", "1", "--out", str(out)],
         capture_output=True, text=True, env=env, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    result = json.loads(summary.read_text())
-    traced = result["spans"]
-    for name in ("embedding.build_embedding", "embedding.DecompInstance",
-                 "randomness.stream"):
-        assert traced.get(name, {}).get("calls", 0) >= 1, name
-    # one DecompInstance per (scale, host partition) of the replayed offset
-    # streams; a host partition is the set of block starts in the live layers
+    return json.loads(summary.read_text())
+
+
+def host_partitions() -> tuple[int, int]:
+    """The 4x4 grid product's survivor count at ``--D 16`` and the number of
+    ``DecompInstance``s its embedding builds at ``--a 1 --seed 1``: one per
+    (scale, host partition) of the replayed offset streams; a host
+    partition is the set of block starts in the live layers."""
+    host, g, placements = grid_in_product(4)
     td = minfill_decomposition(host)
     sp = product_sparsify(ttree_complete(host, td), td, placements, 16)
+    n = sum(not sp.in_x(pv) for pv in placements)
     live = sp.host.vertices()
     layer = bfs_layering(sp.host, min(live)).layer_of
     low, high = min(layer[v] for v in live), max(layer[v] for v in live)
-    n = int(result["counts"]["embedding.points"])
     scales, reps = _embedding_shape(n, max(2, math.ceil(math.log2(n))), 1)
     partitions = set()
     for i in range(scales):
@@ -55,4 +57,30 @@ def test_tracer_spans_the_embedding_layers(tmp_path):
     host_offsets = {(i, instance_offsets(1, i, jr)[0])
                     for i in range(scales) for jr in range(1, reps + 1)}
     assert len(partitions) < len(host_offsets)  # the collapse is not vacuous
-    assert traced["embedding.DecompInstance"]["calls"] == len(partitions)
+    return n, len(partitions)
+
+
+def test_tracer_spans_the_embedding_layers(tmp_path):
+    # perfbench's per-layer metrics need DecompInstance to stay a class and
+    # every traced function to keep its module binding
+    result = _trace(tmp_path, "embed", tmp_path / "emb.txt")
+    traced = result["spans"]
+    for name in ("embedding.build_embedding", "embedding.DecompInstance"):
+        assert traced.get(name, {}).get("calls", 0) >= 1, name
+    n, partitions = host_partitions()
+    assert result["counts"]["embedding.points"] == n
+    assert traced["embedding.DecompInstance"]["calls"] == partitions
+
+
+def test_traced_certify_verifies(tmp_path):
+    # certify orders by projections without the coordinate matrix; under
+    # the tracer it still writes a certificate that verifies, and draws the
+    # same instances as embed
+    cert = tmp_path / "cert.txt"
+    result = _trace(tmp_path, "certify", cert)
+    _, g, _ = grid_in_product(4)
+    assert verify_certificate(g, parse_certificate(cert.read_text())) == []
+    traced = result["spans"]
+    for name in ("pipeline.product_pipeline", "randomness.stream"):
+        assert traced.get(name, {}).get("calls", 0) >= 1, name
+    assert traced["embedding.DecompInstance"]["calls"] == host_partitions()[1]
