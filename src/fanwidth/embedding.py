@@ -31,6 +31,11 @@ INF = math.inf
 # gathered per-point arrays of one block are ``_COLUMN_CHUNK x n``
 _COLUMN_CHUNK = 512
 
+# Largest embedding dimension (columns over all scales) that ``_Columns``
+# accepts; it raises InputError above it, before allocating.  The defaults
+# k = ceil(log2 n) and a = 193 need 1,791,840 columns for n = 10^7 points.
+MAX_COLUMNS = 1 << 21
+
 
 def _row_geometry(rows: np.ndarray, delta: int, r_p: int, n_rows: int):
     """Row cell ``b`` of each row, the cell's rows ``lo..hi`` clipped to the
@@ -157,10 +162,17 @@ class Embedding:
 
 
 def _embedding_shape(n: int, k: int, a) -> tuple[int, int]:
-    """(number of scales, repetitions per scale) for an n-point embedding."""
+    """(number of scales, repetitions per scale) for an n-point embedding;
+    raises InputError when their product exceeds ``MAX_COLUMNS``."""
     scales = n.bit_length()  # 0 .. floor(log2 n)
-    reps = math.ceil(a * k * math.log(n)) if n >= 2 else 0
-    return scales, reps
+    try:
+        reps = a * k * math.log(n) if n >= 2 else 0
+    except OverflowError:  # k too large to be a float
+        reps = math.inf
+    if not reps <= MAX_COLUMNS or scales * math.ceil(reps) > MAX_COLUMNS:
+        raise InputError(f"embedding dimension {scales} scales x {reps:.6g} "
+                         f"repetitions exceeds the supported {MAX_COLUMNS} columns")
+    return scales, math.ceil(reps)
 
 
 class _Columns:

@@ -2,10 +2,10 @@
 the bandwidth / local-density measures.
 
 Vertices are dense integers ``0..n-1``.  Removing vertices never re-indexes:
-a deleted set is carried as a mask so that downstream artifacts (orderings,
-certificates) always refer to original ids.  Distances are non-negative
-integers with ``math.inf`` as the unreachable sentinel, which absorbs
-correctly under ``max`` and ``+``.
+a deleted vertex keeps its id, listed in ``removed``, and loses its edges, so
+that downstream artifacts (orderings, certificates) always refer to original
+ids.  Distances are non-negative integers with ``math.inf`` as the
+unreachable sentinel, which absorbs correctly under ``max`` and ``+``.
 """
 
 from __future__ import annotations
@@ -22,16 +22,16 @@ INF = math.inf
 
 
 class Graph:
-    """Undirected simple graph on vertices ``0..n-1`` with an optional
-    deleted-vertex mask.
+    """Undirected simple graph on vertex ids ``0..n-1``, of which those in
+    ``removed`` are deleted.
 
-    Instances are immutable; ``delete`` returns a new view sharing the
-    adjacency structure.
+    Instances are immutable.  ``delete`` returns a new graph whose adjacency
+    already holds only live vertices, so queries read it without filtering.
     """
 
     __slots__ = ("n", "_adj", "removed")
 
-    def __init__(self, n: int, edges, removed=frozenset()):
+    def __init__(self, n: int, edges):
         if n < 0:
             raise InputError("vertex count must be non-negative")
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -49,18 +49,7 @@ class Graph:
             adj[v].append(u)
         self.n = n
         self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
-        self.removed = frozenset(removed)
-        for v in self.removed:
-            if not (0 <= v < n):
-                raise InputError(f"removed vertex {v} outside 0..{n - 1}")
-
-    @classmethod
-    def _from_parts(cls, n, adj, removed):
-        g = object.__new__(cls)
-        g.n = n
-        g._adj = adj
-        g.removed = removed
-        return g
+        self.removed = frozenset()
 
     # -- basic queries ----------------------------------------------------
 
@@ -75,37 +64,33 @@ class Graph:
     def neighbors(self, v: int):
         """Live neighbors of a live vertex ``v``."""
         self._check_vertex(v)
-        removed = self.removed
-        if not removed:
-            return self._adj[v]
-        return tuple(w for w in self._adj[v] if w not in removed)
+        return self._adj[v]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def edges(self):
-        removed = self.removed
-        out = []
-        for u in range(self.n):
-            if u in removed:
-                continue
-            for v in self._adj[u]:
-                if v > u and v not in removed:
-                    out.append((u, v))
-        return out
+        return [(u, v) for u, nbrs in enumerate(self._adj) for v in nbrs if v > u]
 
     @property
     def num_edges(self) -> int:
         return len(self.edges())
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u in self.removed or v in self.removed:
-            return False
         return v in self._adj[u]
 
     def delete(self, xs) -> "Graph":
-        """Masked view of this graph with ``xs`` removed (ids preserved)."""
-        return Graph._from_parts(self.n, self._adj, self.removed | frozenset(xs))
+        """This graph without the live vertices in ``xs``; ids are kept, and
+        ids in ``xs`` that are not live are ignored.  The adjacency is
+        filtered here, once."""
+        gone = set(xs).intersection(range(self.n)) - self.removed
+        g = object.__new__(Graph)
+        g.n = self.n
+        g.removed = self.removed | gone
+        g._adj = tuple(() if v in gone else nbrs if gone.isdisjoint(nbrs)
+                       else tuple(w for w in nbrs if w not in gone)
+                       for v, nbrs in enumerate(self._adj))
+        return g
 
     def _check_vertex(self, v):
         if not isinstance(v, int) or not (0 <= v < self.n) or v in self.removed:
@@ -113,9 +98,9 @@ class Graph:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by minimum id."""
-        seen = set(self.removed)
+        seen = set()
         comps = []
-        for s in range(self.n):
+        for s in self.vertices():
             if s in seen:
                 continue
             comp = []
@@ -172,13 +157,12 @@ def bfs_distances(g: Graph, source: int) -> dict:
     g._check_vertex(source)
     dist = {v: INF for v in g.vertices()}
     dist[source] = 0
-    removed = g.removed
     queue = deque([source])
     while queue:
         u = queue.popleft()
         du = dist[u] + 1
         for w in g._adj[u]:
-            if w not in removed and dist[w] is INF:
+            if dist[w] is INF:
                 dist[w] = du
                 queue.append(w)
     return dist
@@ -234,7 +218,7 @@ def build_blowup(h: Graph, b: int):
 
 
 def strong_product(a: Graph, b: Graph):
-    """Materialized strong product of two (mask-free) graphs.
+    """Materialized strong product of two graphs without deleted vertices.
 
     Returns ``(graph, index_of)`` with ``index_of[(va, vb)] = va * b.n + vb``.
     Intended for desk-scale oracles; quadratic in the factor sizes.

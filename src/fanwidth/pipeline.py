@@ -146,9 +146,13 @@ def verify_certificate(g: Graph, cert: FanCertificate,
         seen_slots[(node, slot)] = v
 
     x_set = set(cert.x)
-    for v, (node, _) in cert.mapping.items():
-        if (node == CENTER) != (v in x_set):
-            violations.append(f"vertex {v}: center membership disagrees with X")
+    if len(x_set) != len(cert.x):
+        violations.append("X lists a vertex id more than once")
+    for v in sorted(x_set - live_set):
+        violations.append(f"X vertex {v} is not in the graph")
+    centered = {v for v, (node, _) in cert.mapping.items() if node == CENTER}
+    for v in sorted(x_set ^ centered):
+        violations.append(f"vertex {v}: center membership disagrees with X")
 
     if strict_shape:
         if sorted(cert.ordering) != sorted(live_set - x_set):
@@ -383,7 +387,7 @@ def planarize_drawing(dg: DrawnGraph):
         for s in range(len(path) - 1):
             a, b = path[s], path[s + 1]
             segments.add((min(a, b), max(a, b)))
-    g_prime = Graph(n + len(dg.crossings), sorted(segments), removed=g.removed)
+    g_prime = Graph(n + len(dg.crossings), sorted(segments)).delete(g.removed)
     return g_prime, dummy_edges
 
 

@@ -121,10 +121,7 @@ def minfill_decomposition(g: Graph) -> TreeDecomposition:
     k = len(live)
     local = {v: i for i, v in enumerate(live)}
 
-    adj = [set() for _ in range(k)]
-    for u, v in g.edges():
-        adj[local[u]].add(local[v])
-        adj[local[v]].add(local[u])
+    adj = [{local[w] for w in g.neighbors(v)} for v in live]
 
     fills = []
     for nb in adj:
@@ -199,7 +196,7 @@ def ttree_complete(h: Graph, td: TreeDecomposition) -> Graph:
         for a in range(len(members)):
             for b in range(a + 1, len(members)):
                 edges.add((members[a], members[b]))
-    return Graph(h.n, sorted(edges), removed=h.removed)
+    return Graph(h.n, sorted(edges)).delete(h.removed)
 
 
 def _rooted(td: TreeDecomposition):

@@ -19,6 +19,7 @@ from fanwidth import (
     product_pipeline,
 )
 from fanwidth.cli import main
+from fanwidth.embedding import MAX_COLUMNS
 from fanwidth.formats import (
     parse_certificate,
     parse_product_input,
@@ -237,6 +238,26 @@ class TestCertifyAndVerify:
         err = capsys.readouterr().err
         assert "share node" in err
 
+    @pytest.mark.parametrize("extra, message", [
+        ("0", "X lists a vertex id more than once"),
+        ("999", "X vertex 999 is not in the graph"),
+        ("-3", "vertex -3: center membership disagrees with X"),
+    ], ids=["duplicate", "outside-the-graph", "not-mapped-to-the-center"])
+    def test_x_line_is_checked(self, work, capsys, extra, message):
+        # at D=4 the whole 4x4 grid is X, so the ordering and the mapping
+        # stay valid and only the X line is wrong
+        (work / "g4.txt").write_text(serialize_graph(grid_graph(4, 4)[0]))
+        cert = work / "cert.txt"
+        assert run("certify", "--graph", work / "g4.txt", "--D", "4",
+                   "--seed", "1", "--out", cert) == 0
+        lines = cert.read_text().splitlines()
+        t = next(t for t, row in enumerate(lines) if row.startswith("X "))
+        assert lines[t].split()[1:] == [str(v) for v in range(16)]
+        lines[t] += " " + extra
+        cert.write_text("\n".join(lines) + "\n")
+        assert run("verify", "--graph", work / "g4.txt", "--cert", cert) == 1
+        assert message in capsys.readouterr().err.splitlines()
+
     def test_byte_identical_certificates(self, work):
         c1, c2 = work / "c1.txt", work / "c2.txt"
         for out in (c1, c2):
@@ -311,6 +332,23 @@ class TestExitCodes:
         assert run(command, *flags, "--product", work / "p.txt", "--D", "1e400") == 2
         err = capsys.readouterr().err
         assert err == "error: --D '1e400' is not finite\n"
+
+    @pytest.mark.parametrize("command, kind, source, D", [
+        ("certify", "--graph", "g4.txt", "16"), ("certify", "--product", "p.txt", "8"),
+        ("order", "--product", "p.txt", "8"), ("embed", "--product", "p.txt", "8"),
+    ], ids=["certify-graph", "certify-product", "order", "embed"])
+    @pytest.mark.parametrize("flag", [("--a", "1e15"), ("--a", "1e300"),
+                                      ("--k", "1000000000000")],
+                             ids=["a-1e15", "a-1e300", "k-1e12"])
+    def test_huge_embedding_dimension_exits_2(self, work, capsys, command, kind, source,
+                                              D, flag):
+        (work / "g4.txt").write_text(serialize_graph(grid_graph(4, 4)[0]))
+        assert run(command, kind, work / source, "--D", D, *flag,
+                   "--out", work / "out.txt") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: embedding dimension ")
+        assert f"exceeds the supported {MAX_COLUMNS} columns" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("field", ["X", "ordering"])
     def test_non_integer_certificate_id_exits_2(self, work, capsys, field):

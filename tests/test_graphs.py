@@ -237,3 +237,82 @@ class TestMaskedViews:
     def test_delete_is_stackable(self):
         g = path_graph(5).delete({0}).delete({4})
         assert g.vertices() == [1, 2, 3]
+
+    def test_delete_ignores_ids_that_are_not_live(self):
+        g = path_graph(3).delete({7, -1})
+        assert g.num_vertices == len(g.vertices()) == 3
+        assert g.removed == frozenset()
+        assert repr(g) == "Graph(n=3, m=2, removed=0)"
+        gp = g.delete([1, 1]).delete({1, 5})
+        assert gp.num_vertices == len(gp.vertices()) == 2
+        assert gp.removed == {1}
+        assert gp.edges() == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_queries_match_the_mask_reference(self, data):
+        n = data.draw(st.integers(0, 10))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        g = Graph(n, edges)
+        ref = MaskReference(n, edges, frozenset())
+        # ids repeat, fall outside 0..n-1 and name vertices deleted before
+        ids = st.lists(st.integers(-3, n + 3), max_size=n + 4)
+        for xs in data.draw(st.lists(ids, min_size=1, max_size=4)):
+            g, ref = g.delete(xs), ref.delete(xs)
+            assert g.removed == ref.removed
+            assert g.vertices() == ref.vertices()
+            assert g.num_vertices == len(ref.vertices())
+            assert g.edges() == ref.edges()
+            assert g.num_edges == len(ref.edges())
+            assert g.components() == ref.components()
+            for u in range(n):
+                assert [g.has_edge(u, v) for v in range(n)] == [
+                    ref.has_edge(u, v) for v in range(n)]
+            for v in ref.vertices():
+                assert g.neighbors(v) == ref.neighbors(v)
+                assert bfs_distances(g, v) == ref.bfs_distances(v)
+
+
+class MaskReference:
+    """The semantics of deletion kept as a reference: the edge list of the
+    graph before any deletion plus a mask of deleted ids, filtered on every
+    query.  Only ids in 0..n-1 enter the mask."""
+
+    def __init__(self, n, all_edges, removed):
+        self.n, self.all_edges, self.removed = n, all_edges, removed
+
+    def delete(self, xs):
+        return MaskReference(self.n, self.all_edges,
+                             self.removed | {v for v in xs if 0 <= v < self.n})
+
+    def vertices(self):
+        return [v for v in range(self.n) if v not in self.removed]
+
+    def edges(self):
+        return sorted(e for e in self.all_edges if not self.removed & set(e))
+
+    def has_edge(self, u, v):
+        return (min(u, v), max(u, v)) in self.edges()
+
+    def neighbors(self, v):
+        return tuple(sorted({*(b for a, b in self.edges() if a == v),
+                             *(a for a, b in self.edges() if b == v)}))
+
+    def bfs_distances(self, source):
+        dist = {v: INF for v in self.vertices()}
+        dist[source], frontier, d = 0, [source], 0
+        while frontier:
+            d += 1
+            frontier = [w for u in frontier for w in self.neighbors(u) if dist[w] == INF]
+            for w in frontier:
+                dist[w] = d
+        return dist
+
+    def components(self):
+        comps = []
+        for s in self.vertices():
+            if not any(s in comp for comp in comps):
+                dist = self.bfs_distances(s)
+                comps.append(sorted(v for v, d in dist.items() if d != INF))
+        return comps

@@ -1,4 +1,5 @@
-"""The production modules stay independent of the verification oracles."""
+"""The production modules stay independent of the verification oracles, and
+the graph representation stays behind ``graphs``."""
 
 import ast
 import pathlib
@@ -40,3 +41,20 @@ def test_production_module_imports_no_oracle(name):
 
 def test_the_guard_sees_relative_imports():
     assert {"embedding", "volumes"} <= imported_modules("starmetric")
+
+
+def adjacency_reads(name: str) -> list:
+    """Lines of module ``name`` that read an ``_adj`` attribute."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_adj"]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE.glob("*.py")
+                                        if p.stem != "graphs"))
+def test_only_graphs_reads_the_adjacency(name):
+    assert adjacency_reads(name) == []
+
+
+def test_the_adjacency_guard_sees_graphs():
+    assert adjacency_reads("graphs")
