@@ -15,10 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import formats
-from .embedding import build_embedding
 from .errors import InputError, VerificationFailure
 from .graphs import bfs_layering
 from .oracles import exact_bandwidth, exhaustive_local_density
@@ -33,10 +30,7 @@ from .pipeline import (
     sparsify_product,
     verify_certificate,
 )
-from .randomness import stream
 from .sparsify import baker_sparsify
-from .starmetric import StarMetric, metric_local_density, verify_metric_axioms
-from .volumes import FiniteMetric, euclidean_volume, reciprocal_sum_check, tree_volume
 
 
 @dataclass
@@ -169,6 +163,8 @@ def cmd_sparsify(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from .embedding import build_embedding
+
     cfg = _config(args)
     _, _, sp, placed, removed = _sparsify_product(args.product, cfg.D)
     ids = [v for v in placed if v not in removed]
@@ -284,6 +280,8 @@ def cmd_oracle(args) -> int:
         else:
             lines.append(f"exhaustive_local_density {exhaustive_local_density(g)}")
     elif args.what == "metric-axioms":
+        from .starmetric import StarMetric, metric_local_density, verify_metric_axioms
+
         if not args.product:
             raise InputError("oracle metric-axioms needs --product")
         if args.D is None:
@@ -307,6 +305,11 @@ def cmd_oracle(args) -> int:
         if rep.violations:
             failure = rep.violations[0]
     elif args.what == "volume-sandwich":
+        import numpy as np
+
+        from .randomness import stream
+        from .volumes import FiniteMetric, euclidean_volume, tree_volume
+
         rng = stream(args.seed, "oracle/volume")
         bad = 0
         for _ in range(args.trials):
@@ -321,6 +324,12 @@ def cmd_oracle(args) -> int:
         lines.append(f"volume_sandwich_trials {args.trials}")
         lines.append(f"violations {bad}")
     elif args.what == "reciprocal":
+        import numpy as np
+
+        from .randomness import stream
+        from .starmetric import metric_local_density
+        from .volumes import FiniteMetric, reciprocal_sum_check
+
         rng = stream(args.seed, "oracle/reciprocal")
         worst = None
         for _ in range(args.trials):

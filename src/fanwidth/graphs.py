@@ -77,7 +77,9 @@ class Graph:
         return len(self.edges())
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        """Whether ``u`` and ``v`` are live and adjacent; False for any
+        other pair of ints, ids outside ``0..n-1`` included."""
+        return 0 <= u < self.n and v in self._adj[u]
 
     def delete(self, xs) -> "Graph":
         """This graph without the live vertices in ``xs``; ids are kept, and

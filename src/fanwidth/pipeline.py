@@ -14,7 +14,6 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .embedding import projection_orders
 from .errors import ConstraintError, InputError
 from .graphs import (
     Graph,
@@ -22,7 +21,6 @@ from .graphs import (
     bandwidth_of_ordering,
     bfs_layering,
 )
-from .randomness import stream
 from .sparsify import StructuredSparsifier, baker_sparsify, product_sparsify
 from .treedec import TreeDecomposition, minfill_decomposition, ttree_complete
 
@@ -207,6 +205,10 @@ def _best_of_orderings(gp: Graph, survivors: list, placements: list,
                        dims_cap):
     """The least-bandwidth projection order of the survivors (the first
     such restart on a tie) and the median bandwidth over the restarts."""
+    # the one place the certificate pipeline loads the embedding (and numpy)
+    from .embedding import projection_orders
+    from .randomness import stream
+
     subs = [int(stream(seed, f"order/restart={r}").integers(0, 2**63 - 1))
             for r in range(restarts)]
     orderings = projection_orders(survivors, placements, sp, k, a, seed, subs,

@@ -545,23 +545,61 @@ class TestProductFrontEnd:
 
 
 class TestLazyImports:
-    def test_verify_never_loads_numpy_random(self, work):
-        # importing numpy.random costs verify a few MB of peak memory, and
-        # verify draws nothing
+    """``import fanwidth`` and every command that computes no embedding or
+    metric run without loading numpy (a fifth of a ``verify`` job)."""
+
+    @staticmethod
+    def loads_numpy(script: str, *argv) -> bool:
         import subprocess
         import sys
 
-        script = (
-            "import sys\n"
-            "import fanwidth.cli\n"
-            "assert 'numpy.random' not in sys.modules, 'after import'\n"
-            "code = fanwidth.cli.main(['verify', '--graph', sys.argv[1], '--cert', sys.argv[2]])\n"
-            "assert code == 0, code\n"
-            "assert 'numpy.random' not in sys.modules, 'after verify'\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script, str(work / "g.txt"),
-                               str(work / "c.txt")], capture_output=True, text=True)
+        proc = subprocess.run(
+            [sys.executable, "-c", script + "print('numpy' in sys.modules)\n",
+             *map(str, argv)], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+        return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+
+    @classmethod
+    def command_loads_numpy(cls, code: int, *argv) -> bool:
+        return cls.loads_numpy(
+            "import sys\nimport fanwidth.cli\n"
+            "code = fanwidth.cli.main(sys.argv[2:])\n"
+            "assert code == int(sys.argv[1]), code\n", code, *argv)
+
+    @pytest.mark.parametrize("module", ["fanwidth", "fanwidth.cli"])
+    def test_import_never_loads_numpy(self, module):
+        assert not self.loads_numpy(f"import sys\nimport {module}\n")
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command in ("verify", "sparsify")
+        for flag in ("--graph", "--product")], ids=lambda v: v.lstrip("-"))
+    def test_never_loads_numpy(self, work, command, flag):
+        if command == "verify":
+            if flag == "--graph":
+                cert = work / "c.txt"
+            else:
+                _, gg, _ = grid_in_product(5)
+                cert = work / "pc.txt"
+                cert.write_text(serialize_certificate(
+                    fan_certificate(gg, [], gg.vertices(), 5)))
+            argv = ["--cert", cert]
+        else:
+            argv = ["--D", "8", "--out", work / "x.txt"]
+        source = work / ("g.txt" if flag == "--graph" else "p.txt")
+        assert not self.command_loads_numpy(0, command, flag, source, *argv)
+
+    def test_input_error_never_loads_numpy(self, work):
+        assert not self.command_loads_numpy(
+            2, "verify", "--graph", work / "missing.txt", "--cert", work / "c.txt")
+
+    def test_certify_with_survivors_loads_numpy(self, work):
+        # the guard has teeth: ordering two or more survivors embeds them
+        g, _ = grid_graph(5, 5)
+        baker = fanwidth.baker_sparsify(g, 8, fanwidth.bfs_layering(g, 0))
+        assert g.num_vertices - len(baker.x) >= 2
+        assert self.command_loads_numpy(
+            0, "certify", "--graph", work / "g.txt", "--D", "8", "--a", "2",
+            "--k", "3", "--out", work / "cert.txt")
 
 
 class TestCrossProcessDeterminism:

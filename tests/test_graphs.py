@@ -248,6 +248,14 @@ class TestMaskedViews:
         assert gp.removed == {1}
         assert gp.edges() == []
 
+    def test_has_edge_outside_the_graph(self):
+        g = path_graph(3)
+        assert [g.has_edge(u, 1) for u in (-3, -1, 0, 2, 3, 5)] == [
+            False, False, True, True, False, False]
+        assert not g.has_edge(1, 5) and not g.has_edge(1, -1)
+        gp = g.delete({2})
+        assert not gp.has_edge(2, 1) and not gp.has_edge(-1, 1)
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_queries_match_the_mask_reference(self, data):
@@ -266,9 +274,9 @@ class TestMaskedViews:
             assert g.edges() == ref.edges()
             assert g.num_edges == len(ref.edges())
             assert g.components() == ref.components()
-            for u in range(n):
-                assert [g.has_edge(u, v) for v in range(n)] == [
-                    ref.has_edge(u, v) for v in range(n)]
+            for u in range(-3, n + 3):
+                assert [g.has_edge(u, v) for v in range(-3, n + 3)] == [
+                    ref.has_edge(u, v) for v in range(-3, n + 3)]
             for v in ref.vertices():
                 assert g.neighbors(v) == ref.neighbors(v)
                 assert bfs_distances(g, v) == ref.bfs_distances(v)

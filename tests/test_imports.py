@@ -1,8 +1,12 @@
-"""The production modules stay independent of the verification oracles, and
-the graph representation stays behind ``graphs``."""
+"""The production modules stay independent of the verification oracles, the
+graph representation stays behind ``graphs``, and ``fanwidth`` keeps its
+exports."""
 
 import ast
+import importlib
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -58,3 +62,67 @@ def test_only_graphs_reads_the_adjacency(name):
 
 def test_the_adjacency_guard_sees_graphs():
     assert adjacency_reads("graphs")
+
+
+# Every name ``fanwidth`` exported before the numerical layers became lazy,
+# by defining module, in export order.
+EXPORTS = {
+    "errors": ["ConstraintError", "DegenerateMetricError", "InputError",
+               "VerificationFailure"],
+    "graphs": ["Graph", "Layering", "ProductVertex", "all_pairs_distances",
+               "bandwidth_of_ordering", "bfs_distances", "bfs_layering",
+               "build_blowup", "build_fan", "graph_local_density", "grid_graph",
+               "path_graph", "product_distance", "strong_product"],
+    "treedec": ["TreeDecomposition", "minfill_decomposition",
+                "separator_bag_union", "ttree_complete",
+                "validate_decomposition", "weighted_separator"],
+    "sparsify": ["BakerResult", "StructuredSparsifier", "baker_sparsify",
+                 "product_sparsify"],
+    "volumes": ["FiniteMetric", "euclidean_volume", "harmonic_number",
+                "ivol_sandwich", "reciprocal_sum_check", "tree_volume"],
+    "embedding": ["DecompInstance", "Embedding", "build_embedding",
+                  "project_order"],
+    "starmetric": ["StarMetric", "distortion_volume_report",
+                   "metric_local_density", "theoretical_distortion_bound",
+                   "verify_metric_axioms"],
+    "oracles": ["exact_bandwidth", "exhaustive_local_density"],
+    "pipeline": ["Crossing", "DrawnGraph", "FanCertificate", "PipelineResult",
+                 "blowup_to_bandwidth", "default_blowup_factor",
+                 "fan_certificate", "gk_reduce", "kplanar_reduce",
+                 "planar_pipeline", "planarize_drawing", "product_pipeline",
+                 "verify_certificate"],
+}
+EXPORTED = [name for names in EXPORTS.values() for name in names]
+
+
+class TestExports:
+    def test_all_lists_every_export(self):
+        assert fanwidth.__all__ == EXPORTED
+
+    @pytest.mark.parametrize("module", sorted(EXPORTS))
+    def test_each_export_is_its_module_binding(self, module):
+        defining = importlib.import_module(f"fanwidth.{module}")
+        for name in EXPORTS[module]:
+            assert getattr(fanwidth, name) is getattr(defining, name), name
+
+    def test_star_import_binds_every_export(self):
+        # in a fresh interpreter, where no lazy export is resolved yet
+        script = (
+            "import sys\n"
+            "from fanwidth import *\n"
+            f"for module, names in {EXPORTS!r}.items():\n"
+            "    for name in names:\n"
+            "        assert globals()[name] is getattr(\n"
+            "            sys.modules['fanwidth.' + module], name), name\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_dir_lists_every_export(self):
+        assert set(EXPORTED) <= set(dir(fanwidth))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_export"):
+            fanwidth.no_such_export
+        assert not hasattr(fanwidth, "no_such_export")

@@ -7,9 +7,21 @@ import pathlib
 import subprocess
 import sys
 
-from fanwidth import bfs_layering, minfill_decomposition, product_sparsify, ttree_complete
+from fanwidth import (
+    bfs_layering,
+    fan_certificate,
+    grid_graph,
+    minfill_decomposition,
+    product_sparsify,
+    ttree_complete,
+)
 from fanwidth.embedding import _embedding_shape
-from fanwidth.formats import parse_certificate, serialize_product_input
+from fanwidth.formats import (
+    parse_certificate,
+    serialize_certificate,
+    serialize_graph,
+    serialize_product_input,
+)
 from fanwidth.pipeline import verify_certificate
 
 from conftest import grid_in_product, instance_offsets
@@ -17,21 +29,26 @@ from conftest import grid_in_product, instance_offsets
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
+def _run(tmp_path, argv, traced: bool):
+    """``(summary, stdout)`` of the CLI run on ``argv``; the summary is None
+    unless the run is under the tracer."""
+    summary, spans = tmp_path / f"{argv[0]}.json", tmp_path / f"{argv[0]}.tsv"
+    prefix = ([str(REPO / "perfbench" / "tracer.py"), str(summary), str(spans), "--"]
+              if traced else ["-m", "fanwidth.cli"])
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, *prefix, *map(str, argv)],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    return (json.loads(summary.read_text()) if traced else None), proc.stdout
+
+
 def _trace(tmp_path, command: str, out: pathlib.Path):
     """Summary of ``command`` on a 4x4 grid product, run under the tracer."""
     host, g, placements = grid_in_product(4)
     product = tmp_path / "p.txt"
     product.write_text(serialize_product_input(host, None, 4, placements, g))
-    summary, spans = tmp_path / f"{command}.json", tmp_path / f"{command}.tsv"
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(REPO / "perfbench" / "tracer.py"), str(summary),
-         str(spans), "--", command, "--product", str(product), "--D", "16",
-         "--a", "1", "--seed", "1", "--out", str(out)],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(summary.read_text())
+    return _run(tmp_path, [command, "--product", product, "--D", "16", "--a", "1",
+                           "--seed", "1", "--out", out], traced=True)[0]
 
 
 def host_partitions() -> tuple[int, int]:
@@ -84,3 +101,20 @@ def test_traced_certify_verifies(tmp_path):
     for name in ("pipeline.product_pipeline", "randomness.stream"):
         assert traced.get(name, {}).get("calls", 0) >= 1, name
     assert traced["embedding.DecompInstance"]["calls"] == host_partitions()[1]
+
+
+def test_traced_verify_records_the_certificate_layers(tmp_path):
+    # verify imports no numerical layer, and the tracer still sees every
+    # binding on its read, check and round-trip path
+    g, _ = grid_graph(8, 8)
+    graph, cert = tmp_path / "g.txt", tmp_path / "cert.txt"
+    graph.write_text(serialize_graph(g))
+    cert.write_text(serialize_certificate(fan_certificate(g, [], g.vertices(), 8)))
+    argv = ["verify", "--graph", graph, "--cert", cert]
+    result, traced_stdout = _run(tmp_path, argv, traced=True)
+    calls = {name: row["calls"] for name, row in result["spans"].items()}
+    assert calls["formats.parse_graph"] == calls["formats.parse_certificate"] == 1
+    assert calls["pipeline.verify_certificate"] == 2
+    assert calls["pipeline.blowup_to_bandwidth"] == 1
+    assert traced_stdout == _run(tmp_path, argv, traced=False)[1]
+    assert traced_stdout == "ok: round-trip width 8 <= 2b-1 = 15\n"
