@@ -262,17 +262,22 @@ def grid_graph(rows: int, cols: int):
 
 def bfs_layering(g: Graph, root: int) -> Layering:
     """BFS layering from ``root``; other components get fresh lowest-id roots
-    and restart at layer 0."""
+    and restart at layer 0.  One BFS per component fills one shared dict, so
+    the cost is O(n + m) however many components there are."""
     g._check_vertex(root)
     layer = {}
-    order = [root] + [v for v in g.vertices() if v != root]
-    for s in order:
+    for s in [root, *g.vertices()]:
         if s in layer:
             continue
-        dist = bfs_distances(g, s)
-        for v, d in dist.items():
-            if d is not INF and v not in layer:
-                layer[v] = d
+        layer[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            du = layer[u] + 1
+            for w in g._adj[u]:
+                if w not in layer:
+                    layer[w] = du
+                    queue.append(w)
     return Layering(layer)
 
 

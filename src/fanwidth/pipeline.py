@@ -62,6 +62,11 @@ def fan_certificate(g: Graph, x, ordering, b: int, seed: int = 0,
     if not (1 <= b <= n):
         raise ConstraintError(f"blowup factor b={b} outside 1..{n}")
     x = sorted(x)
+    if len(set(x)) != len(x):
+        raise ConstraintError("X lists a vertex id more than once")
+    missing = sorted(set(x) - set(g.vertices()))
+    if missing:
+        raise ConstraintError(f"X vertex {missing[0]} is not in the graph")
     if len(x) > b:
         raise ConstraintError(f"|X| = {len(x)} exceeds b = {b}")
     ordering = list(ordering)

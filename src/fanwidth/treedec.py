@@ -8,8 +8,8 @@ separator inequality.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import InputError
 from .graphs import Graph
@@ -46,58 +46,27 @@ class TreeDecomposition:
 
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
-    """All violated decomposition conditions; an empty list means ok."""
+    """All violated decomposition conditions; an empty list means ok.
+
+    Linear in the bags and edges: an edge is covered when the traces of its
+    ends meet, and a trace is connected when exactly one of its nodes is the
+    root or has its parent outside the trace.
+    """
+    trace = {v: set(xs) for v, xs in _traces(g, td).items()}
+    order, parent, _ = _rooted(td)
+    if td.bags and (len(order) != len(td.bags)
+                    or len(td.tree_edges) != len(td.bags) - 1):
+        return ["tree edges do not form a tree over the bag nodes"]
+
     violations = []
-    live = set(g.vertices())
-    for x, bag in td.bags.items():
-        for v in bag:
-            if v not in live:
-                raise InputError(f"bag {x} references vertex {v} not in the graph")
-
-    nodes = set(td.bags)
-    for x, y in td.tree_edges:
-        if x not in nodes or y not in nodes:
-            raise InputError(f"tree edge ({x},{y}) references unknown node")
-    if nodes:
-        adj = td.adjacency()
-        seen = set()
-        root = min(nodes)
-        queue = deque([root])
-        seen.add(root)
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if len(seen) != len(nodes) or len(td.tree_edges) != len(nodes) - 1:
-            violations.append("tree edges do not form a tree over the bag nodes")
-            return violations
-
     for u, v in g.edges():
-        if not any(u in bag and v in bag for bag in td.bags.values()):
+        if trace[u].isdisjoint(trace[v]):
             violations.append(f"edge ({u},{v}) is covered by no bag")
 
-    trace: dict = {v: [] for v in live}
-    for x, bag in td.bags.items():
-        for v in bag:
-            trace[v].append(x)
-    adj = td.adjacency()
-    for v in sorted(live):
-        nodes_v = trace[v]
+    for v, nodes_v in sorted(trace.items()):
         if not nodes_v:
             violations.append(f"vertex {v} appears in no bag")
-            continue
-        node_set = set(nodes_v)
-        seen = {nodes_v[0]}
-        queue = deque([nodes_v[0]])
-        while queue:
-            x = queue.popleft()
-            for y in adj[x]:
-                if y in node_set and y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        if len(seen) != len(node_set):
+        elif sum(parent[x] not in nodes_v for x in nodes_v) != 1:
             violations.append(f"bags containing vertex {v} induce a disconnected subtree")
 
     actual = td.computed_width()
@@ -199,25 +168,43 @@ def ttree_complete(h: Graph, td: TreeDecomposition) -> Graph:
     return Graph(h.n, sorted(edges)).delete(h.removed)
 
 
+def _traces(g: Graph, td: TreeDecomposition) -> dict:
+    """Each live vertex's trace: the nodes whose bags hold it, in bag order."""
+    trace: dict = {v: [] for v in g.vertices()}
+    for x, bag in td.bags.items():
+        for v in bag:
+            if v not in trace:
+                raise InputError(f"bag {x} references vertex {v} not in the graph")
+            trace[v].append(x)
+    return trace
+
+
 def _rooted(td: TreeDecomposition):
-    """Root at the lowest node id; returns (root, parent, children, order)
-    with ``order`` a list of nodes, parents before children."""
+    """Depth-first preorder from the lowest node id, children by id.
+
+    Returns ``(order, parent, depth)``; ``parent`` maps the root to None.
+    Each subtree is a contiguous run of ``order``.  Only nodes reachable by
+    tree edges are listed, so a caller compares ``len(order)`` with the bags.
+    """
+    nodes = td.bags
+    for x, y in td.tree_edges:
+        if x not in nodes or y not in nodes:
+            raise InputError(f"tree edge ({x},{y}) references unknown node")
+    if not nodes:
+        return [], {}, {}
     adj = td.adjacency()
-    root = min(td.bags)
-    parent = {root: None}
-    order = [root]
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
+    root = min(nodes)
+    order, parent, depth = [], {root: None}, {root: 0}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        for y in reversed(adj[x]):
             if y not in parent:
                 parent[y] = x
-                order.append(y)
-                queue.append(y)
-    children = {x: [] for x in td.bags}
-    for x in order[1:]:
-        children[parent[x]].append(x)
-    return root, parent, children, order
+                depth[y] = depth[x] + 1
+                stack.append(y)
+    return order, parent, depth
 
 
 def weighted_separator(h: Graph, td: TreeDecomposition, xi: dict, c: int) -> set:
@@ -227,6 +214,13 @@ def weighted_separator(h: Graph, td: TreeDecomposition, xi: dict, c: int) -> set
     Follows the inductive heavy-subtree procedure: repeatedly pick a deepest
     heavy node, remove its subtree's vertices from the residual instance, and
     recurse with c-1.  Weights must be non-negative ints or Fractions.
+
+    Each vertex's weight is booked once per call, not per round: at its top
+    bag, the shallowest of its trace, and at each of its other bags.  A
+    vertex is in ``H_x`` (the residual vertices in the bags of the subtree at
+    x) when its top bag lies in x's subtree, a contiguous run of the
+    preorder, or x is one of its other bags; so the weight of ``H_x`` is a
+    prefix-sum difference plus one entry.  A removed vertex is unbooked.
     """
     if c < 1:
         raise InputError("separator parameter c must be a positive integer")
@@ -239,46 +233,40 @@ def weighted_separator(h: Graph, td: TreeDecomposition, xi: dict, c: int) -> set
     if c == 1:
         return selected
 
-    root, parent, children, order = _rooted(td)
-    depth = {root: 0}
-    for x in order[1:]:
-        depth[x] = depth[parent[x]] + 1
+    trace = _traces(h, td)
+    if not td.bags:
+        raise InputError("cannot separate with an empty tree decomposition")
+    order, parent, depth = _rooted(td)
+    k = len(order)
+    if k != len(td.bags) or len(td.tree_edges) != k - 1:
+        raise InputError("tree edges do not form a tree over the bag nodes")
+    pos = {x: i for i, x in enumerate(order)}
+    end = list(range(1, k + 1))  # end[i]: one past the subtree at order[i]
+    for i in range(k - 1, 0, -1):
+        p = pos[parent[order[i]]]
+        end[p] = max(end[p], end[i])
 
-    bags_of: dict = {v: [] for v in live}
-    for x, bag in td.bags.items():
-        for v in bag:
-            bags_of[v].append(x)
-    # trace of v is a connected subtree, so its unique shallowest node exists
-    top = {}
-    for v in live:
-        if bags_of[v]:
-            top[v] = min(bags_of[v], key=lambda x: (depth[x], x))
+    top = {v: min(xs, key=lambda x: (depth[x], x)) for v, xs in trace.items() if xs}
+    at_top = [0] * k
+    on_trace = [0] * k
 
-    residual = set(v for v in live if bags_of[v])
-    nodes = td.nodes()
+    def book(v, w):
+        at_top[pos[top[v]]] += w
+        for x in trace[v]:
+            if x != top[v]:
+                on_trace[pos[x]] += w
+
+    for v in top:
+        book(v, xi.get(v, 0))
+    residual = set(top)
+    total = sum(xi.get(v, 0) for v in residual)
 
     for cc in range(c, 1, -1):
-        total = sum(xi.get(v, 0) for v in residual)
         if total * c <= total_original:
             break
-        # subtree weight of x = sum over v in residual of xi(v) for every x
-        # that is an ancestor-or-self of top[v] or lies on v's trace
-        top_acc = {x: 0 for x in nodes}
-        on_trace = {x: 0 for x in nodes}
-        for v in residual:
-            w = xi.get(v, 0)
-            tv = top[v]
-            top_acc[tv] += w
-            for x in bags_of[v]:
-                if x != tv:
-                    on_trace[x] += w
-        subtree = dict(top_acc)
-        for x in reversed(order):
-            for y in children[x]:
-                subtree[x] += subtree[y]
-        weight_Hx = {x: subtree[x] + on_trace[x] for x in nodes}
-
-        heavy = [x for x in nodes if weight_Hx[x] * cc >= total]
+        prefix = [0, *accumulate(at_top)]
+        heavy = [x for i, x in enumerate(order)
+                 if (prefix[end[i]] - prefix[i] + on_trace[i]) * cc >= total]
         if not heavy:
             break
         # a node weighs at least as much as its child, so the deepest heavy
@@ -286,16 +274,14 @@ def weighted_separator(h: Graph, td: TreeDecomposition, xi: dict, c: int) -> set
         y = min(heavy, key=lambda x: (-depth[x], x))
         selected.add(y)
 
-        in_Ty = {y}
-        stack = [y]
-        while stack:
-            x = stack.pop()
-            for z in children[x]:
-                in_Ty.add(z)
-                stack.append(z)
-        for x in in_Ty:
+        i = pos[y]
+        for x in order[i:end[i]]:
             for v in td.bags[x]:
-                residual.discard(v)
+                if v in residual:
+                    residual.remove(v)
+                    w = xi.get(v, 0)
+                    total -= w
+                    book(v, -w)
 
     return selected
 

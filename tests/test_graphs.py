@@ -165,6 +165,40 @@ class TestLayering:
         lay.validate(g)  # raises on violation
 
 
+def _reference_layering(g, root):
+    """bfs_layering as first written: a full ``bfs_distances`` dict over
+    every live vertex for each component, O(components x n)."""
+    layer = {}
+    for s in [root] + [v for v in g.vertices() if v != root]:
+        if s in layer:
+            continue
+        for v, d in bfs_distances(g, s).items():
+            if d is not INF and v not in layer:
+                layer[v] = d
+    return layer
+
+
+@st.composite
+def many_component_graphs(draw):
+    """Sparse graphs on up to 40 vertices with a deletion mask, so most
+    draws fall apart into many components, and a live root."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=n))
+    edges = {(min(u, v), max(u, v)) for u, v in pairs if u != v}
+    removed = draw(st.sets(st.integers(0, n - 1), max_size=n - 1))
+    g = Graph(n, sorted(edges)).delete(removed)
+    return g, draw(st.sampled_from(g.vertices()))
+
+
+class TestLayeringMatchesReference:
+    @given(many_component_graphs())
+    @settings(max_examples=200, deadline=None)
+    def test_masked_graphs_with_many_components(self, case):
+        g, root = case
+        assert bfs_layering(g, root).layer_of == _reference_layering(g, root)
+
+
 class TestBandwidth:
     def test_path_order(self):
         g = path_graph(5)

@@ -82,6 +82,17 @@ class TestFanCertificate:
         with pytest.raises(ConstraintError):
             fan_certificate(g, [], [0, 1, 2, 3], 1)
 
+    @pytest.mark.parametrize("x, message", [
+        ([999], "X vertex 999 is not in the graph"),
+        ([-1], "X vertex -1 is not in the graph"),
+        ([0, 0], "X lists a vertex id more than once"),
+    ])
+    def test_rejects_bad_x_up_front(self, x, message):
+        g = path_graph(4)
+        rest = [v for v in g.vertices() if v not in x]
+        with pytest.raises(ConstraintError, match=message):
+            fan_certificate(g, x, rest, 2)
+
     def test_rejects_b_above_n(self):
         g = path_graph(3)
         with pytest.raises(ConstraintError):

@@ -1,3 +1,4 @@
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +10,14 @@ import fanwidth.sparsify
 from fanwidth import (
     Graph,
     InputError,
+    ProductVertex,
     TreeDecomposition,
     baker_sparsify,
     bfs_layering,
     grid_graph,
     minfill_decomposition,
     path_graph,
+    product_sparsify,
     separator_bag_union,
     ttree_complete,
     validate_decomposition,
@@ -71,6 +74,155 @@ class TestValidate:
         td = TreeDecomposition(bags, frozenset([(0, 1), (1, 2), (0, 2)]))
         violations = validate_decomposition(g, td)
         assert any("tree" in v for v in violations)
+
+
+def _reference_validate(g, td):
+    """The validator as first written: a tree BFS, a scan of every bag for
+    every edge and one BFS per vertex over its trace.
+    ``validate_decomposition`` must return the same violations, in the same
+    order, and raise the same messages."""
+    violations = []
+    live = set(g.vertices())
+    for x, bag in td.bags.items():
+        for v in bag:
+            if v not in live:
+                raise InputError(f"bag {x} references vertex {v} not in the graph")
+
+    nodes = set(td.bags)
+    for x, y in td.tree_edges:
+        if x not in nodes or y not in nodes:
+            raise InputError(f"tree edge ({x},{y}) references unknown node")
+    if nodes:
+        adj = td.adjacency()
+        seen = set()
+        root = min(nodes)
+        queue = deque([root])
+        seen.add(root)
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        if len(seen) != len(nodes) or len(td.tree_edges) != len(nodes) - 1:
+            violations.append("tree edges do not form a tree over the bag nodes")
+            return violations
+
+    for u, v in g.edges():
+        if not any(u in bag and v in bag for bag in td.bags.values()):
+            violations.append(f"edge ({u},{v}) is covered by no bag")
+
+    trace: dict = {v: [] for v in live}
+    for x, bag in td.bags.items():
+        for v in bag:
+            trace[v].append(x)
+    adj = td.adjacency()
+    for v in sorted(live):
+        nodes_v = trace[v]
+        if not nodes_v:
+            violations.append(f"vertex {v} appears in no bag")
+            continue
+        node_set = set(nodes_v)
+        seen = {nodes_v[0]}
+        queue = deque([nodes_v[0]])
+        while queue:
+            x = queue.popleft()
+            for y in adj[x]:
+                if y in node_set and y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        if len(seen) != len(node_set):
+            violations.append(f"bags containing vertex {v} induce a disconnected subtree")
+
+    actual = td.computed_width()
+    if td.width != actual:
+        violations.append(f"declared width {td.width} but bags give width {actual}")
+    return violations
+
+
+def _outcome(validate, g, td):
+    """The violation list, or the type and message of the raised error."""
+    try:
+        return validate(g, td)
+    except InputError as e:
+        return type(e).__name__, str(e)
+
+
+@st.composite
+def corrupted_decompositions(draw):
+    """A min-fill decomposition of a masked graph with bag members dropped or
+    added (ids outside the graph and deleted ids included), tree edges
+    dropped, added (to unknown nodes too) or rewired, and a declared width."""
+    g = draw(masked_graphs())
+    td = minfill_decomposition(g)
+    bags, edges = dict(td.bags), set(td.tree_edges)
+    nodes = sorted(bags)
+    kinds = ["drop-member", "add-member", "drop-edge", "add-edge", "rewire-edge"]
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=4)):
+        x = draw(st.sampled_from(nodes))
+        if kind == "drop-member" and bags[x]:
+            bags[x] = bags[x] - {draw(st.sampled_from(sorted(bags[x])))}
+        elif kind == "add-member":
+            bags[x] = bags[x] | {draw(st.integers(0, g.n))}
+        elif kind == "drop-edge" and edges:
+            edges.discard(draw(st.sampled_from(sorted(edges))))
+        elif kind == "add-edge":
+            edges.add((x, draw(st.integers(0, len(nodes)))))
+        elif kind == "rewire-edge" and edges:
+            a, b = draw(st.sampled_from(sorted(edges)))
+            edges.discard((a, b))
+            edges.add((a, x))
+    width = draw(st.sampled_from([-1, 0, td.width, td.width + 1]))
+    return g, TreeDecomposition(bags, frozenset(edges), width)
+
+
+class TestValidateMatchesReference:
+    @given(corrupted_decompositions())
+    @settings(max_examples=300, deadline=None)
+    def test_corrupted_minfill_decompositions(self, case):
+        g, td = case
+        assert _outcome(validate_decomposition, g, td) == _outcome(_reference_validate, g, td)
+
+    def test_bags_are_read_a_constant_number_of_times(self):
+        # an edge check that scans the bags reads them once per edge
+        class CountingBags(dict):
+            reads = 0
+
+            def _read(self):
+                CountingBags.reads += 1
+
+            def __getitem__(self, x):
+                self._read()
+                return super().__getitem__(x)
+
+            def __iter__(self):
+                self._read()
+                return super().__iter__()
+
+            def get(self, *args):
+                self._read()
+                return super().get(*args)
+
+            def keys(self):
+                self._read()
+                return super().keys()
+
+            def values(self):
+                self._read()
+                return super().values()
+
+            def items(self):
+                self._read()
+                return super().items()
+
+        g, _ = grid_graph(24, 24)
+        td = minfill_decomposition(g)
+        h = ttree_complete(g, td)
+        counted = TreeDecomposition(CountingBags(td.bags), td.tree_edges)
+        CountingBags.reads = 0
+        assert validate_decomposition(h, counted) == []
+        assert h.num_edges > 2000
+        assert CountingBags.reads <= 10
 
 
 def _reference_minfill(g):
@@ -389,6 +541,22 @@ class TestWeightedSeparator:
         with pytest.raises(InputError):
             weighted_separator(g, td, {0: -1}, 2)
 
+    @pytest.mark.parametrize("g", [path_graph(3).delete({2}), path_graph(2)],
+                             ids=["deleted", "missing"])
+    def test_rejects_bag_vertex_not_in_graph(self, g):
+        with pytest.raises(InputError, match="references vertex 2 not in the graph"):
+            weighted_separator(g, path_decomposition(3), {0: 1, 1: 1}, 2)
+
+    def test_rejects_empty_decomposition(self):
+        td = TreeDecomposition({}, frozenset())
+        with pytest.raises(InputError, match="empty tree decomposition"):
+            weighted_separator(path_graph(3), td, {v: 1 for v in range(3)}, 2)
+
+    def test_rejects_tree_edges_missing_a_bag(self):
+        td = TreeDecomposition(path_decomposition(3).bags, frozenset())
+        with pytest.raises(InputError, match="do not form a tree"):
+            weighted_separator(path_graph(3), td, {v: 1 for v in range(3)}, 2)
+
     def test_fractional_weights_exact(self):
         g = path_graph(8)
         td = path_decomposition(8)
@@ -432,3 +600,26 @@ class TestSeparatorMatchesReference:
         baker_sparsify(g, 8, bfs_layering(g, 0))
         assert len(calls) > 20
         assert all(calls)
+
+    def test_every_product_strip_on_a_branching_host(self, monkeypatch):
+        # a tree host branches its decomposition; columns hold 1..4 rows, so
+        # the strip weights are not all 1
+        host = random_tree(24, seed=5)
+        td = minfill_decomposition(host)
+        assert max(len(ys) for ys in td.adjacency().values()) >= 3
+        placements = [ProductVertex(h, p) for h in range(host.n)
+                      for p in range(1, 2 + (h * 7) % 4)]
+        calls = []
+
+        def recording(sub, td, xi, c):
+            selected = weighted_separator(sub, td, xi, c)
+            calls.append((max(xi.values()), c,
+                          selected == _reference_separator(sub, td, xi, c)))
+            return selected
+
+        monkeypatch.setattr(fanwidth.sparsify, "weighted_separator", recording)
+        product_sparsify(ttree_complete(host, td), td, placements, 4)
+        assert len(calls) > 10
+        assert max(w for w, _, _ in calls) > 1
+        assert max(c for _, c, _ in calls) > 2
+        assert all(same for _, _, same in calls)
