@@ -50,6 +50,8 @@ class RunConfig:
             raise InputError("certified mode forbids --dims-cap")
         if self.restarts < 1:
             raise InputError("--restarts must be at least 1")
+        if self.k is not None and self.k < 2:
+            raise InputError("embedding needs k >= 2")
         if not (math.isfinite(self.a) and self.a > 0):
             raise InputError(f"--a {self.a!r} is not a finite positive number")
         if self.dims_cap is not None and self.dims_cap < 1:

@@ -15,13 +15,12 @@ random projections summed per decomposition instance (``projection_orders``).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .graphs import Graph, Layering, ProductVertex, bfs_layering
+from .graphs import Graph, Layering, ProductVertex, bfs, bfs_layering, component_labels
 from .randomness import PCG64Batch, label_states, stream
 from .sparsify import StructuredSparsifier
 
@@ -57,25 +56,6 @@ def _containing_cut(sp: StructuredSparsifier, lo: int, hi: int) -> frozenset:
     return frozenset().union(*cuts)
 
 
-def _block_components(host: Graph, block: list, cut) -> np.ndarray:
-    """Host-sized array of the least id of each vertex's component in the
-    graph of same-block edges with ``cut`` deleted; -1 for the vertices of
-    ``cut`` and for removed vertices."""
-    root = [-1] * host.n
-    for s in host.vertices():
-        if root[s] >= 0 or s in cut:
-            continue
-        root[s] = s
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in host.neighbors(u):
-                if root[w] < 0 and block[w] == block[u] and w not in cut:
-                    root[w] = s
-                    queue.append(w)
-    return np.array(root, dtype=np.int64)
-
-
 def _deleted_point(pv: ProductVertex) -> RuntimeError:
     return RuntimeError(
         f"embedded point {pv} was deleted by a trim cut; it should be in the "
@@ -95,9 +75,10 @@ class DecompInstance:
     One multi-source BFS gives every exit distance.  Distinct components of
     a block are not adjacent, so a shortest exit path leaves its component
     through a vertex outside the block; the vertex before that has a neighbor
-    in another block and lies in the same block as the path's start.  Seeding
-    the BFS with those vertices at distance 1 thus gives each vertex its own
-    block's exit distance.
+    in another block, so its degree drops in the same-block graph, and lies
+    in the same block as the path's start.  Seeding the BFS with those
+    vertices at distance 1 thus gives each vertex its own block's exit
+    distance.
     """
 
     def __init__(self, host: Graph, layering: Layering, delta: int, r_h: int):
@@ -105,23 +86,14 @@ class DecompInstance:
             raise InputError(f"block size {delta} is not a positive power of two")
         if not 0 <= r_h < delta:
             raise InputError(f"offset {r_h} outside 0..{delta - 1}")
-        self.host = host
         live = host.vertices()
         block = [0] * host.n
         for v in live:
             block[v] = (layering.layer_of[v] - r_h) // delta
+        self._within = host.within(block)  # the same-block edges only
+        seeds = [v for v in live if self._within.degree(v) < host.degree(v)]
         exit_dist = [INF] * host.n
-        queue = deque()
-        for v in live:
-            if any(block[w] != block[v] for w in host.neighbors(v)):
-                exit_dist[v] = 1
-                queue.append(v)
-        while queue:
-            u = queue.popleft()
-            for w in host.neighbors(u):
-                if exit_dist[w] is INF:
-                    exit_dist[w] = exit_dist[u] + 1
-                    queue.append(w)
+        bfs(host, seeds, exit_dist, start=1)
         self.block = np.array(block, dtype=np.int64)
         self.exit = np.array(exit_dist, dtype=np.float64)
         self._trims: dict = {}
@@ -132,8 +104,8 @@ class DecompInstance:
         deleted vertex."""
         labels = self._trims.get(cut)
         if labels is None:
-            block = self.block.tolist()
-            labels = self._trims[cut] = _block_components(self.host, block, cut)
+            labels = self._trims[cut] = np.array(
+                component_labels(self._within.delete(cut)), dtype=np.int64)
         return labels
 
 

@@ -393,10 +393,20 @@ def serialize_embedding(emb) -> str:
 
 
 def write_atomic(path: str, text: str):
+    """Write ``text`` to ``path`` through ``path.tmp``.  An OS error becomes
+    an InputError, and a ``.tmp`` file this call made is removed."""
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        fh = open(tmp, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        os.remove(tmp)
+        raise InputError(f"cannot write {path}: {exc}")
 
 
 def format_density(value) -> str:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -98,25 +97,25 @@ class Graph:
         if not isinstance(v, int) or not (0 <= v < self.n) or v in self.removed:
             raise InputError(f"invalid vertex id {v!r}")
 
+    def within(self, labels) -> "Graph":
+        """This graph with only the edges whose ends share a label, for an
+        id-indexed sequence ``labels``; ids and ``removed`` are kept."""
+        g = object.__new__(Graph)
+        g.n, g.removed = self.n, self.removed
+        adj = []
+        for v, nbrs in enumerate(self._adj):
+            kept = [w for w in nbrs if labels[w] == labels[v]]
+            adj.append(nbrs if len(kept) == len(nbrs) else tuple(kept))
+        g._adj = tuple(adj)
+        return g
+
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, ordered by minimum id."""
-        seen = set()
-        comps = []
-        for s in self.vertices():
-            if s in seen:
-                continue
-            comp = []
-            queue = deque([s])
-            seen.add(s)
-            while queue:
-                u = queue.popleft()
-                comp.append(u)
-                for w in self._adj[u]:
-                    if w not in seen:
-                        seen.add(w)
-                        queue.append(w)
-            comps.append(sorted(comp))
-        return comps
+        comps: dict = {}
+        for v, label in enumerate(component_labels(self)):
+            if label >= 0:
+                comps.setdefault(label, []).append(v)
+        return list(comps.values())
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.num_edges}, removed={len(self.removed)})"
@@ -154,20 +153,45 @@ class Layering:
         return Layering({v: s - lo for v, s in self.layer_of.items()})
 
 
+def bfs(g: Graph, sources, dist: list, start=0) -> list:
+    """Multi-source BFS over the id-indexed list ``dist``, in which ``INF``
+    marks a vertex not yet reached.  Each source not yet reached gets
+    ``start``, and each vertex reached from them ``start`` plus its hop
+    distance; vertices reached before are neither relabelled nor expanded.
+    Returns the vertices reached, in visit order."""
+    adj = g._adj
+    order = []
+    for s in sources:
+        if dist[s] is INF:
+            dist[s] = start
+            order.append(s)
+    for u in order:  # the list is the queue: the loop reads what it appends
+        du = dist[u] + 1
+        for w in adj[u]:
+            if dist[w] is INF:
+                dist[w] = du
+                order.append(w)
+    return order
+
+
 def bfs_distances(g: Graph, source: int) -> dict:
     """Exact hop distances from ``source``; unreachable vertices map to inf."""
     g._check_vertex(source)
-    dist = {v: INF for v in g.vertices()}
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u] + 1
-        for w in g._adj[u]:
-            if dist[w] is INF:
-                dist[w] = du
-                queue.append(w)
-    return dist
+    dist = [INF] * g.n
+    bfs(g, (source,), dist)
+    return {v: dist[v] for v in g.vertices()}
+
+
+def component_labels(g: Graph) -> list:
+    """Id-indexed list of the least id of each live vertex's component; -1
+    for ids that are not live."""
+    dist = [INF] * g.n
+    labels = [-1] * g.n
+    for s in g.vertices():
+        if dist[s] is INF:
+            for v in bfs(g, (s,), dist):
+                labels[v] = s
+    return labels
 
 
 def all_pairs_distances(g: Graph) -> dict:
@@ -262,23 +286,11 @@ def grid_graph(rows: int, cols: int):
 
 def bfs_layering(g: Graph, root: int) -> Layering:
     """BFS layering from ``root``; other components get fresh lowest-id roots
-    and restart at layer 0.  One BFS per component fills one shared dict, so
-    the cost is O(n + m) however many components there are."""
+    and restart at layer 0.  The layers are keyed in visit order."""
     g._check_vertex(root)
-    layer = {}
-    for s in [root, *g.vertices()]:
-        if s in layer:
-            continue
-        layer[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            du = layer[u] + 1
-            for w in g._adj[u]:
-                if w not in layer:
-                    layer[w] = du
-                    queue.append(w)
-    return Layering(layer)
+    layer = [INF] * g.n
+    order = [v for s in (root, *g.vertices()) for v in bfs(g, (s,), layer)]
+    return Layering({v: layer[v] for v in order})
 
 
 def bandwidth_of_ordering(g: Graph, ordering) -> int:

@@ -194,6 +194,22 @@ class StructuredSparsifier:
         return "\n".join(lines) + "\n"
 
 
+def _strip_weights(placements, i: int, N: int):
+    """Yield the column weights ``{h: count}`` of each scale-``i`` strip
+    ``j`` in order: the placements in column ``h`` with rows in strips
+    ``j - 1..j + 1``, the widened strip."""
+    per_strip: dict = {}
+    for pv in placements:
+        column = per_strip.setdefault((pv.p - 1) >> i, {})
+        column[pv.h] = column.get(pv.h, 0) + 1
+    for j in range(N >> i):
+        xi: dict = {}
+        for s in (j - 1, j, j + 1):
+            for h, w in per_strip.get(s, {}).items():
+                xi[h] = xi.get(h, 0) + w
+        yield xi
+
+
 def product_sparsify(
     host: Graph,
     td: TreeDecomposition,
@@ -229,19 +245,8 @@ def product_sparsify(
     cells = {}
     num_scales = N.bit_length()
     for i in range(num_scales):
-        span = 1 << i
-        strip_w: dict = {}
-        for pv in placements:
-            key = (pv.h, (pv.p - 1) >> i)
-            strip_w[key] = strip_w.get(key, 0) + 1
-        threshold = Fraction(D) * Fraction(span, 2)
-        for j in range(N >> i):
-            xi = {}
-            for s in (j - 1, j, j + 1):
-                for pv_h in range(host.n):
-                    w = strip_w.get((pv_h, s))
-                    if w:
-                        xi[pv_h] = xi.get(pv_h, 0) + w
+        threshold = Fraction(D) * Fraction(1 << i, 2)
+        for j, xi in enumerate(_strip_weights(placements, i, N)):
             total = sum(xi.values())
             if total == 0:
                 cells[(i, j)] = frozenset()

@@ -21,7 +21,7 @@ import numpy as np
 
 from .embedding import Embedding, _embedding_shape
 from .errors import InputError
-from .graphs import ProductVertex, all_pairs_distances, ball_density
+from .graphs import ProductVertex, all_pairs_distances, ball_density, component_labels
 from .randomness import stream
 from .sparsify import StructuredSparsifier
 from .volumes import FiniteMetric, euclidean_volume, tree_volume
@@ -57,18 +57,16 @@ class StarMetric:
         above = (hi + 1 - up) + (hi + 1 - vp) if hi + 1 <= pad_hi else INF
         return min(below, above)
 
-    def strip_labels(self, i: int, j: int) -> dict | None:
-        """Labels of the components of ``host - Y[i][j]`` (the least id of
-        each vertex's component), built on first use; None when the
-        sparsifier has no cut for strip (i, j)."""
+    def strip_labels(self, i: int, j: int) -> list | None:
+        """Labels of the components of ``host - Y[i][j]``, host-sized (the
+        least id of each vertex's component, -1 for a deleted vertex), built
+        on first use; None when the sparsifier has no cut for strip (i, j)."""
         y = self.sp.cells.get((i, j))
         if y is None:
             return None
         labels = self._strip_labels.get((i, j))
         if labels is None:
-            labels = self._strip_labels[(i, j)] = {
-                v: comp[0] for comp in self.host.delete(y).components() for v in comp
-            }
+            labels = self._strip_labels[(i, j)] = component_labels(self.host.delete(y))
         return labels
 
     def d_ij(self, i: int, j: int, u: ProductVertex, v: ProductVertex):
@@ -82,8 +80,8 @@ class StarMetric:
         labels = self.strip_labels(i, j)
         if labels is None:
             return 0
-        cu, cv = labels.get(u.h), labels.get(v.h)
-        if cu is None or cv is None or cu == cv:
+        cu, cv = labels[u.h], labels[v.h]
+        if cu < 0 or cv < 0 or cu == cv:
             return 0
         return self._detour(u.p, v.p, lo, hi)
 

@@ -54,9 +54,6 @@ class FiniteMetric:
         m.d = [[self.d[i][j] for j in idx] for i in idx]
         return m
 
-    def distance(self, i, j):
-        return self.d[i][j]
-
 
 def mst_edge_weights(m: FiniteMetric) -> list:
     """Weights of a minimum spanning tree of the complete graph on the metric

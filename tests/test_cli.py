@@ -317,6 +317,30 @@ class TestExitCodes:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("k", ["1", "-3"])
+    def test_k_below_two_exits_2_whatever_the_input(self, work, capsys, k):
+        # a 4-vertex path keeps fewer than two survivors, so no embedding
+        # would check k
+        (work / "p4.txt").write_text(serialize_graph(path_graph(4)))
+        out = work / "cert.txt"
+        assert run("certify", "--graph", work / "p4.txt", "--D", "2", "--k", k,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == "error: embedding needs k >= 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["certify", "sparsify"])
+    @pytest.mark.parametrize("target", ["missing-directory", "directory"])
+    def test_unwritable_out_exits_2(self, work, capsys, command, target):
+        out = work / "missing" / "c.txt"
+        if target == "directory":
+            out = work / "sub"
+            out.mkdir()
+        assert run(command, "--graph", work / "g.txt", "--D", "2", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+        assert not pathlib.Path(f"{out}.tmp").exists()
+        assert out.is_dir() == (target == "directory")
+
     @pytest.mark.parametrize("argv", [
         ("sparsify", "--out", "x.txt"),
         ("embed", "--out", "emb.txt"),

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -35,6 +36,8 @@ from conftest import (
     random_connected_graph,
     scale_geometry,
 )
+
+INF = math.inf
 
 
 def sparsified_instance(size=16, D=16):
@@ -528,3 +531,72 @@ class TestDistortionReport:
         assert rep == distortion_volume_report(emb, StarMetric(sp, pvs[:1]),
                                                sample_size=50, seed=1,
                                                dstar_matrix=sm.matrix())
+
+
+# The host BFS of the embedding as written before ``graphs.bfs``, kept
+# verbatim: ``_block_components`` and the exit BFS of ``DecompInstance``.
+
+
+def _reference_block_components(host: Graph, block: list, cut) -> np.ndarray:
+    """Host-sized array of the least id of each vertex's component in the
+    graph of same-block edges with ``cut`` deleted; -1 for the vertices of
+    ``cut`` and for removed vertices."""
+    root = [-1] * host.n
+    for s in host.vertices():
+        if root[s] >= 0 or s in cut:
+            continue
+        root[s] = s
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in host.neighbors(u):
+                if root[w] < 0 and block[w] == block[u] and w not in cut:
+                    root[w] = s
+                    queue.append(w)
+    return np.array(root, dtype=np.int64)
+
+
+def _reference_exit(host, layering, delta, r_h):
+    """``(block, exit)`` lists of ``DecompInstance``."""
+    live = host.vertices()
+    block = [0] * host.n
+    for v in live:
+        block[v] = (layering.layer_of[v] - r_h) // delta
+    exit_dist = [INF] * host.n
+    queue = deque()
+    for v in live:
+        if any(block[w] != block[v] for w in host.neighbors(v)):
+            exit_dist[v] = 1
+            queue.append(v)
+    while queue:
+        u = queue.popleft()
+        for w in host.neighbors(u):
+            if exit_dist[w] is INF:
+                exit_dist[w] = exit_dist[u] + 1
+                queue.append(w)
+    return block, exit_dist
+
+
+class TestHostBfsMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_exit_and_trim_labels(self, data):
+        n = data.draw(st.integers(1, 30))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)), max_size=2 * n))
+        host = Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+        ids = st.sets(st.integers(-2, n + 1), max_size=n // 2)
+        for xs in [(), *data.draw(st.lists(ids, max_size=3))]:
+            host = host.delete(xs)
+            if not host.vertices():
+                break
+            layering = bfs_layering(host, min(host.vertices()))
+            delta = 1 << data.draw(st.integers(0, 4))
+            r_h = data.draw(st.integers(0, delta - 1))
+            inst = DecompInstance(host, layering, delta, r_h)
+            block, exit_dist = _reference_exit(host, layering, delta, r_h)
+            assert inst.block.tolist() == block
+            assert np.array_equal(inst.exit, np.array(exit_dist, dtype=np.float64))
+            for cut in [frozenset(), *map(frozenset, data.draw(st.lists(ids, max_size=3)))]:
+                assert np.array_equal(inst.trim_labels(cut),
+                                      _reference_block_components(host, block, cut))

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from fanwidth import (
     strong_product,
     validate_decomposition,
 )
+from fanwidth.graphs import bfs, component_labels
 from fanwidth.treedec import TreeDecomposition
 
 from conftest import random_connected_graph, random_graph
@@ -52,6 +54,30 @@ class TestBfs:
     def test_invalid_source(self):
         with pytest.raises(InputError):
             bfs_distances(path_graph(3), 5)
+
+    def test_kernel_multi_source_from_start(self):
+        g = path_graph(6)
+        dist = [INF] * 6
+        assert bfs(g, [4, 1, 4], dist, start=1) == [4, 1, 3, 5, 0, 2]
+        assert dist == [2, 1, 2, 2, 1, 2]
+
+    def test_kernel_skips_reached_vertices(self):
+        g = path_graph(5)
+        dist = [INF] * 5
+        dist[2] = 7  # reached before: neither relabelled nor expanded
+        assert bfs(g, [0, 2], dist) == [0, 1]
+        assert dist == [0, 1, 7, INF, INF]
+
+    def test_component_labels(self):
+        g = Graph(6, [(1, 4), (4, 5), (0, 3)]).delete({3})
+        assert component_labels(g) == [0, 1, 2, -1, 1, 1]
+        assert g.components() == [[0], [1, 4, 5], [2]]
+
+    def test_within_keeps_same_label_edges(self):
+        g = path_graph(5).delete({4})
+        h = g.within([0, 0, 1, 1, 0])
+        assert h.edges() == [(0, 1), (2, 3)]
+        assert h.removed == g.removed == {4} and h.n == 5
 
 
 class TestProductDistance:
@@ -358,3 +384,89 @@ class MaskReference:
                 dist = self.bfs_distances(s)
                 comps.append(sorted(v for v, d in dist.items() if d != INF))
         return comps
+
+
+# The breadth-first walks as written before ``graphs.bfs``, kept verbatim
+# (``components`` was a method of ``Graph``).
+def _reference_components(self) -> list[list[int]]:
+    """Connected components as sorted vertex lists, ordered by minimum id."""
+    seen = set()
+    comps = []
+    for s in self.vertices():
+        if s in seen:
+            continue
+        comp = []
+        queue = deque([s])
+        seen.add(s)
+        while queue:
+            u = queue.popleft()
+            comp.append(u)
+            for w in self._adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    queue.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def _reference_bfs_distances(g: Graph, source: int) -> dict:
+    """Exact hop distances from ``source``; unreachable vertices map to inf."""
+    g._check_vertex(source)
+    dist = {v: INF for v in g.vertices()}
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        du = dist[u] + 1
+        for w in g._adj[u]:
+            if dist[w] is INF:
+                dist[w] = du
+                queue.append(w)
+    return dist
+
+
+def _reference_bfs_layering(g: Graph, root: int) -> dict:
+    """BFS layering from ``root``; other components get fresh lowest-id roots
+    and restart at layer 0.  One BFS per component fills one shared dict, so
+    the cost is O(n + m) however many components there are."""
+    g._check_vertex(root)
+    layer = {}
+    for s in [root, *g.vertices()]:
+        if s in layer:
+            continue
+        layer[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            du = layer[u] + 1
+            for w in g._adj[u]:
+                if w not in layer:
+                    layer[w] = du
+                    queue.append(w)
+    return layer
+
+
+class TestBfsKernelMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_chained_deletes(self, data):
+        n = data.draw(st.integers(1, 30))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)), max_size=2 * n))
+        g = Graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+        deletes = data.draw(st.lists(st.sets(st.integers(0, n - 1), max_size=n // 3),
+                                     max_size=4))
+        for xs in [(), *deletes]:
+            g = g.delete(xs)
+            comps = _reference_components(g)
+            assert g.components() == comps
+            labels = [-1] * n
+            for comp in comps:
+                for v in comp:
+                    labels[v] = comp[0]
+            assert component_labels(g) == labels
+            for v in g.vertices():
+                assert list(bfs_distances(g, v).items()) == list(
+                    _reference_bfs_distances(g, v).items())
+                assert list(bfs_layering(g, v).layer_of.items()) == list(
+                    _reference_bfs_layering(g, v).items())

@@ -1,6 +1,6 @@
 """The production modules stay independent of the verification oracles, the
-graph representation stays behind ``graphs``, and ``fanwidth`` keeps its
-exports."""
+graph representation and the breadth-first walks stay behind ``graphs``, and
+``fanwidth`` keeps its exports."""
 
 import ast
 import importlib
@@ -62,6 +62,27 @@ def test_only_graphs_reads_the_adjacency(name):
 
 def test_the_adjacency_guard_sees_graphs():
     assert adjacency_reads("graphs")
+
+
+def queue_loops(source: str) -> list:
+    """Lines of ``source`` that name ``deque`` or ``popleft``: the marks of a
+    hand-written BFS queue loop, which belongs in ``graphs.bfs``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if {getattr(node, field, None) for field in ("id", "attr", "name")}
+            & {"deque", "popleft"}]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_hand_written_bfs_queue(name):
+    assert queue_loops((PACKAGE / f"{name}.py").read_text()) == []
+
+
+def test_the_queue_guard_sees_a_queue_loop():
+    source = ("from collections import deque\n"
+              "queue = deque([0])\n"
+              "while queue:\n"
+              "    u = queue.popleft()\n")
+    assert len(queue_loops(source)) == 3
 
 
 # Every name ``fanwidth`` exported before the numerical layers became lazy,

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanwidth import (
     Graph,
@@ -21,6 +23,7 @@ from fanwidth import (
 )
 
 from fanwidth.randomness import stream
+from fanwidth.sparsify import _strip_weights
 
 from conftest import column_in_product, grid_in_product
 
@@ -150,7 +153,7 @@ class TestProductSparsify:
             if sp.in_x(pu) or not (lo <= pu.p <= hi):
                 continue
             assert pu.h not in y
-            assert labels[pu.h] is not None
+            assert labels[pu.h] >= 0
 
     def test_text_lists_every_cell(self):
         completed, g, placements, sp = small_product(8)
@@ -192,6 +195,40 @@ class TestProductSparsify:
                 for j in range(sp.strips_at(i))
             )
             assert sp.in_x(pv) == member
+
+
+def _reference_strip_weights(host, placements, i, N) -> list:
+    """The column weights of every scale-``i`` strip as ``product_sparsify``
+    computed them before ``_strip_weights``: a scan of every host vertex for
+    each of a strip's three strips (the loop kept verbatim)."""
+    weights = []
+    strip_w: dict = {}
+    for pv in placements:
+        key = (pv.h, (pv.p - 1) >> i)
+        strip_w[key] = strip_w.get(key, 0) + 1
+    for j in range(N >> i):
+        xi = {}
+        for s in (j - 1, j, j + 1):
+            for pv_h in range(host.n):
+                w = strip_w.get((pv_h, s))
+                if w:
+                    xi[pv_h] = xi.get(pv_h, 0) + w
+        weights.append(xi)
+    return weights
+
+
+class TestStripWeights:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_the_reference_loop(self, data):
+        width, N = data.draw(st.integers(1, 8)), 1 << data.draw(st.integers(0, 5))
+        cells = st.tuples(st.integers(0, width - 1), st.integers(1, N))
+        placements = [ProductVertex(h, p)
+                      for h, p in data.draw(st.sets(cells, max_size=width * N))]
+        host = path_graph(width)
+        for i in range(N.bit_length()):
+            assert list(_strip_weights(placements, i, N)) == _reference_strip_weights(
+                host, placements, i, N)
 
 
 def _reference_in_x(sp, pv) -> bool:
