@@ -366,14 +366,10 @@ def cmd_oracle(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _add_seed_and_density(sub):
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--D", type=str, default=None, required=True)
-
-
 def _add_embedding_flags(sub):
     """``--seed``, ``--D`` and the flags of the embedding."""
-    _add_seed_and_density(sub)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--D", type=str, default=None, required=True)
     sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--a", type=float, default=193.0)
     sub.add_argument("--dims-cap", dest="dims_cap", type=int, default=None)
@@ -399,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--graph")
     group.add_argument("--product")
     sp.add_argument("--out", required=True)
-    _add_seed_and_density(sp)
+    sp.add_argument("--D", type=str, default=None, required=True)
     sp.set_defaults(func=cmd_sparsify)
 
     em = subs.add_parser("embed", help="dump embedding coordinates")

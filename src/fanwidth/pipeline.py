@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import ConstraintError, InputError
 from .graphs import (
@@ -270,9 +269,9 @@ def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=193,
 
 def sparsify_product(host: Graph, td: TreeDecomposition | None, g: Graph,
                      placements, D):
-    """The front half of every product command: complete the host (with a
-    min-fill decomposition when ``td`` is None), renumber the occupied rows
-    1, 2, ... and cut the strips.
+    """The front half of every product command: renumber the occupied rows
+    1, 2, ... and cut the strips, which completes the host (along a min-fill
+    decomposition when ``td`` is None).
 
     Returns ``(td, sp, placed, removed)``: the host decomposition, the
     sparsifier, each live vertex's renumbered placement (in vertex order)
@@ -283,14 +282,13 @@ def sparsify_product(host: Graph, td: TreeDecomposition | None, g: Graph,
         raise InputError("one placement per vertex is required")
     if td is None:
         td = minfill_decomposition(host)
-    completed = ttree_complete(host, td)
 
     # compress empty rows; product edges span at most one row either way
     live_ids = g.vertices()
     rows = _compressed_rows(live_ids, {v: placements[v].p for v in live_ids})
     placed = {v: ProductVertex(placements[v].h, rows[v]) for v in live_ids}
 
-    sp = product_sparsify(completed, td, list(placed.values()), D)
+    sp = product_sparsify(host, td, list(placed.values()), D)
     removed = {v for v in live_ids if sp.in_x(placed[v])}
     return td, sp, placed, removed
 
@@ -310,8 +308,7 @@ def product_pipeline(host: Graph, td: TreeDecomposition | None, g: Graph,
         "host_width": td.width,
         "x_size": len(removed),
         "x_cylinder_size": sp.x_size(),
-        "x_bound": Fraction(18) * (td.computed_width() + 1) * len(placed)
-        * sp.num_scales / Fraction(D),
+        "x_bound": sp.size_bound,
     }
     if len(survivors) < 2:
         return PipelineResult(removed, survivors, 0, 0.0, info)

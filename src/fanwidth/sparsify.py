@@ -22,7 +22,7 @@ from .treedec import (
     TreeDecomposition,
     minfill_decomposition,
     separator_bag_union,
-    validate_decomposition,
+    ttree_complete,
     weighted_separator,
 )
 
@@ -42,8 +42,7 @@ class BakerResult:
     size_bound: Fraction
 
 
-def baker_sparsify(g: Graph, D, layering: Layering,
-                   decomp_cache: dict | None = None) -> BakerResult:
+def baker_sparsify(g: Graph, D, layering: Layering) -> BakerResult:
     """Sparsify a layered graph so ``g - X`` has local density at most D.
 
     Scales i cover every dyadic radius class with 2^i >= r for the radii
@@ -60,8 +59,6 @@ def baker_sparsify(g: Graph, D, layering: Layering,
         raise InputError(f"D={D} outside [1, {n}]")
     layering.validate(g)
     layer = layering.normalized().layer_of
-    if decomp_cache is None:
-        decomp_cache = {}
 
     by_layer: dict = {}
     for v in g.vertices():
@@ -73,6 +70,7 @@ def baker_sparsify(g: Graph, D, layering: Layering,
     top = max(0, (r_max - 1).bit_length())
 
     live = set(g.vertices())
+    decomps: dict = {}
     max_layer = max(by_layer)
     x: set = set()
     w_eff = Fraction(0)
@@ -89,11 +87,12 @@ def baker_sparsify(g: Graph, D, layering: Layering,
             if c == 1:
                 continue
             key = frozenset(slab)
-            td = decomp_cache.get(key)
+            td = decomps.get(key)
             sub = g.delete(live - key)
             if td is None:
                 td = minfill_decomposition(sub)
-                decomp_cache[key] = td
+                if (j + 2) * span > max_layer:  # only these windows repeat
+                    decomps[key] = td
             w_eff = max(w_eff, Fraction(td.width + 1, 3 * span))
             sep = weighted_separator(sub, td, {v: 1 for v in slab}, c)
             x |= separator_bag_union(td, sep)
@@ -113,11 +112,13 @@ class StructuredSparsifier:
 
     Rows 1..N hold the target subgraph; the path is conceptually padded to
     rows ``-N+1 .. 2N`` so every strip has a detour row on each side except
-    the full-width top strip.
+    the full-width top strip.  ``size_bound`` is the bound on ``x_size()``
+    that ``product_sparsify`` checks, or None for one it did not build.
     """
 
     def __init__(self, host: Graph, n_points: int, D, cells: dict):
         self.host = host
+        self.size_bound = None
         self.n_points = n_points
         self.D = D
         if n_points < 0:
@@ -218,6 +219,7 @@ def product_sparsify(
 ) -> StructuredSparsifier:
     """Structured sparsifier for a subgraph placed in ``host x path``.
 
+    ``host`` is completed along ``td`` first, which validates ``td``.
     ``g_vertices`` are the placements (host vertex, row); rows must lie in
     1..N for N the smallest power of two at least the placement count.  Each
     scale-i strip is cut with column weights
@@ -225,15 +227,13 @@ def product_sparsify(
     ``c = ceil(xi(host) / (2^(i-1) D))``, so every component of host - Y
     carries at most ``2^(i-1) D`` G-vertices.
     """
+    host = ttree_complete(host, td)
     if D < 2:
         raise InputError(f"product sparsifier needs D >= 2, got {D}")
     placements = list(g_vertices)
     n = len(placements)
     if len(set(placements)) != n:
         raise InputError("duplicate product placements")
-    errs = validate_decomposition(host, td)
-    if errs:
-        raise InputError("invalid host decomposition: " + "; ".join(errs))
 
     N = 1 << max(0, (max(1, n) - 1).bit_length())
     for pv in placements:
@@ -267,8 +267,8 @@ def product_sparsify(
                     )
 
     sp = StructuredSparsifier(host, n, D, cells)
-    width = td.computed_width()
-    bound = Fraction(18) * (width + 1) * n * num_scales / Fraction(D)
-    if sp.x_size() > bound:
-        raise AssertionError(f"|X| = {sp.x_size()} exceeds bound {float(bound):.1f}")
+    sp.size_bound = Fraction(18) * (td.width + 1) * n * num_scales / Fraction(D)
+    size = sp.x_size()
+    if size > sp.size_bound:
+        raise AssertionError(f"|X| = {size} exceeds bound {float(sp.size_bound):.1f}")
     return sp

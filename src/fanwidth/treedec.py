@@ -9,10 +9,54 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate
 
 from .errors import InputError
 from .graphs import Graph
+
+
+class RootedWalk:
+    """A decomposition's tree in depth-first preorder from its lowest node
+    id, children by id: the subtree at ``order[i]`` is ``order[i:end[i]]``.
+
+    ``trace[v]`` lists the nodes whose bags hold ``v``, and ``top[v]`` is the
+    shallowest of them, lowest id on a tie.  ``tree`` says whether the edges
+    form a tree over the bag nodes, and ``top`` is filled only then.
+    """
+
+    def __init__(self, td: TreeDecomposition):
+        nodes = td.bags
+        for x, y in td.tree_edges:
+            if x not in nodes or y not in nodes:
+                raise InputError(f"tree edge ({x},{y}) references unknown node")
+        self.trace: dict = {}
+        for x, bag in nodes.items():
+            for v in bag:
+                self.trace.setdefault(v, []).append(x)
+        order, parent, depth = self.order, self.parent, self.depth = [], {}, {}
+        if nodes:
+            adj = td.adjacency()
+            root = min(nodes)
+            parent[root], depth[root] = None, 0
+            stack = [root]
+            while stack:
+                x = stack.pop()
+                order.append(x)
+                for y in reversed(adj[x]):
+                    if y not in parent:
+                        parent[y] = x
+                        depth[y] = depth[x] + 1
+                        stack.append(y)
+        k = len(order)
+        self.tree = k == len(nodes) and len(td.tree_edges) == max(k - 1, 0)
+        pos = self.pos = {x: i for i, x in enumerate(order)}
+        end = self.end = list(range(1, k + 1))
+        for i in range(k - 1, 0, -1):
+            p = pos[parent[order[i]]]
+            end[p] = max(end[p], end[i])
+        self.top = {v: min(xs, key=lambda x: (depth[x], x))
+                    for v, xs in self.trace.items()} if self.tree else {}
 
 
 @dataclass(frozen=True)
@@ -20,7 +64,8 @@ class TreeDecomposition:
     """Bags indexed by tree nodes plus the tree edges.
 
     ``width`` is the declared width; ``validate_decomposition`` checks it
-    against the bags.
+    against the bags.  The bags and tree edges must not change once ``walk``
+    has been read.
     """
 
     bags: dict
@@ -44,6 +89,18 @@ class TreeDecomposition:
             adj[y].append(x)
         return {x: sorted(ys) for x, ys in adj.items()}
 
+    walk = cached_property(RootedWalk)  # built on first read, then kept
+
+
+def _walk(g: Graph, td: TreeDecomposition) -> RootedWalk:
+    """``td.walk``, once every bag member is a live vertex of ``g``."""
+    live = set(g.vertices())
+    for x, bag in td.bags.items():
+        if not live.issuperset(bag):
+            v = next(v for v in bag if v not in live)
+            raise InputError(f"bag {x} references vertex {v} not in the graph")
+    return td.walk
+
 
 def validate_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
     """All violated decomposition conditions; an empty list means ok.
@@ -52,11 +109,10 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
     ends meet, and a trace is connected when exactly one of its nodes is the
     root or has its parent outside the trace.
     """
-    trace = {v: set(xs) for v, xs in _traces(g, td).items()}
-    order, parent, _ = _rooted(td)
-    if td.bags and (len(order) != len(td.bags)
-                    or len(td.tree_edges) != len(td.bags) - 1):
+    walk = _walk(g, td)
+    if not walk.tree:
         return ["tree edges do not form a tree over the bag nodes"]
+    trace = {v: set(walk.trace.get(v, ())) for v in g.vertices()}
 
     violations = []
     for u, v in g.edges():
@@ -66,7 +122,7 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
     for v, nodes_v in sorted(trace.items()):
         if not nodes_v:
             violations.append(f"vertex {v} appears in no bag")
-        elif sum(parent[x] not in nodes_v for x in nodes_v) != 1:
+        elif sum(walk.parent[x] not in nodes_v for x in nodes_v) != 1:
             violations.append(f"bags containing vertex {v} induce a disconnected subtree")
 
     actual = td.computed_width()
@@ -168,45 +224,6 @@ def ttree_complete(h: Graph, td: TreeDecomposition) -> Graph:
     return Graph(h.n, sorted(edges)).delete(h.removed)
 
 
-def _traces(g: Graph, td: TreeDecomposition) -> dict:
-    """Each live vertex's trace: the nodes whose bags hold it, in bag order."""
-    trace: dict = {v: [] for v in g.vertices()}
-    for x, bag in td.bags.items():
-        for v in bag:
-            if v not in trace:
-                raise InputError(f"bag {x} references vertex {v} not in the graph")
-            trace[v].append(x)
-    return trace
-
-
-def _rooted(td: TreeDecomposition):
-    """Depth-first preorder from the lowest node id, children by id.
-
-    Returns ``(order, parent, depth)``; ``parent`` maps the root to None.
-    Each subtree is a contiguous run of ``order``.  Only nodes reachable by
-    tree edges are listed, so a caller compares ``len(order)`` with the bags.
-    """
-    nodes = td.bags
-    for x, y in td.tree_edges:
-        if x not in nodes or y not in nodes:
-            raise InputError(f"tree edge ({x},{y}) references unknown node")
-    if not nodes:
-        return [], {}, {}
-    adj = td.adjacency()
-    root = min(nodes)
-    order, parent, depth = [], {root: None}, {root: 0}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        order.append(x)
-        for y in reversed(adj[x]):
-            if y not in parent:
-                parent[y] = x
-                depth[y] = depth[x] + 1
-                stack.append(y)
-    return order, parent, depth
-
-
 def weighted_separator(h: Graph, td: TreeDecomposition, xi: dict, c: int) -> set:
     """Tree nodes S, |S| <= c-1, such that every component of
     ``h - union of selected bags`` has weight at most ``xi(h) / c``.
@@ -219,8 +236,9 @@ def weighted_separator(h: Graph, td: TreeDecomposition, xi: dict, c: int) -> set
     bag, the shallowest of its trace, and at each of its other bags.  A
     vertex is in ``H_x`` (the residual vertices in the bags of the subtree at
     x) when its top bag lies in x's subtree, a contiguous run of the
-    preorder, or x is one of its other bags; so the weight of ``H_x`` is a
-    prefix-sum difference plus one entry.  A removed vertex is unbooked.
+    preorder, or x is one of its other bags (traces are connected); so the
+    weight of ``H_x`` is a prefix-sum difference plus one entry.  A removed
+    vertex is unbooked, and a vertex of weight 0 is never booked.
     """
     if c < 1:
         raise InputError("separator parameter c must be a positive integer")
@@ -233,22 +251,14 @@ def weighted_separator(h: Graph, td: TreeDecomposition, xi: dict, c: int) -> set
     if c == 1:
         return selected
 
-    trace = _traces(h, td)
     if not td.bags:
         raise InputError("cannot separate with an empty tree decomposition")
-    order, parent, depth = _rooted(td)
-    k = len(order)
-    if k != len(td.bags) or len(td.tree_edges) != k - 1:
+    walk = _walk(h, td)
+    if not walk.tree:
         raise InputError("tree edges do not form a tree over the bag nodes")
-    pos = {x: i for i, x in enumerate(order)}
-    end = list(range(1, k + 1))  # end[i]: one past the subtree at order[i]
-    for i in range(k - 1, 0, -1):
-        p = pos[parent[order[i]]]
-        end[p] = max(end[p], end[i])
-
-    top = {v: min(xs, key=lambda x: (depth[x], x)) for v, xs in trace.items() if xs}
-    at_top = [0] * k
-    on_trace = [0] * k
+    order, pos, end, trace, top = walk.order, walk.pos, walk.end, walk.trace, walk.top
+    at_top = [0] * len(order)
+    on_trace = [0] * len(order)
 
     def book(v, w):
         at_top[pos[top[v]]] += w
@@ -256,10 +266,10 @@ def weighted_separator(h: Graph, td: TreeDecomposition, xi: dict, c: int) -> set
             if x != top[v]:
                 on_trace[pos[x]] += w
 
-    for v in top:
-        book(v, xi.get(v, 0))
-    residual = set(top)
-    total = sum(xi.get(v, 0) for v in residual)
+    residual = {v for v, w in xi.items() if w and v in top}
+    for v in residual:
+        book(v, xi[v])
+    total = sum(xi[v] for v in residual)
 
     for cc in range(c, 1, -1):
         if total * c <= total_original:
@@ -271,17 +281,14 @@ def weighted_separator(h: Graph, td: TreeDecomposition, xi: dict, c: int) -> set
             break
         # a node weighs at least as much as its child, so the deepest heavy
         # node has no heavy child
-        y = min(heavy, key=lambda x: (-depth[x], x))
+        y = min(heavy, key=lambda x: (-walk.depth[x], x))
         selected.add(y)
 
-        i = pos[y]
-        for x in order[i:end[i]]:
-            for v in td.bags[x]:
-                if v in residual:
-                    residual.remove(v)
-                    w = xi.get(v, 0)
-                    total -= w
-                    book(v, -w)
+        i, bag = pos[y], td.bags[y]  # H_y, by the rule above
+        for v in [v for v in residual if i <= pos[top[v]] < end[i] or v in bag]:
+            residual.remove(v)
+            total -= xi[v]
+            book(v, -xi[v])
 
     return selected
 

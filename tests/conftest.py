@@ -6,7 +6,6 @@ import itertools
 from collections import defaultdict
 
 import numpy as np
-import pytest
 
 from fanwidth import Graph, ProductVertex, TreeDecomposition, bfs_layering, path_graph
 from fanwidth.embedding import _ScaleGeometry
@@ -124,9 +123,3 @@ def brute_force_bandwidth(g: Graph) -> int:
         if best == 0:
             break
     return best
-
-
-@pytest.fixture(scope="session")
-def shared_decomp_cache():
-    """Slab decompositions reused across Baker runs in one session."""
-    return {}

@@ -91,7 +91,7 @@ def grid_descriptor(n):
 
 
 @pytest.fixture(scope="session")
-def sparsifier_runs(shared_decomp_cache):
+def sparsifier_runs():
     """Baker and product sparsifier runs for the criterion-1 grid family."""
     runs = []
     for n in (256, 1024):
@@ -105,7 +105,7 @@ def sparsifier_runs(shared_decomp_cache):
         for factor in (1, 2, 4):
             D = base * factor
             t0 = time.perf_counter()
-            baker = baker_sparsify(g, D, layering, shared_decomp_cache)
+            baker = baker_sparsify(g, D, layering)
             baker_survivors = g.delete(baker.x)
             baker_density = (
                 exhaustive_local_density(baker_survivors)

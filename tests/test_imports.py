@@ -1,5 +1,6 @@
 """The production modules stay independent of the verification oracles, the
-graph representation and the breadth-first walks stay behind ``graphs``, and
+graph representation and the breadth-first walks stay behind ``graphs``, a
+decomposition's tree is walked only by its cached ``RootedWalk``, and
 ``fanwidth`` keeps its exports."""
 
 import ast
@@ -83,6 +84,40 @@ def test_the_queue_guard_sees_a_queue_loop():
               "while queue:\n"
               "    u = queue.popleft()\n")
     assert len(queue_loops(source)) == 3
+
+
+def adjacency_callers(source: str) -> list:
+    """The qualified name of the function around each call of an
+    ``adjacency()`` method in ``source``: the tree adjacency of a
+    decomposition, which only its cached ``RootedWalk`` builds."""
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == "adjacency"):
+                callers.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return callers
+
+
+def test_only_the_cached_walk_builds_the_tree_adjacency():
+    callers = {p.stem: adjacency_callers(p.read_text())
+               for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in callers.items() if found} == {
+        "treedec": ["RootedWalk.__init__"]}
+
+
+def test_the_walk_guard_sees_a_call_in_a_method():
+    source = ("class Walker:\n"
+              "    def run(self, td):\n"
+              "        return [td.adjacency() for _ in range(2)]\n")
+    assert adjacency_callers(source) == ["Walker.run"]
 
 
 # Every name ``fanwidth`` exported before the numerical layers became lazy,

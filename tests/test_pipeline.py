@@ -244,6 +244,9 @@ class TestProductPipeline:
         host, g, placements = grid_in_product(8)
         res = product_pipeline(host, None, g, placements, D=4, seed=7, a=2,
                                k=3, restarts=2)
+        # 18 (w + 1) n scales / D for the path host, 64 points and 7 scales
+        assert res.info["x_bound"] == 18 * 2 * 64 * 7 / 4
+        assert res.info["x_cylinder_size"] <= res.info["x_bound"]
         b = default_blowup_factor(res)
         cert = fan_certificate(g, res.x, res.ordering, b, seed=7)
         assert verify_certificate(g, cert) == []

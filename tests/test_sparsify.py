@@ -125,6 +125,7 @@ class TestProductSparsify:
         n = len(placements)
         width = 1  # path host
         bound = Fraction(18) * (width + 1) * n * sp.num_scales / 4
+        assert sp.size_bound == bound
         assert sp.x_size() <= bound
         # per-strip component weights are rechecked inside product_sparsify;
         # recompute every scale here independently

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fanwidth.sparsify
+import fanwidth.treedec
 from fanwidth import (
     Graph,
     InputError,
@@ -23,6 +24,7 @@ from fanwidth import (
     validate_decomposition,
     weighted_separator,
 )
+from fanwidth.pipeline import sparsify_product
 
 from conftest import random_connected_graph, random_tree
 
@@ -573,6 +575,28 @@ class TestWeightedSeparator:
         check_separator(g, td, xi, c)
 
 
+@st.composite
+def sparse_weighted_hosts(draw):
+    """A k-tree (a tree for k = 1) of a few hundred vertices and weights that
+    are 0 at all but a few of its vertices, as ints or as Fractions."""
+    n = draw(st.integers(200, 400))
+    k = draw(st.integers(1, 4))
+    rng = draw(st.randoms(use_true_random=False))
+    # a (k+1)-clique, then each new vertex joined to a k-clique already there
+    edges = [(u, v) for v in range(k + 1) for u in range(v)]
+    cliques = [tuple(w for w in range(k + 1) if w != u) for u in range(k + 1)]
+    for v in range(k + 1, n):
+        clique = rng.choice(cliques)
+        edges += [(u, v) for u in clique]
+        cliques += [tuple(w for w in clique if w != u) + (v,) for u in clique]
+    weighted = draw(st.dictionaries(st.integers(0, n - 1), st.integers(1, 5),
+                                    max_size=8))
+    xi = {v: weighted.get(v, 0) for v in range(n)}
+    if draw(st.booleans()):
+        xi = {v: Fraction(w, v + 1) for v, w in xi.items()}
+    return Graph(n, edges), xi
+
+
 class TestSeparatorMatchesReference:
     @given(masked_graphs(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -586,6 +610,13 @@ class TestSeparatorMatchesReference:
             xi = {v: Fraction(w, v + 1) for v, w in xi.items()}
         c = data.draw(st.integers(1, 8))
         assert weighted_separator(g, td, xi, c) == _reference_separator(g, td, xi, c)
+
+    @given(sparse_weighted_hosts(), st.integers(1, 8))
+    @settings(max_examples=40, deadline=None)
+    def test_sparse_weights_on_large_hosts(self, case, c):
+        h, xi = case
+        td = minfill_decomposition(h)
+        assert weighted_separator(h, td, xi, c) == _reference_separator(h, td, xi, c)
 
     def test_every_baker_slab_on_a_grid(self, monkeypatch):
         g, _ = grid_graph(12, 12)
@@ -623,3 +654,40 @@ class TestSeparatorMatchesReference:
         assert max(w for w, _, _ in calls) > 1
         assert max(c for _, c, _ in calls) > 2
         assert all(same for _, _, same in calls)
+
+
+class TestOneWalkPerDecomposition:
+    def test_a_product_run_walks_and_validates_its_decomposition_once(
+            self, monkeypatch):
+        # D=2 cuts every occupied strip, about 2N separator calls on one td
+        n = 256
+        host = random_tree(n, seed=7)
+        td = minfill_decomposition(host)
+        walked, validated, separated = [], [], []
+        adjacency = TreeDecomposition.adjacency
+        validate = fanwidth.treedec.validate_decomposition
+        separate = fanwidth.sparsify.weighted_separator
+
+        def counting_adjacency(self):
+            walked.append(self)
+            return adjacency(self)
+
+        def counting_validate(g, td):
+            validated.append(td)
+            return validate(g, td)
+
+        def counting_separator(h, td, xi, c):
+            separated.append(td)
+            return separate(h, td, xi, c)
+
+        monkeypatch.setattr(TreeDecomposition, "adjacency", counting_adjacency)
+        monkeypatch.setattr(fanwidth.treedec, "validate_decomposition",
+                            counting_validate)
+        monkeypatch.setattr(fanwidth.sparsify, "weighted_separator",
+                            counting_separator)
+        placements = [ProductVertex(h, h + 1) for h in range(n)]
+        sparsify_product(host, td, Graph(n, []), placements, 2)
+        assert len(separated) > n
+        assert all(x is td for x in separated)
+        assert len(walked) == 1 and walked[0] is td
+        assert len(validated) == 1 and validated[0] is td
