@@ -1,10 +1,10 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 input error, 3 broken
-internal invariant (an ``AssertionError`` or ``RuntimeError`` raised by an
-invariant check).  All output
-files are canonical text written atomically, so reruns with identical inputs
-and seeds are byte-identical.
+Exit codes: 0 success, 1 verification failure, 2 input or usage error (one
+``error:`` line; flags must be spelled in full), 3 broken internal invariant
+(an ``AssertionError`` or ``RuntimeError`` raised by an invariant check).
+All output files are canonical text written atomically, so reruns with
+identical inputs and seeds are byte-identical.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formats
@@ -31,44 +30,6 @@ from .pipeline import (
     verify_certificate,
 )
 from .sparsify import baker_sparsify
-
-
-@dataclass
-class RunConfig:
-    seed: int
-    D: object
-    k: int | None
-    a: float
-    restarts: int
-    dims_cap: int | None
-    mode: str
-
-    def validate(self):
-        if self.mode not in ("certified", "exploratory"):
-            raise InputError(f"unknown mode {self.mode!r}")
-        if self.mode == "certified" and self.dims_cap is not None:
-            raise InputError("certified mode forbids --dims-cap")
-        if self.restarts < 1:
-            raise InputError("--restarts must be at least 1")
-        if self.k is not None and self.k < 2:
-            raise InputError("embedding needs k >= 2")
-        if not (math.isfinite(self.a) and self.a > 0):
-            raise InputError(f"--a {self.a!r} is not a finite positive number")
-        if self.dims_cap is not None and self.dims_cap < 1:
-            raise InputError("--dims-cap must be at least 1")
-
-    def params(self) -> dict:
-        out = {
-            "D": str(self.D),
-            "a": repr(self.a),
-            "restarts": str(self.restarts),
-            "mode": self.mode,
-        }
-        if self.k is not None:
-            out["k"] = str(self.k)
-        if self.dims_cap is not None:
-            out["dims_cap"] = str(self.dims_cap)
-        return out
 
 
 def _parse_density(raw: str):
@@ -93,18 +54,34 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}")
 
 
-def _config(args) -> RunConfig:
-    cfg = RunConfig(
-        seed=args.seed,
-        D=_parse_density(args.D) if args.D is not None else None,
-        k=args.k,
-        a=args.a,
-        restarts=args.restarts,
-        dims_cap=args.dims_cap,
-        mode=args.mode,
-    )
-    cfg.validate()
-    return cfg
+def _embedding_args(args):
+    """Parse ``--D`` in place and check the embedding flags that ``args``
+    carries (``embed`` has no ``--restarts``, the reductions no ``--k``)."""
+    args.D = _parse_density(args.D)
+    if getattr(args, "restarts", 1) < 1:
+        raise InputError("--restarts must be at least 1")
+    if getattr(args, "k", None) is not None and args.k < 2:
+        raise InputError("embedding needs k >= 2")
+    if not (math.isfinite(args.a) and args.a > 0):
+        raise InputError(f"--a {args.a!r} is not a finite positive number")
+    if args.dims_cap is not None and args.dims_cap < 1:
+        raise InputError("--dims-cap must be at least 1")
+
+
+def _params(args) -> dict:
+    """The certificate's parameter echo: the flags the run used.  A run is
+    exploratory exactly when it has a ``--dims-cap``."""
+    out = {
+        "D": str(args.D),
+        "a": repr(args.a),
+        "restarts": str(args.restarts),
+        "mode": "certified" if args.dims_cap is None else "exploratory",
+    }
+    if getattr(args, "k", None) is not None:
+        out["k"] = str(args.k)
+    if args.dims_cap is not None:
+        out["dims_cap"] = str(args.dims_cap)
+    return out
 
 
 def _sparsify_product(path: str, D):
@@ -167,34 +144,34 @@ def cmd_sparsify(args) -> int:
 def cmd_embed(args) -> int:
     from .embedding import build_embedding
 
-    cfg = _config(args)
-    _, _, sp, placed, removed = _sparsify_product(args.product, cfg.D)
+    _embedding_args(args)
+    _, _, sp, placed, removed = _sparsify_product(args.product, args.D)
     ids = [v for v in placed if v not in removed]
     if not ids:
         raise InputError("sparsifier removed every vertex; nothing to embed")
     pvs = [placed[v] for v in ids]
-    emb = build_embedding(ids, pvs, sp, cfg.k, cfg.a, cfg.seed, cfg.dims_cap)
+    emb = build_embedding(ids, pvs, sp, args.k, args.a, args.seed, args.dims_cap)
     formats.write_atomic(args.out, formats.serialize_embedding(emb))
     return 0
 
 
-def _run_pipeline(args, cfg: RunConfig):
+def _run_pipeline(args):
+    _embedding_args(args)
     if args.graph:
         g = formats.parse_graph(_read(args.graph))
-        result = planar_pipeline(g, cfg.D, cfg.seed, k=cfg.k, a=cfg.a,
-                                 restarts=cfg.restarts, dims_cap=cfg.dims_cap)
+        result = planar_pipeline(g, args.D, args.seed, k=args.k, a=args.a,
+                                 restarts=args.restarts, dims_cap=args.dims_cap)
     else:
         host, td, _, placements, g = formats.parse_product_input(
             _read(args.product))
-        result = product_pipeline(host, td, g, placements, cfg.D, k=cfg.k,
-                                  a=cfg.a, seed=cfg.seed, restarts=cfg.restarts,
-                                  dims_cap=cfg.dims_cap)
+        result = product_pipeline(host, td, g, placements, args.D, k=args.k,
+                                  a=args.a, seed=args.seed, restarts=args.restarts,
+                                  dims_cap=args.dims_cap)
     return g, result
 
 
 def cmd_order(args) -> int:
-    cfg = _config(args)
-    g, result = _run_pipeline(args, cfg)
+    g, result = _run_pipeline(args)
     pairs = [
         ("ordering", " ".join(str(v) for v in result.ordering)),
         ("bandwidth", result.bandwidth),
@@ -205,12 +182,12 @@ def cmd_order(args) -> int:
     return 0
 
 
-def _certify_and_write(args, cfg: RunConfig, g, result) -> int:
+def _certify_and_write(args, g, result) -> int:
     """Certify ``result`` at ``--b`` (default: the smallest b it allows),
     verify the certificate against ``g`` and write it to ``--out``."""
     b = args.b if args.b is not None else default_blowup_factor(result)
-    cert = fan_certificate(g, result.x, result.ordering, b, seed=cfg.seed,
-                           params=cfg.params())
+    cert = fan_certificate(g, result.x, result.ordering, b, seed=args.seed,
+                           params=_params(args))
     violations = verify_certificate(g, cert)
     if violations:
         raise VerificationFailure(violations[0])
@@ -219,9 +196,7 @@ def _certify_and_write(args, cfg: RunConfig, g, result) -> int:
 
 
 def cmd_certify(args) -> int:
-    cfg = _config(args)
-    g, result = _run_pipeline(args, cfg)
-    return _certify_and_write(args, cfg, g, result)
+    return _certify_and_write(args, *_run_pipeline(args))
 
 
 def cmd_verify(args) -> int:
@@ -240,32 +215,24 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def _reduce_config(args) -> RunConfig:
-    # the reductions run the planar pipeline with its default k, so a --k
-    # would be recorded in the certificate without having been used
-    if args.k is not None:
-        raise InputError(f"{args.command} does not take --k")
-    return _config(args)
-
-
 def cmd_reduce_kplanar(args) -> int:
-    cfg = _reduce_config(args)
+    _embedding_args(args)
     dg = formats.parse_drawing(_read(args.drawing))
-    result = kplanar_reduce(dg, args.kk, cfg.D, cfg.seed, a=cfg.a,
-                            restarts=cfg.restarts, dims_cap=cfg.dims_cap)
-    return _certify_and_write(args, cfg, dg.graph, result)
+    result = kplanar_reduce(dg, args.kk, args.D, args.seed, a=args.a,
+                            restarts=args.restarts, dims_cap=args.dims_cap)
+    return _certify_and_write(args, dg.graph, result)
 
 
 def cmd_reduce_gk(args) -> int:
-    cfg = _reduce_config(args)
+    _embedding_args(args)
     dg = formats.parse_drawing(_read(args.drawing))
     planarizing = None
     if args.planarizing:
         planarizing = formats.parse_vertex_set(_read(args.planarizing))
-    result = gk_reduce(dg, args.genus, args.kk, cfg.D, cfg.seed,
-                       planarizing_set=planarizing, a=cfg.a,
-                       restarts=cfg.restarts, dims_cap=cfg.dims_cap)
-    return _certify_and_write(args, cfg, dg.graph, result)
+    result = gk_reduce(dg, args.genus, args.kk, args.D, args.seed,
+                       planarizing_set=planarizing, a=args.a,
+                       restarts=args.restarts, dims_cap=args.dims_cap)
+    return _certify_and_write(args, dg.graph, result)
 
 
 def cmd_oracle(args) -> int:
@@ -352,8 +319,6 @@ def cmd_oracle(args) -> int:
                 worst = margin
         lines.append(f"reciprocal_trials {args.trials}")
         lines.append(f"worst_margin {worst!r}")
-    else:
-        raise InputError(f"unknown oracle {args.what!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         formats.write_atomic(args.out, text)
@@ -366,25 +331,36 @@ def cmd_oracle(args) -> int:
 # -- parser -----------------------------------------------------------------------
 
 
-def _add_embedding_flags(sub):
-    """``--seed``, ``--D`` and the flags of the embedding."""
+class _Parser(argparse.ArgumentParser):
+    """Every parser of the CLI: flags are spelled in full, and a usage error
+    is one ``error:`` line and exit 2."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
+def _add_embedding_flags(sub, k=True):
+    """``--seed``, ``--D`` and the flags of the embedding; ``k=False`` for the
+    reductions, whose planar pipeline always uses the default k."""
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--D", type=str, default=None, required=True)
-    sub.add_argument("--k", type=int, default=None)
+    sub.add_argument("--D", type=str, required=True)
+    if k:
+        sub.add_argument("--k", type=int, default=None)
     sub.add_argument("--a", type=float, default=193.0)
     sub.add_argument("--dims-cap", dest="dims_cap", type=int, default=None)
-    sub.add_argument("--mode", choices=("certified", "exploratory"),
-                     default="certified")
 
 
-def _add_common(sub):
+def _add_common(sub, k=True):
     """The embedding flags and ``--restarts`` of the ordering."""
-    _add_embedding_flags(sub)
+    _add_embedding_flags(sub, k)
     sub.add_argument("--restarts", type=int, default=5)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fanwidth",
         description="Sparsify, order, and certify graphs into fan blowups.",
     )
@@ -401,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     em = subs.add_parser("embed", help="dump embedding coordinates")
     em.add_argument("--product", required=True)
     em.add_argument("--out", required=True)
-    _add_embedding_flags(em)
     # embed makes no ordering, so it takes no --restarts
-    em.set_defaults(func=cmd_embed, restarts=1)
+    _add_embedding_flags(em)
+    em.set_defaults(func=cmd_embed)
 
     od = subs.add_parser("order", help="compute a low-bandwidth ordering")
     group = od.add_mutually_exclusive_group(required=True)
@@ -435,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
                     required=True)
     rk.add_argument("--b", type=int, default=None)
     rk.add_argument("--out", required=True)
-    _add_common(rk)
+    _add_common(rk, k=False)
     rk.set_defaults(func=cmd_reduce_kplanar)
 
     rg = subs.add_parser("reduce-gk", help="reduce a genus-g drawing")
@@ -446,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--planarizing", default=None)
     rg.add_argument("--b", type=int, default=None)
     rg.add_argument("--out", required=True)
-    _add_common(rg)
+    _add_common(rg, k=False)
     rg.set_defaults(func=cmd_reduce_gk)
 
     orc = subs.add_parser("oracle", help="run brute-force oracles")

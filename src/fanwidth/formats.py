@@ -343,6 +343,8 @@ def parse_certificate(text: str) -> FanCertificate:
         parts = probe.split(maxsplit=2)
         if len(parts) != 3:
             raise InputError(f"line {lineno}: param line needs 'param key value'")
+        if parts[1] in params:
+            raise InputError(f"line {lineno}: duplicate param {parts[1]}")
         params[parts[1]] = parts[2]
         cur.take("param")
     row, lineno = cur.take("X line")

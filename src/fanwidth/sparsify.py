@@ -235,16 +235,16 @@ def product_sparsify(
     if len(set(placements)) != n:
         raise InputError("duplicate product placements")
 
-    N = 1 << max(0, (max(1, n) - 1).bit_length())
+    sp = StructuredSparsifier(host, n, D, {})
+    N = sp.N
     for pv in placements:
         if not (1 <= pv.p <= N):
             raise InputError(f"placement row {pv.p} outside 1..{N}")
         if pv.h in host.removed or not (0 <= pv.h < host.n):
             raise InputError(f"placement host vertex {pv.h} invalid")
 
-    cells = {}
-    num_scales = N.bit_length()
-    for i in range(num_scales):
+    cells = sp.cells
+    for i in range(sp.num_scales):
         threshold = Fraction(D) * Fraction(1 << i, 2)
         for j, xi in enumerate(_strip_weights(placements, i, N)):
             total = sum(xi.values())
@@ -266,8 +266,7 @@ def product_sparsify(
                         f"strip ({i},{j}): component weight {cw} exceeds {threshold}"
                     )
 
-    sp = StructuredSparsifier(host, n, D, cells)
-    sp.size_bound = Fraction(18) * (td.width + 1) * n * num_scales / Fraction(D)
+    sp.size_bound = Fraction(18) * (td.width + 1) * n * sp.num_scales / Fraction(D)
     size = sp.x_size()
     if size > sp.size_bound:
         raise AssertionError(f"|X| = {size} exceeds bound {float(sp.size_bound):.1f}")

@@ -274,16 +274,23 @@ class TestCertifyAndVerify:
         cert1, cert2 = (parse_certificate(p.read_text()) for p in (c1, c2))
         assert cert1.seed != cert2.seed
 
-    def test_certified_mode_forbids_dims_cap(self, work):
-        assert run("certify", "--graph", work / "g.txt", "--D", "8",
-                   "--dims-cap", "16", "--out", work / "c.txt") == 2
+    def test_uncapped_run_is_certified(self, work):
+        cert = work / "c.txt"
+        assert run("certify", "--graph", work / "g.txt", "--D", "8", "--a", "2",
+                   "--k", "3", "--out", cert) == 0
+        params = [row for row in cert.read_text().splitlines()
+                  if row.startswith("param ")]
+        assert "param mode certified" in params
+        assert not any(row.startswith("param dims_cap ") for row in params)
 
     def test_exploratory_mode_allows_dims_cap(self, work):
+        # a run is exploratory exactly when it has a --dims-cap
         cert = work / "c.txt"
         assert run("certify", "--graph", work / "g.txt", "--D", "8",
-                   "--mode", "exploratory", "--dims-cap", "16", "--a", "2",
-                   "--k", "3", "--out", cert) == 0
-        assert "dims_cap 16" in cert.read_text()
+                   "--dims-cap", "16", "--a", "2", "--k", "3", "--out", cert) == 0
+        params = cert.read_text().splitlines()
+        assert "param mode exploratory" in params
+        assert "param dims_cap 16" in params
 
 
 class TestExitCodes:
@@ -301,8 +308,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ("certify", "--a", "nan"),
         ("certify", "--a", "inf"),
-        ("certify", "--mode", "exploratory", "--dims-cap", "-2"),
-        ("certify", "--mode", "exploratory", "--dims-cap", "0"),
+        ("certify", "--dims-cap", "-2"),
+        ("certify", "--dims-cap", "0"),
         ("oracle", "--what", "reciprocal", "--trials", "0"),
         ("oracle", "--what", "volume-sandwich", "--trials", "-1"),
     ], ids=["a-nan", "a-inf", "dims-cap-negative", "dims-cap-zero",
@@ -397,6 +404,92 @@ class TestExitCodes:
         assert err.count("\n") == 1
 
 
+# subcommand -> its flags, an alias after a slash; pinned so that a flag no
+# command reads cannot come back unnoticed
+FLAGS = {
+    "sparsify": ["--graph", "--product", "--out", "--D"],
+    "embed": ["--product", "--out", "--seed", "--D", "--k", "--a", "--dims-cap"],
+    "order": ["--graph", "--product", "--out", "--seed", "--D", "--k", "--a",
+              "--dims-cap", "--restarts"],
+    "certify": ["--graph", "--product", "--b", "--out", "--seed", "--D", "--k",
+                "--a", "--dims-cap", "--restarts"],
+    "verify": ["--graph", "--product", "--cert"],
+    "reduce-kplanar": ["--drawing", "--kk/--crossings-per-edge", "--b", "--out",
+                       "--seed", "--D", "--a", "--dims-cap", "--restarts"],
+    "reduce-gk": ["--drawing", "--genus", "--kk/--crossings-per-edge",
+                  "--planarizing", "--b", "--out", "--seed", "--D", "--a",
+                  "--dims-cap", "--restarts"],
+    "oracle": ["--what", "--graph", "--product", "--D", "--trials", "--seed",
+               "--out"],
+}
+
+# subcommand -> a valid argv after it, file names in the work directory
+VALID_ARGV = {
+    "sparsify": ["--graph", "g.txt", "--D", "8", "--out", "x.txt"],
+    "embed": ["--product", "p.txt", "--D", "8", "--out", "emb.txt"],
+    "order": ["--graph", "g.txt", "--D", "8", "--out", "ord.txt"],
+    "certify": ["--graph", "g.txt", "--D", "8", "--out", "cert.txt"],
+    "verify": ["--graph", "g.txt", "--cert", "c.txt"],
+    "reduce-kplanar": ["--drawing", "d.txt", "--kk", "1", "--D", "5",
+                       "--out", "cert.txt"],
+    "reduce-gk": ["--drawing", "d.txt", "--genus", "0", "--kk", "1", "--D", "5",
+                  "--out", "cert.txt"],
+    "oracle": ["--what", "bandwidth", "--graph", "g.txt"],
+}
+
+
+class TestParser:
+    def test_flag_inventory(self):
+        import argparse
+
+        subs = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+        flags = {name: ["/".join(action.option_strings) for action in sub._actions
+                        if action.dest != "help"]
+                 for name, sub in subs.choices.items()}
+        assert flags == FLAGS
+        assert sum(map(len, flags.values())) == 60
+
+    @staticmethod
+    def usage_error(work, capsys, command, argv) -> str:
+        """The stderr of ``command argv`` (file names in ``work``), which
+        argparse must reject with exit 2."""
+        with pytest.raises(SystemExit) as exc:
+            run(command, *[work / a if a.endswith(".txt") else a for a in argv])
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(VALID_ARGV))
+    def test_mode_is_not_a_flag(self, work, capsys, command):
+        # the mode follows from --dims-cap
+        err = self.usage_error(work, capsys, command,
+                               VALID_ARGV[command] + ["--mode", "certified"])
+        assert err == "error: unrecognized arguments: --mode certified\n"
+
+    @pytest.mark.parametrize("command, flag", [
+        ("certify", "--dims"), ("certify", "--rest"), ("reduce-gk", "--plan"),
+        ("reduce-kplanar", "--crossings"), ("oracle", "--tri"),
+    ])
+    def test_flags_are_spelled_in_full(self, work, capsys, command, flag):
+        err = self.usage_error(work, capsys, command, VALID_ARGV[command] + [flag, "4"])
+        assert err == f"error: unrecognized arguments: {flag} 4\n"
+
+    @pytest.mark.parametrize("command", ["sparsify", "embed", "order", "certify",
+                                         "reduce-kplanar", "reduce-gk"])
+    def test_missing_out_is_one_line(self, work, capsys, command):
+        *argv, flag, _ = VALID_ARGV[command]
+        assert flag == "--out"
+        err = self.usage_error(work, capsys, command, argv)
+        assert err == "error: the following arguments are required: --out\n"
+
+    def test_missing_command_is_one_line(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run()
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: the following arguments are required: command\n")
+
+
 class TestOrderAndEmbed:
     def test_order_writes_bandwidth(self, work):
         out = work / "ord.txt"
@@ -410,7 +503,7 @@ class TestOrderAndEmbed:
         out = work / "emb.txt"
         assert run("embed", "--product", work / "p.txt", "--D", "8",
                    "--seed", "5", "--a", "2", "--k", "3",
-                   "--mode", "exploratory", "--dims-cap", "8", "--out", out) == 0
+                   "--dims-cap", "8", "--out", out) == 0
         header = out.read_text().splitlines()[0].split()
         assert header[1] == "8"  # capped dimension
 
@@ -517,11 +610,15 @@ class TestReduceCommands:
         ("reduce-kplanar", "--kk", "1"),
         ("reduce-gk", "--genus", "0", "--kk", "1"),
     ])
-    def test_k_is_rejected(self, work, command):
-        # the reductions never use k, so a certificate must not record one
+    def test_k_is_rejected(self, work, capsys, command):
+        # the reductions never use k, so they have no --k; and --k is no
+        # abbreviation of --kk
         cert = work / "cert.txt"
-        assert run(*command, "--drawing", work / "d.txt", "--D", "5",
-                   "--k", "3", "--out", cert) == 2
+        with pytest.raises(SystemExit) as exc:
+            run(*command, "--drawing", work / "d.txt", "--D", "5",
+                "--k", "3", "--out", cert)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err == "error: unrecognized arguments: --k 3\n"
         assert not cert.exists()
 
 

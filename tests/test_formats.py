@@ -146,6 +146,16 @@ class TestCertificateFormat:
         with pytest.raises(InputError, match="duplicate mapping"):
             parse_certificate("\n".join(lines) + "\n")
 
+    def test_rejects_duplicate_param(self):
+        # a repeated key would parse as its last value, and the document
+        # would not round-trip
+        cert = fan_certificate(path_graph(4), [0], [1, 2, 3], 2, params={"D": "8"})
+        lines = serialize_certificate(cert).splitlines()
+        idx = lines.index("param D 8")
+        lines.insert(idx + 1, "param D 9")
+        with pytest.raises(InputError, match=f"^line {idx + 2}: duplicate param D$"):
+            parse_certificate("\n".join(lines) + "\n")
+
 
 class TestDrawingFormat:
     def test_round_trip(self):
