@@ -235,7 +235,24 @@ def cmd_reduce_gk(args) -> int:
     return _certify_and_write(args, dg.graph, result)
 
 
+# oracle --what -> the flags it reads besides --what and --out
+_ORACLE_FLAGS = {
+    "bandwidth": ("graph",),
+    "density": ("graph",),
+    "metric-axioms": ("product", "D", "seed"),
+    "volume-sandwich": ("trials", "seed"),
+    "reciprocal": ("trials", "seed"),
+}
+
+
 def cmd_oracle(args) -> int:
+    for name in ("graph", "product", "D", "trials", "seed"):
+        if getattr(args, name) is not None and name not in _ORACLE_FLAGS[args.what]:
+            raise InputError(f"oracle {args.what} does not read --{name}")
+    if args.seed is None:
+        args.seed = 0
+    if args.trials is None:
+        args.trials = 100
     if args.trials < 1:
         raise InputError("--trials must be at least 1")
     lines = []
@@ -426,14 +443,13 @@ def build_parser() -> argparse.ArgumentParser:
     rg.set_defaults(func=cmd_reduce_gk)
 
     orc = subs.add_parser("oracle", help="run brute-force oracles")
-    orc.add_argument("--what", required=True,
-                     choices=("bandwidth", "density", "metric-axioms",
-                              "volume-sandwich", "reciprocal"))
+    orc.add_argument("--what", required=True, choices=tuple(_ORACLE_FLAGS))
+    # None marks a flag not given: each --what rejects the ones it does not read
     orc.add_argument("--graph")
     orc.add_argument("--product")
     orc.add_argument("--D", type=str, default=None)
-    orc.add_argument("--trials", type=int, default=100)
-    orc.add_argument("--seed", type=int, default=0)
+    orc.add_argument("--trials", type=int, default=None)
+    orc.add_argument("--seed", type=int, default=None)
     orc.add_argument("--out", default=None)
     orc.set_defaults(func=cmd_oracle)
 

@@ -13,8 +13,10 @@ so that every surviving ball of radius r contains O(D * r) vertices.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import InputError
 from .graphs import Graph, Layering, ProductVertex
@@ -42,6 +44,14 @@ class BakerResult:
     size_bound: Fraction
 
 
+# Slab vertices, summed over the distinct slabs, from which baker_sparsify
+# cuts the slabs in forked workers.  Starting the pool costs about 40 ms
+# (its imports and the forks); on 2 CPUs, fresh processes cut grids at D=8
+# faster in one process up to 3230 slab vertices (16x16) and faster on two
+# from 4388 (18x18).
+PARALLEL_MIN_WORK = 4000
+
+
 def baker_sparsify(g: Graph, D, layering: Layering) -> BakerResult:
     """Sparsify a layered graph so ``g - X`` has local density at most D.
 
@@ -51,6 +61,12 @@ def baker_sparsify(g: Graph, D, layering: Layering) -> BakerResult:
     side; the widened slab is cut with unit weights and
     ``c = ceil(|slab| / (D * 2^(i-1)))``, so surviving slab components have
     at most ``D * 2^(i-1)`` vertices.
+
+    A slab that several windows share is decomposed once and cut once per
+    window.  The distinct slabs are independent, so above
+    ``PARALLEL_MIN_WORK`` slab vertices they are cut in forked worker
+    processes; X and ``w_eff`` are a union and a maximum, the same in any
+    order.
     """
     n = g.num_vertices
     if n == 0:
@@ -69,11 +85,8 @@ def baker_sparsify(g: Graph, D, layering: Layering) -> BakerResult:
         return BakerResult(set(), 0, Fraction(0), Fraction(0))
     top = max(0, (r_max - 1).bit_length())
 
-    live = set(g.vertices())
-    decomps: dict = {}
     max_layer = max(by_layer)
-    x: set = set()
-    w_eff = Fraction(0)
+    windows: dict = {}  # slab -> [(span, c), ...] of the windows that cut it
     for i in range(top + 1):
         span = 1 << i
         threshold = Fraction(D) * Fraction(span, 2)
@@ -81,21 +94,22 @@ def baker_sparsify(g: Graph, D, layering: Layering) -> BakerResult:
             slab = []
             for s in range((j - 1) * span, (j + 2) * span):
                 slab.extend(by_layer.get(s, ()))
-            if not slab:
-                continue
             c = max(1, _ceil_div(len(slab), threshold))
-            if c == 1:
-                continue
-            key = frozenset(slab)
-            td = decomps.get(key)
-            sub = g.delete(live - key)
-            if td is None:
-                td = minfill_decomposition(sub)
-                if (j + 2) * span > max_layer:  # only these windows repeat
-                    decomps[key] = td
-            w_eff = max(w_eff, Fraction(td.width + 1, 3 * span))
-            sep = weighted_separator(sub, td, {v: 1 for v in slab}, c)
-            x |= separator_bag_union(td, sep)
+            if c > 1:
+                windows.setdefault(frozenset(slab), []).append((span, c))
+
+    # largest first, so that the last slab a worker takes is a small one
+    tasks = sorted(windows.items(), key=lambda task: -len(task[0]))
+    work = sum(len(slab) for slab, _ in tasks)
+    workers = 1  # where the platform cannot fork or name its CPUs, too
+    if (work >= PARALLEL_MIN_WORK and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")):
+        workers = min(len(os.sched_getaffinity(0)), len(tasks))
+    x: set = set()
+    w_eff = Fraction(0)
+    for (_, cuts), (width, part) in zip(tasks, _cut_slabs(g, tasks, workers)):
+        w_eff = max(w_eff, *(Fraction(width + 1, 3 * span) for span, _ in cuts))
+        x |= part
 
     num_scales = top + 1
     size_bound = Fraction(18) * w_eff * n * num_scales / Fraction(D)
@@ -104,6 +118,53 @@ def baker_sparsify(g: Graph, D, layering: Layering) -> BakerResult:
             f"sparsifier size {len(x)} exceeds bound {float(size_bound):.1f}"
         )
     return BakerResult(x, num_scales, w_eff, size_bound)
+
+
+def _cut_slab(g: Graph, task) -> tuple:
+    """Decompose one slab of ``g`` and cut it with unit weights once per
+    window ``(span, c)``; returns the decomposition's width and the union of
+    the separator bags."""
+    slab, cuts = task
+    sub = g.delete(set(range(g.n)) - slab)
+    td = minfill_decomposition(sub)
+    unit = dict.fromkeys(slab, 1)
+    part: set = set()
+    for _, c in cuts:
+        part |= separator_bag_union(td, weighted_separator(sub, td, unit, c))
+    return td.width, part
+
+
+_forked_graph = None  # the graph of a slab worker, set in the worker only
+
+
+def _adopt_graph(g: Graph):
+    global _forked_graph
+    _forked_graph = g
+
+
+def _cut_forked_slab(task) -> tuple:
+    return _cut_slab(_forked_graph, task)
+
+
+def _cut_slabs(g: Graph, tasks: list, workers: int) -> list:
+    """``_cut_slab`` of every task, in task order, on ``workers`` processes.
+
+    One worker cuts in this process.  More are forked, so the graph reaches
+    them by inheritance, not by pickling; a worker's exception is re-raised
+    here with its type and message, and every worker is reaped before this
+    returns or raises.
+    """
+    if workers == 1:
+        return list(map(partial(_cut_slab, g), tasks))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_adopt_graph, initargs=(g,))
+    try:
+        return list(pool.map(_cut_forked_slab, tasks, chunksize=1))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class StructuredSparsifier:

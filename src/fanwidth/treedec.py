@@ -65,7 +65,7 @@ class TreeDecomposition:
 
     ``width`` is the declared width; ``validate_decomposition`` checks it
     against the bags.  The bags and tree edges must not change once ``walk``
-    has been read.
+    or ``members`` has been read.
     """
 
     bags: dict
@@ -91,14 +91,21 @@ class TreeDecomposition:
 
     walk = cached_property(RootedWalk)  # built on first read, then kept
 
+    @cached_property
+    def members(self) -> frozenset:
+        """Every vertex some bag holds."""
+        return frozenset().union(*self.bags.values())
+
 
 def _walk(g: Graph, td: TreeDecomposition) -> RootedWalk:
-    """``td.walk``, once every bag member is a live vertex of ``g``."""
-    live = set(g.vertices())
-    for x, bag in td.bags.items():
-        if not live.issuperset(bag):
-            v = next(v for v in bag if v not in live)
-            raise InputError(f"bag {x} references vertex {v} not in the graph")
+    """``td.walk``, once every bag member is a live vertex of ``g``: an id
+    in ``0..n-1`` that ``g`` has not removed."""
+    n, removed, members = g.n, g.removed, td.members
+    if members and (min(members) < 0 or max(members) >= n
+                    or not removed.isdisjoint(members)):
+        x, v = next((x, v) for x, bag in td.bags.items() for v in bag
+                    if not 0 <= v < n or v in removed)
+        raise InputError(f"bag {x} references vertex {v} not in the graph")
     return td.walk
 
 
@@ -238,15 +245,17 @@ def weighted_separator(h: Graph, td: TreeDecomposition, xi: dict, c: int) -> set
     x) when its top bag lies in x's subtree, a contiguous run of the
     preorder, or x is one of its other bags (traces are connected); so the
     weight of ``H_x`` is a prefix-sum difference plus one entry.  A removed
-    vertex is unbooked, and a vertex of weight 0 is never booked.
+    vertex is unbooked, and a vertex of weight 0 is never booked.  Before the
+    first round the call reads ``xi`` and the bags, never ``h``'s vertex list.
     """
     if c < 1:
         raise InputError("separator parameter c must be a positive integer")
-    live = h.vertices()
-    for v in live:
-        if xi.get(v, 0) < 0:
-            raise InputError(f"negative weight at vertex {v}")
-    total_original = sum(xi.get(v, 0) for v in live)
+    n, removed = h.n, h.removed
+    live = [(v, w) for v, w in xi.items() if 0 <= v < n and v not in removed]
+    negative = [v for v, w in live if w < 0]
+    if negative:
+        raise InputError(f"negative weight at vertex {min(negative)}")
+    total_original = sum(w for _, w in live)
     selected: set = set()
     if c == 1:
         return selected

@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import numpy as np
@@ -667,25 +668,39 @@ class TestProductFrontEnd:
 
 class TestLazyImports:
     """``import fanwidth`` and every command that computes no embedding or
-    metric run without loading numpy (a fifth of a ``verify`` job)."""
+    metric run without loading numpy (a fifth of a ``verify`` job), and
+    only a Baker cut large enough to fork loads the process pool."""
+
+    POOL = ("multiprocessing", "concurrent.futures")
 
     @staticmethod
-    def loads_numpy(script: str, *argv) -> bool:
+    def loaded(script: str, *argv) -> set:
+        """Which of numpy and the process pool modules ``script`` loads."""
         import subprocess
         import sys
 
+        watched = ("numpy",) + TestLazyImports.POOL
         proc = subprocess.run(
-            [sys.executable, "-c", script + "print('numpy' in sys.modules)\n",
+            [sys.executable, "-c",
+             script + f"print(*[m for m in {watched!r} if m in sys.modules])\n",
              *map(str, argv)], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        return {"True": True, "False": False}[proc.stdout.splitlines()[-1]]
+        return set(proc.stdout.splitlines()[-1].split())
 
     @classmethod
-    def command_loads_numpy(cls, code: int, *argv) -> bool:
-        return cls.loads_numpy(
+    def loads_numpy(cls, script: str, *argv) -> bool:
+        return "numpy" in cls.loaded(script, *argv)
+
+    @classmethod
+    def command_loads(cls, code: int, *argv) -> set:
+        return cls.loaded(
             "import sys\nimport fanwidth.cli\n"
             "code = fanwidth.cli.main(sys.argv[2:])\n"
             "assert code == int(sys.argv[1]), code\n", code, *argv)
+
+    @classmethod
+    def command_loads_numpy(cls, code: int, *argv) -> bool:
+        return "numpy" in cls.command_loads(code, *argv)
 
     @pytest.mark.parametrize("module", ["fanwidth", "fanwidth.cli"])
     def test_import_never_loads_numpy(self, module):
@@ -713,6 +728,28 @@ class TestLazyImports:
         assert not self.command_loads_numpy(
             2, "verify", "--graph", work / "missing.txt", "--cert", work / "c.txt")
 
+    def test_import_never_loads_a_process_pool(self):
+        assert self.loaded("import sys\nimport fanwidth.cli\n").isdisjoint(self.POOL)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--graph", "g.txt", "--cert", "c.txt"],
+        ["sparsify", "--graph", "g.txt", "--D", "2", "--out", "x.txt"],
+    ], ids=lambda argv: argv[0])
+    def test_small_commands_never_load_a_process_pool(self, work, argv):
+        loaded = self.command_loads(0, *[work / a if a.endswith(".txt") else a
+                                         for a in argv])
+        assert loaded.isdisjoint(self.POOL)
+
+    @pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="slabs are cut in one process without two CPUs and fork")
+    def test_large_sparsify_loads_the_process_pool(self, tmp_path):
+        # the guard has teeth: the 32x32 grid at D=8 cuts 16,030 slab vertices
+        (tmp_path / "g.txt").write_text(serialize_graph(grid_graph(32, 32)[0]))
+        loaded = self.command_loads(0, "sparsify", "--graph", tmp_path / "g.txt",
+                                    "--D", "8", "--out", tmp_path / "x.txt")
+        assert set(self.POOL) <= loaded
+
     def test_certify_with_survivors_loads_numpy(self, work):
         # the guard has teeth: ordering two or more survivors embeds them
         g, _ = grid_graph(5, 5)
@@ -738,6 +775,28 @@ class TestCrossProcessDeterminism:
             )
             assert proc.returncode == 0, proc.stderr
         assert c1.read_bytes() == c2.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="the platform cannot pin a process to one CPU")
+    def test_certificate_identical_on_one_cpu(self, tmp_path):
+        # the 32x32 grid at D=8 cuts its Baker slabs on every CPU the process
+        # may use; pinned to one, it cuts them in one process
+        import subprocess
+        import sys
+
+        (tmp_path / "g.txt").write_text(serialize_graph(grid_graph(32, 32)[0]))
+        one_cpu = min(os.sched_getaffinity(0))
+        outputs = []
+        for pin in (True, False):
+            out = tmp_path / f"cert-{pin}.txt"
+            proc = subprocess.run(
+                [sys.executable, "-m", "fanwidth.cli", "certify", "--graph",
+                 str(tmp_path / "g.txt"), "--D", "8", "--seed", "3", "--out", str(out)],
+                capture_output=True,
+                preexec_fn=(lambda: os.sched_setaffinity(0, {one_cpu})) if pin else None)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestGoldenCertificate:
@@ -813,6 +872,23 @@ class TestOracleCommand:
 
     def test_missing_graph_flag(self):
         assert run("oracle", "--what", "bandwidth") == 2
+
+    @pytest.mark.parametrize("what,flags,unread", [
+        ("bandwidth", ["--graph", "g.txt", "--trials", "5"], "--trials"),
+        ("density", ["--graph", "g.txt", "--product", "missing.txt", "--D", "8"],
+         "--product"),
+        ("metric-axioms", ["--product", "p.txt", "--D", "8", "--graph", "g.txt"],
+         "--graph"),
+        ("volume-sandwich", ["--trials", "3", "--graph", "g.txt", "--D", "2"],
+         "--graph"),
+        ("reciprocal", ["--trials", "3", "--seed", "2", "--D", "8"], "--D"),
+    ], ids=["bandwidth", "density", "metric-axioms", "volume-sandwich", "reciprocal"])
+    def test_unread_flag_is_a_usage_error(self, work, capsys, what, flags, unread):
+        flags = [work / f if f.endswith(".txt") else f for f in flags]
+        assert run("oracle", "--what", what, *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: oracle {what} does not read {unread}\n"
+        assert captured.out == ""
 
     def test_metric_axioms_tabulates_d_star_once(self, work, capsys, monkeypatch):
         # the axioms and the density both read StarMetric.matrix(): one

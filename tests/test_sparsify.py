@@ -1,5 +1,8 @@
 import math
+import multiprocessing
+import os
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +22,18 @@ from fanwidth import (
     minfill_decomposition,
     path_graph,
     product_sparsify,
+    separator_bag_union,
     ttree_complete,
+    weighted_separator,
 )
 
+import fanwidth.sparsify
+from fanwidth.cli import main
+from fanwidth.formats import serialize_graph
 from fanwidth.randomness import stream
-from fanwidth.sparsify import _strip_weights
+from fanwidth.sparsify import _cut_slabs, _strip_weights
 
-from conftest import column_in_product, grid_in_product
+from conftest import column_in_product, grid_in_product, stacked_triangulation
 
 
 class TestBakerSparsify:
@@ -86,6 +94,233 @@ class TestBakerSparsify:
         g, _ = grid_graph(10, 10)
         res = baker_sparsify(g, 8, bfs_layering(g, 0))
         assert len(res.x) <= res.size_bound
+
+
+@st.composite
+def planar_graphs(draw):
+    """A stacked triangulation of up to 90 vertices with some vertices
+    deleted (a subgraph of a planar graph is planar), and a density."""
+    n = draw(st.integers(3, 90))
+    g = stacked_triangulation(n, draw(st.integers(0, 10**6)))
+    g = g.delete(draw(st.sets(st.integers(0, n - 1), max_size=n // 3)))
+    return g, draw(st.integers(1, max(1, g.num_vertices // 4)))
+
+
+def _reference_baker(g, D, layering):
+    """``baker_sparsify``'s cut as first written, without validation: every
+    window ``(i, j)`` decomposes and cuts its slab in turn.  Returns ``(x,
+    w_eff)``."""
+    n = g.num_vertices
+    layer = layering.normalized().layer_of
+    by_layer = {}
+    for v in g.vertices():
+        by_layer.setdefault(layer[v], []).append(v)
+    r_max = math.ceil(Fraction(n) / Fraction(D)) - 1
+    x, w_eff = set(), Fraction(0)
+    if r_max < 1:
+        return x, w_eff
+    live = set(g.vertices())
+    for i in range(max(0, (r_max - 1).bit_length()) + 1):
+        span = 1 << i
+        threshold = Fraction(D) * Fraction(span, 2)
+        for j in range(0, max(by_layer) // span + 1):
+            slab = []
+            for s in range((j - 1) * span, (j + 2) * span):
+                slab.extend(by_layer.get(s, ()))
+            c = max(1, math.ceil(Fraction(len(slab)) / threshold))
+            if not slab or c == 1:
+                continue
+            sub = g.delete(live - set(slab))
+            td = minfill_decomposition(sub)
+            w_eff = max(w_eff, Fraction(td.width + 1, 3 * span))
+            sep = weighted_separator(sub, td, {v: 1 for v in slab}, c)
+            x |= separator_bag_union(td, sep)
+    return x, w_eff
+
+
+class TestBakerMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(planar_graphs())
+    def test_planar_graphs(self, case):
+        g, D = case
+        layering = bfs_layering(g, min(g.vertices()))
+        res = baker_sparsify(g, D, layering)
+        assert (res.x, res.w_eff) == _reference_baker(g, D, layering)
+
+    @pytest.mark.parametrize("g,D", [
+        (grid_graph(12, 12)[0], 8), (grid_graph(9, 14)[0], 3), (path_graph(40), 2),
+        (stacked_triangulation(150, 2), 4)], ids=["grid12", "grid9x14", "path", "stacked"])
+    def test_fixed_graphs(self, g, D):
+        layering = bfs_layering(g, 0)
+        res = baker_sparsify(g, D, layering)
+        assert (res.x, res.w_eff) == _reference_baker(g, D, layering)
+
+
+def slab_tasks(g, D) -> list:
+    """The ``(slab, [(span, c), ...])`` tasks that ``baker_sparsify`` hands
+    to ``_cut_slabs`` on ``g`` at density ``D``, largest slab first."""
+    seen = []
+
+    def capture(g, tasks, workers):
+        seen.append(tasks)
+        return _cut_slabs(g, tasks, 1)
+
+    with mock.patch.object(fanwidth.sparsify, "_cut_slabs", capture):
+        baker_sparsify(g, D, bfs_layering(g, min(g.vertices())))
+    return seen[0] if seen else []
+
+
+def assert_same_cut_on_one_and_two_workers(g, D):
+    tasks = slab_tasks(g, D)
+    assert _cut_slabs(g, tasks, 2) == _cut_slabs(g, tasks, 1)
+    assert multiprocessing.active_children() == []
+    return tasks
+
+
+def spy_workers(monkeypatch) -> list:
+    """Record the worker count of every ``_cut_slabs`` call."""
+    calls = []
+
+    def spy(g, tasks, workers):
+        calls.append(workers)
+        return cut(g, tasks, workers)
+
+    cut = fanwidth.sparsify._cut_slabs
+    monkeypatch.setattr(fanwidth.sparsify, "_cut_slabs", spy)
+    return calls
+
+
+def fork_two_workers(monkeypatch):
+    """Make ``baker_sparsify`` fork two slab workers, whatever the work and
+    the machine's CPU count."""
+    if not hasattr(os, "fork"):
+        pytest.skip("the platform cannot fork")
+    monkeypatch.setattr(fanwidth.sparsify, "PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture(params=["serial", "parallel"])
+def cut_path(request, monkeypatch):
+    """Send ``baker_sparsify``'s slabs to one worker in this process, or to
+    two forked workers; the list it returns records the worker count of
+    each cut."""
+    if request.param == "parallel":
+        fork_two_workers(monkeypatch)
+    else:
+        monkeypatch.setattr(fanwidth.sparsify, "PARALLEL_MIN_WORK", math.inf)
+    calls = spy_workers(monkeypatch)
+    yield calls
+    assert calls == [2 if request.param == "parallel" else 1]
+    assert multiprocessing.active_children() == []
+
+
+class TestParallelSlabCut:
+    @pytest.mark.parametrize("side,D", [(8, 4), (12, 8), (16, 4)])
+    def test_grids_cut_alike_on_one_and_two_workers(self, side, D):
+        g, _ = grid_graph(side, side)
+        assert len(assert_same_cut_on_one_and_two_workers(g, D)) > 20
+
+    @pytest.mark.parametrize("n,seed", [(60, 1), (150, 2)])
+    def test_stacked_triangulations_cut_alike(self, n, seed):
+        tasks = assert_same_cut_on_one_and_two_workers(stacked_triangulation(n, seed), 4)
+        assert len(tasks) >= 2
+
+    @settings(max_examples=8, deadline=None)
+    @given(planar_graphs())
+    def test_planar_graphs_cut_alike(self, case):
+        assert_same_cut_on_one_and_two_workers(*case)
+
+    def test_both_paths_give_the_same_result(self, cut_path):
+        g, _ = grid_graph(12, 12)
+        res = baker_sparsify(g, 8, bfs_layering(g, 0))
+        assert len(res.x) == 141
+        assert (res.w_eff, res.size_bound) == (1, 1944)
+
+    @pytest.mark.parametrize("error", [AssertionError, InputError])
+    def test_a_worker_error_keeps_its_type_and_message(self, cut_path, monkeypatch,
+                                                        error):
+        def broken(*args):
+            raise error("slab separator broke at vertex 7")
+
+        monkeypatch.setattr(fanwidth.sparsify, "weighted_separator", broken)
+        g, _ = grid_graph(12, 12)
+        with pytest.raises(error) as caught:
+            baker_sparsify(g, 8, bfs_layering(g, 0))
+        assert type(caught.value) is error
+        assert str(caught.value) == "slab separator broke at vertex 7"
+
+    @pytest.mark.parametrize("error,code", [(AssertionError, 3), (InputError, 2)])
+    def test_a_worker_error_sets_the_exit_code(self, cut_path, monkeypatch, capsys,
+                                               tmp_path, error, code):
+        def broken(*args):
+            raise error("slab separator broke at vertex 7")
+
+        monkeypatch.setattr(fanwidth.sparsify, "weighted_separator", broken)
+        (tmp_path / "g.txt").write_text(serialize_graph(grid_graph(12, 12)[0]))
+        assert main(["sparsify", "--graph", str(tmp_path / "g.txt"), "--D", "8",
+                     "--out", str(tmp_path / "x.txt")]) == code
+        prefix = "error" if code == 2 else "internal invariant failed"
+        assert capsys.readouterr().err == f"{prefix}: slab separator broke at vertex 7\n"
+
+    def test_a_dead_worker_is_a_broken_invariant(self, monkeypatch, capsys, tmp_path):
+        # a worker that exits without a result breaks the pool: a
+        # RuntimeError, so the CLI exits 3
+        fork_two_workers(monkeypatch)
+        monkeypatch.setattr(fanwidth.sparsify, "weighted_separator",
+                            lambda *args: os._exit(1))
+        (tmp_path / "g.txt").write_text(serialize_graph(grid_graph(12, 12)[0]))
+        assert main(["sparsify", "--graph", str(tmp_path / "g.txt"), "--D", "8",
+                     "--out", str(tmp_path / "x.txt")]) == 3
+        assert capsys.readouterr().err.startswith("internal invariant failed: ")
+        assert multiprocessing.active_children() == []
+
+    def test_small_grid_stays_serial_and_large_grid_forks(self, monkeypatch):
+        calls = spy_workers(monkeypatch)
+        g, _ = grid_graph(12, 12)
+        baker_sparsify(g, 8, bfs_layering(g, 0))
+        assert calls == [1]
+        g, _ = grid_graph(32, 32)
+        tasks = slab_tasks(g, 8)
+        assert sum(len(slab) for slab, _ in tasks) >= fanwidth.sparsify.PARALLEL_MIN_WORK
+        calls.clear()
+        baker_sparsify(g, 8, bfs_layering(g, 0))
+        forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+        cpus = len(os.sched_getaffinity(0)) if forks else 1
+        assert calls == [min(cpus, len(tasks))]
+        assert multiprocessing.active_children() == []
+
+    def test_workers_never_outnumber_the_slabs(self, monkeypatch):
+        # 64 CPUs and 5 distinct slabs: 5 workers, recorded; the cut runs here
+        g = stacked_triangulation(60, 1)
+        assert len(slab_tasks(g, 4)) == 5
+        calls = []
+
+        def record(g, tasks, workers):
+            calls.append(workers)
+            return _cut_slabs(g, tasks, 1)
+
+        monkeypatch.setattr(fanwidth.sparsify, "PARALLEL_MIN_WORK", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        monkeypatch.setattr(fanwidth.sparsify, "_cut_slabs", record)
+        baker_sparsify(g, 4, bfs_layering(g, 0))
+        assert calls == [5]
+
+    def test_each_distinct_slab_is_decomposed_once(self, monkeypatch):
+        # the 32x32 grid at D=8 cuts 124 windows, which cover 121 distinct slabs
+        decomposed = []
+
+        def recording(sub):
+            decomposed.append(frozenset(sub.vertices()))
+            return minfill_decomposition(sub)
+
+        monkeypatch.setattr(fanwidth.sparsify, "minfill_decomposition", recording)
+        g, _ = grid_graph(32, 32)
+        tasks = slab_tasks(g, 8)  # cuts in this process, so every call is seen
+        assert len(decomposed) == len(set(decomposed)) == len(tasks) == 121
+        assert sum(len(cuts) for _, cuts in tasks) == 124
+        sizes = [len(slab) for slab, _ in tasks]
+        assert sizes == sorted(sizes, reverse=True) and sum(sizes) == 16030
 
 
 def small_product(D):

@@ -543,6 +543,16 @@ class TestWeightedSeparator:
         with pytest.raises(InputError):
             weighted_separator(g, td, {0: -1}, 2)
 
+    def test_negative_weight_names_the_lowest_live_vertex(self):
+        # weights at ids the graph lacks or has removed are never read
+        g = path_graph(6).delete({1})
+        td = minfill_decomposition(g)
+        xi = {5: -2, 1: -1, 9: -1, -3: -1, 3: -1, 0: 1}
+        with pytest.raises(InputError, match="^negative weight at vertex 3$"):
+            weighted_separator(g, td, xi, 2)
+        xi = {1: -1, 9: -1, 0: 1}
+        assert weighted_separator(g, td, xi, 2) == _reference_separator(g, td, xi, 2)
+
     @pytest.mark.parametrize("g", [path_graph(3).delete({2}), path_graph(2)],
                              ids=["deleted", "missing"])
     def test_rejects_bag_vertex_not_in_graph(self, g):
