@@ -21,14 +21,19 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import Graph, Layering, ProductVertex, bfs, bfs_layering, component_labels
-from .randomness import PCG64Batch, label_states, stream
+from .randomness import PCG64Batch, numbered_states, stream
 from .sparsify import StructuredSparsifier
 
 INF = math.inf
 
-# Columns of a scale drawn and written together: the stretch draws and the
-# gathered per-point arrays of one block are ``_COLUMN_CHUNK x n``
+# Columns of a scale drawn and written together: one block's stretch draws
+# are ``_COLUMN_CHUNK x components`` (their closed-form tiles are
+# ``_COLUMN_CHUNK x 32``), and ``build_embedding`` gathers ``_COLUMN_CHUNK x n``
 _COLUMN_CHUNK = 512
+
+# Partitions of a scale whose per-point keys are gathered and ranked together
+# as ``_PARTITION_BLOCK x n`` arrays
+_PARTITION_BLOCK = 64
 
 # Largest embedding dimension (columns over all scales) that ``_Columns``
 # accepts; it raises InputError above it, before allocating.  The defaults
@@ -188,7 +193,7 @@ class _Columns:
     def scales(self):
         """Yield ``(instances, chunks)`` per scale, in column order.
         ``instances`` lists the scale's distinct ``(bdist, jidx, components)``
-        (see ``_ScaleGeometry.instance_index``).  ``chunks`` yields
+        (see ``_ScaleGeometry.instances``).  ``chunks`` yields
         ``(inst_of, alpha)`` per run of at most ``_COLUMN_CHUNK`` columns:
         each column's index in ``instances`` and its stretch draws, one row
         per column.  Column ``t`` is ``(1 + alpha[t, jidx]) * bdist`` of its
@@ -199,22 +204,23 @@ class _Columns:
         rows = np.array([pv.p for pv in self.pvs], dtype=np.int64)
         for i in range(self.num_scales):
             delta = 1 << i
-            jrs = [jr for jr in range(1, self.reps + 1)
-                   if self.selected[i * self.reps + jr - 1]]
+            chosen = self.selected[i * self.reps:(i + 1) * self.reps]
+            jrs = (np.flatnonzero(chosen) + 1).tolist()
             if not jrs:
                 continue
-            # column t takes its offsets from the stream of states[2t] and
-            # its stretches, random(components), from states[2t + 1]
-            labels = (f"inst/i={i}/j={jr}/{use}" for jr in jrs
-                      for use in ("offsets", "alpha"))
-            states = label_states(self.seed, labels)
+            # column jr takes its offsets from stream f"inst/i={i}/j={jr}/offsets"
+            # and its stretches, random(components), from ".../alpha"; at
+            # delta = 1 the offsets are 0 and draw nothing
+            head = f"inst/i={i}/j="
+            if delta == 1:
+                r_h = r_p = np.zeros(len(jrs), dtype=np.int64)
+            else:
+                r_h, r_p = PCG64Batch(numbered_states(self.seed, head, jrs, "/offsets")
+                                      ).offsets(delta)
             geometry = _ScaleGeometry(host, layering, self.sp, delta, hosts, rows)
-            r_h, r_p = PCG64Batch(states[0::2]).offsets(delta)
-            pairs, pair_of = np.unique(r_h * delta + r_p, return_inverse=True)
-            index = np.array([geometry.instance_index(*divmod(int(pair), delta))
-                              for pair in pairs])
-            yield geometry.instances, _chunks(states[1::2], index[pair_of],
-                                              geometry.instances)
+            instances, inst_of = geometry.instances(r_h, r_p)
+            yield instances, _chunks(numbered_states(self.seed, head, jrs, "/alpha"),
+                                     inst_of, instances)
 
 
 def _chunks(alpha_states: np.ndarray, inst_of: np.ndarray, instances: list):
@@ -250,19 +256,18 @@ def build_embedding(point_ids, placements, sp: StructuredSparsifier,
 
 class _ScaleGeometry:
     """Geometry of the points' coordinates at block size ``delta``: the only
-    path from an instance's offsets to per-point geometry.
+    path from the offsets of a scale's columns to per-point geometry.
 
     An instance's geometry is a host part that depends only on the host
     partition of ``r_h`` (the block ``a``, block component and host exit
     distance of each point) and a row part that depends only on ``r_p`` (the
     row cell ``b``, the row exit distance and the trimming cut of each
-    point).  Each part is computed once; an instance combines them with
-    array operations.
+    point).  Each part is computed once per scale.
 
     Offsets that cut the live host layers and the points' rows alike give
     the same partition of the points: ``a`` and ``b`` differ by constants,
     which keep the ``(a, b, jroot)`` order, so an instance is computed once
-    per partition.
+    per partition, all of a scale's partitions array-at-a-time.
     """
 
     def __init__(self, host: Graph, layering: Layering, sp: StructuredSparsifier,
@@ -278,88 +283,102 @@ class _ScaleGeometry:
         # the points of one instance lie in fewer row cells than this, so
         # (a * span + b) * host.n + jroot orders them like (a, b, jroot)
         self._b_span = int(rows.max() - rows.min()) // delta + 2
-        self._host_parts: dict = {}
-        self._row_parts: dict = {}
-        self._instances: dict = {}
-        self.instances: list = []
 
-    def _host_key(self, r_h: int):
-        """The host partition of ``r_h``: the first layer above the lowest
-        live layer that starts a block, or None.  It fixes every later block
-        start in the live layer range (they are ``delta`` apart), and so each
-        live vertex's ``a - _base(r_h)``, its number of block starts from the
-        lowest layer up to its own."""
-        first = self._low + 1 + (r_h - self._low - 1) % self.delta
-        return first if first <= self._high else None
+    def _host_keys(self, r_h: np.ndarray) -> np.ndarray:
+        """The host partition of each ``r_h``: how far above the lowest live
+        layer's successor the first block start lies, or ``delta`` when that
+        start is above the highest live layer.  It fixes every later block
+        start in the live layer range (they are ``delta`` apart), so offsets
+        with one key give live vertices the same blocks, up to a constant."""
+        first = (r_h - self._low - 1) % self.delta
+        return np.where(self._low + 1 + first <= self._high, first, self.delta)
 
-    def _base(self, r_h: int) -> int:
-        """Block ``a`` of the lowest live layer."""
-        return (self._low - r_h) // self.delta
+    def _row_parts(self, r_ps: list):
+        """``(b, row exit, cut id)`` of each point, one row per ``r_p`` in
+        ``r_ps``; the key id of each ``r_p``, equal for equal clipped rows
+        ``(lo, hi)`` of the occupied row cells; and the cuts by id."""
+        shape = (len(r_ps), len(self.rows))
+        b_of, row_exit = np.empty(shape, dtype=np.int64), np.empty(shape)
+        cut_of = np.empty(shape, dtype=np.int64)
+        row_keys, cell_cuts, cut_ids = {}, {}, {}
+        key_of = []
+        for t, r_p in enumerate(r_ps):
+            b_of[t], lo, hi, row_exit[t] = _row_geometry(self.rows, self.delta, r_p,
+                                                         self.sp.N)
+            _, first, cell_of = np.unique(b_of[t], return_index=True, return_inverse=True)
+            cells = tuple(zip(lo[first].tolist(), hi[first].tolist()))
+            for cell in cells:
+                if cell not in cell_cuts:
+                    cut = _containing_cut(self.sp, *cell)
+                    cell_cuts[cell] = cut_ids.setdefault(cut, len(cut_ids))
+            cut_of[t] = np.array([cell_cuts[cell] for cell in cells])[cell_of]
+            key_of.append(row_keys.setdefault(cells, len(row_keys)))
+        return b_of, row_exit, cut_of, np.array(key_of), list(cut_ids)
 
-    def _host_part(self, r_h: int):
-        """``(inst, a - _base(r_h), host exit)`` of the host partition of
-        ``r_h``; the trim labels of ``inst`` do not depend on ``r_p``."""
-        key = self._host_key(r_h)
-        part = self._host_parts.get(key)
-        if part is None:
-            inst = DecompInstance(self.host, self.layering, self.delta, r_h)
-            part = self._host_parts[key] = (
-                inst, inst.block[self.hosts] - self._base(r_h), inst.exit[self.hosts])
-        return part
-
-    def _row_part(self, r_p: int):
-        """``(b, row exit, cell_of, cuts, key)`` of ``r_p``; the key holds the
-        clipped rows ``(lo, hi)`` of each occupied row cell."""
-        part = self._row_parts.get(r_p)
-        if part is None:
-            b, lo, hi, row_exit = _row_geometry(self.rows, self.delta, r_p, self.sp.N)
-            # cell_of ranks the points' row cells in the order of b
-            _, first, cell_of = np.unique(b, return_index=True, return_inverse=True)
-            cells = list(zip(lo[first].tolist(), hi[first].tolist()))
-            cuts = [_containing_cut(self.sp, lo_t, hi_t) for lo_t, hi_t in cells]
-            part = self._row_parts[r_p] = (b, row_exit, cell_of, cuts, tuple(cells))
-        return part
-
-    def points(self, r_h: int, r_p: int):
-        """``(bdist, a, b, jroot)`` of the instance with offsets ``(r_h, r_p)``:
+    def instances(self, r_h: np.ndarray, r_p: np.ndarray):
+        """``(instances, inst_of)`` of the columns with offsets ``r_h``,
+        ``r_p``: ``instances`` lists ``(bdist, jidx, components)`` per
+        partition, in first-encounter order over the sorted distinct
+        offsets, and ``inst_of`` is each column's index in it.  ``bdist`` is
         each point's boundary distance (the cheaper of exiting its block
-        component through the rows or through the host), layer block, row
-        cell, and the least host id of its trimmed component."""
-        inst, a_rel, host_exit = self._host_part(r_h)
-        b, row_exit, cell_of, cuts, _ = self._row_part(r_p)
-        labels = np.stack([inst.trim_labels(cut) for cut in cuts])
-        jroot = labels[cell_of, self.hosts]
-        deleted = np.flatnonzero(jroot < 0)
-        if deleted.size:
-            t = int(deleted[0])
-            raise _deleted_point(ProductVertex(int(self.hosts[t]), int(self.rows[t])))
-        return np.minimum(row_exit, host_exit), a_rel + self._base(r_h), b, jroot
-
-    def partition(self, r_h: int, r_p: int):
-        """Key of the points' partition under offsets ``(r_h, r_p)``: the
-        host partition and the occupied row cells."""
-        return self._host_key(r_h), self._row_part(r_p)[-1]
-
-    def instance_index(self, r_h: int, r_p: int) -> int:
-        """Index in ``instances`` of the instance with offsets ``(r_h, r_p)``:
-        ``(bdist, jidx, components)``, each point's boundary distance and the
+        component through the rows or through the host), and ``jidx`` the
         index of its trimmed component among the instance's ``components``
-        trimmed components, in sorted ``(a, b, jroot)`` order."""
-        key = self.partition(r_h, r_p)
-        index = self._instances.get(key)
-        if index is None:
-            bdist, a, b, jroot = self.points(r_h, r_p)
-            order = (a * self._b_span + b) * self.host.n + jroot
-            keys, jidx = np.unique(order, return_inverse=True)
-            index = self._instances[key] = len(self.instances)
-            self.instances.append((bdist, jidx, len(keys)))
-        return index
+        trimmed components, in sorted ``(a, b, jroot)`` order; ``jroot`` is
+        the least host id of the component."""
+        delta, hosts = self.delta, self.hosts
+        pairs, pair_of = np.unique(r_h * delta + r_p, return_inverse=True)
+        pair_h, pair_p = np.divmod(pairs, delta)
+        host_key = self._host_keys(pair_h)
+        r_ps, rp_of = np.unique(pair_p, return_inverse=True)
+        b_of, row_exit, cut_of, row_key, cuts = self._row_parts(r_ps.tolist())
+        _, first, part_of = np.unique(host_key * len(r_ps) + row_key[rp_of],
+                                      return_index=True, return_inverse=True)
+        ranked = np.argsort(first)
+        index = np.empty_like(ranked)
+        index[ranked] = np.arange(len(ranked))
+        lead = first[ranked]  # the first pair of each instance
+        # one DecompInstance per host partition, from its first pair
+        _, key_lead, key_of = np.unique(host_key[lead], return_index=True,
+                                        return_inverse=True)
+        decomps = [DecompInstance(self.host, self.layering, delta, r)
+                   for r in pair_h[lead[key_lead]].tolist()]
+        block = np.array([inst.block[hosts] for inst in decomps])
+        host_exit = np.array([inst.exit[hosts] for inst in decomps])
+        instances = []
+        for start in range(0, len(lead), _PARTITION_BLOCK):
+            k = key_of[start:start + _PARTITION_BLOCK]
+            t = rp_of[lead[start:start + _PARTITION_BLOCK]]
+            # the trim labels of each distinct (host partition, cut) pair
+            pair_cut, labels_of = np.unique(k[:, None] * len(cuts) + cut_of[t],
+                                            return_inverse=True)
+            labels = np.array([decomps[x // len(cuts)].trim_labels(cuts[x % len(cuts)])
+                               for x in pair_cut.tolist()])
+            jroot = labels[labels_of.reshape(len(k), -1), hosts]
+            deleted = jroot < 0
+            if deleted.any():
+                p = int(np.flatnonzero(deleted.any(axis=1))[0])
+                q = int(np.flatnonzero(deleted[p])[0])
+                raise _deleted_point(ProductVertex(int(hosts[q]), int(self.rows[q])))
+            # a row's a and b may be off by constants, which keep its order
+            order = (block[k] * self._b_span + b_of[t]) * self.host.n + jroot
+            # rank each row's keys, as np.unique(row, return_inverse=True)
+            by_key = np.argsort(order, axis=1)
+            ordered = np.take_along_axis(order, by_key, axis=1)
+            ranks = np.zeros(order.shape, dtype=np.int64)
+            np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=ranks[:, 1:])
+            jidx = np.empty_like(ranks)
+            np.put_along_axis(jidx, by_key, ranks, axis=1)
+            bdist = np.minimum(row_exit[t], host_exit[k])
+            instances += zip(bdist, jidx, (ranks[:, -1] + 1).tolist())
+        return instances, index[part_of][pair_of]
 
 
 def _direction(seed: int, L: int) -> np.ndarray:
-    """The random unit direction of ``seed`` in ``L`` dimensions."""
+    """The random unit direction of ``seed`` in ``L`` dimensions.  Its norm
+    is the correctly rounded root of an exact sum, with no BLAS call, so its
+    bits do not depend on the BLAS build or thread count."""
     r = stream(seed, "projection").standard_normal(L)
-    norm = float(np.linalg.norm(r))
+    norm = math.sqrt(math.fsum((r * r).tolist()))
     return r / norm if norm > 0 else r
 
 
@@ -387,7 +406,9 @@ def _heights(columns: _Columns, directions: np.ndarray) -> np.ndarray:
     sorted by instance and added along the column axis, chunk after chunk,
     then the instances scale by scale in ``instances`` order.  Each value
     depends only on its own direction, and points with equal
-    ``(bdist_i, jidx_i)`` in every instance get equal sums.
+    ``(bdist_i, jidx_i)`` in every instance get equal sums.  The directions
+    come from ``_direction``, whose norm is an exact sum, so nothing on the
+    ordering path calls BLAS and the bits do not depend on its threads.
     """
     R = len(directions)
     h = np.zeros((R, len(columns.ids)))

@@ -185,6 +185,12 @@ def blowup_to_bandwidth(g: Graph, cert: FanCertificate):
     violations = verify_certificate(g, cert, strict_shape=False)
     if violations:
         raise InputError("invalid fan mapping: " + "; ".join(violations))
+    return _round_trip(g, cert)
+
+
+def _round_trip(g: Graph, cert: FanCertificate):
+    """``blowup_to_bandwidth`` of a certificate that passes
+    ``verify_certificate(g, cert, strict_shape=False)``, without the check."""
     x = {v for v, (node, _) in cert.mapping.items() if node == CENTER}
     blocks: dict = {}
     for v, (node, slot) in cert.mapping.items():

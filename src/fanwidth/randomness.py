@@ -9,10 +9,12 @@ The generator for ``(seed, label)`` is exactly
 ``PCG64Batch`` runs many of those generators at once for the embedding's
 per-column draws: numpy's ``SeedSequence`` hash constants do not depend on
 the data, so its pool mixing and ``generate_state(4, uint64)`` run as
-``uint32`` array operations over the whole batch, and the PCG64 steps and
-outputs as ``uint64`` array arithmetic.  ``numpy.random`` itself is imported
-only when a ``stream`` is made, so a command that draws nothing does not
-load it.
+``uint32`` array operations over the whole batch.  The PCG64 state after
+``c`` steps is ``A_c * s + B_c * inc`` modulo 2^128 (Brown 1994), so a tile
+of up to ``_TILE`` draws of every generator is a handful of 2-D ``uint64``
+array operations with per-process tables of ``A_c`` and ``B_c``.
+``numpy.random`` itself is imported only when a ``stream`` is made, so a
+command that draws nothing does not load it.
 """
 
 from __future__ import annotations
@@ -82,30 +84,77 @@ def _entropy(seed: int, label: str) -> bytes:
     return hashlib.sha256(f"{seed}\x1f{label}".encode()).digest()[:16]
 
 
+def _digest_states(digests: list) -> np.ndarray:
+    """The seed states of the streams whose entropies are the first 16 bytes
+    of ``digests``, SHA-256 digests, read big-endian."""
+    words = np.frombuffer(b"".join(digests), dtype=">u4").reshape(-1, 8)
+    return _seed_states(words[:, _POOL - 1::-1])
+
+
 def label_states(seed: int, labels: Iterable[str]) -> np.ndarray:
     """The ``(len(labels), 4)`` uint64 seed states of ``stream(seed, label)``
     for each label in order."""
-    # _entropy of each label, with the prefix encoded once
-    prefix = f"{seed}\x1f".encode()
-    digests = b"".join([hashlib.sha256(prefix + label.encode()).digest()[:16]
-                        for label in labels])
-    # the entropy is the 16 digest bytes read big-endian
-    words = np.frombuffer(digests, dtype=">u4").reshape(-1, _POOL)[:, ::-1]
-    return _seed_states(words)
+    prefix = f"{seed}\x1f".encode()  # encoded once
+    return _digest_states([hashlib.sha256(prefix + label.encode()).digest()
+                           for label in labels])
+
+
+def numbered_states(seed: int, head: str, numbers: Iterable[int],
+                    tail: str = "") -> np.ndarray:
+    """``label_states(seed, [f"{head}{j}{tail}" for j in numbers])``, each
+    hashed input built by one f-string."""
+    head = f"{seed}\x1f{head}"
+    return _digest_states([hashlib.sha256(f"{head}{j}{tail}".encode()).digest()
+                           for j in numbers])
 
 
 _U64 = np.uint64
 _LO32 = _U64(_M32)
-# PCG64's 128-bit LCG multiplier, as 64-bit halves and the low half's 32-bit limbs
+# PCG64's 128-bit LCG multiplier
 _MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MULT_HI, _MULT_LO = _U64(_MULT >> 64), _U64(_MULT & (1 << 64) - 1)
-_MULT_LO0, _MULT_LO1 = _U64(_MULT & _M32), _U64(_MULT >> 32 & _M32)
+# Most steps one closed-form tile takes: its temporaries are ``len x _TILE``
+_TILE = 32
+
+
+def _jump_tables(steps: int):
+    """``A_c = M^c`` and ``B_c = sum_{t<c} M^t`` modulo 2^128 at index
+    ``c - 1`` for ``c = 1..steps``, as high and low ``uint64`` arrays: ``c``
+    steps of ``s -> M * s + inc`` take ``s`` to ``A_c * s + B_c * inc``."""
+    a, b, jumps = 1, 0, []
+    for _ in range(steps):
+        a, b = a * _MULT % (1 << 128), (b * _MULT + 1) % (1 << 128)
+        jumps += [a, b]
+    hi = np.array([x >> 64 for x in jumps], dtype=np.uint64)
+    lo = np.array([x & (1 << 64) - 1 for x in jumps], dtype=np.uint64)
+    return hi[0::2], lo[0::2], hi[1::2], lo[1::2]
+
+
+_A_HI, _A_LO, _B_HI, _B_LO = _jump_tables(_TILE)
+
+
+def _add128(hi, lo, add_hi, add_lo):
+    """``hi:lo + add_hi:add_lo`` modulo 2^128, broadcast."""
+    low = lo + add_lo
+    return hi + add_hi + (low < add_lo), low
+
+
+def _mul128(a_hi, a_lo, x_hi, x_lo):
+    """``a_hi:a_lo * x_hi:x_lo`` modulo 2^128, broadcast.  The high word of
+    the low halves' 64x64-bit product is summed from 32-bit limbs."""
+    a0, a1 = a_lo & _LO32, a_lo >> _U64(32)
+    x0, x1 = x_lo & _LO32, x_lo >> _U64(32)
+    p00, p01, p10, p11 = a0 * x0, a0 * x1, a1 * x0, a1 * x1
+    mid = (p00 >> _U64(32)) + (p01 & _LO32) + (p10 & _LO32)
+    carry = p11 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+    return carry + a_lo * x_hi + a_hi * x_lo, a_lo * x_lo
 
 
 class PCG64Batch:
-    """numpy's ``PCG64`` generators of many ``stream(seed, label)``, stepped
-    in lockstep as ``uint64`` arrays: a 128-bit LCG with XSL-RR output
-    (O'Neill 2014), each 128-bit word held as a high and a low array.
+    """numpy's ``PCG64`` generators of many ``stream(seed, label)``, run
+    together as ``uint64`` arrays: a 128-bit LCG with XSL-RR output (O'Neill
+    2014), each 128-bit word held as a high and a low array.  Draws come in
+    tiles of at most ``_TILE`` steps, every state of a tile in closed form
+    from the state before it.
 
     It makes exactly the draws an embedding column takes from a fresh stream,
     bit for bit: ``random(count)`` and, for a power of two ``delta``, the
@@ -115,49 +164,42 @@ class PCG64Batch:
     def __init__(self, states: np.ndarray):
         """``states`` holds the 4 seed words of each generator, as from
         ``label_states``; numpy seeds PCG64 with ``init = v0:v1`` and
-        increment ``(v2:v3) << 1 | 1``."""
+        increment ``(v2:v3) << 1 | 1``: from state 0 it steps, adds
+        ``init`` and steps, which gives ``M * (inc + init) + inc``."""
         self.inc_hi = states[:, 2] << _U64(1) | states[:, 3] >> _U64(63)
         self.inc_lo = states[:, 3] << _U64(1) | _U64(1)
-        self.hi = np.zeros(len(states), dtype=np.uint64)
-        self.lo = np.zeros(len(states), dtype=np.uint64)
-        self._step()
-        self._add(states[:, 0], states[:, 1])
-        self._step()
+        hi, lo = _add128(self.inc_hi, self.inc_lo, states[:, 0], states[:, 1])
+        hi, lo = _mul128(_A_HI[0], _A_LO[0], hi, lo)
+        self.hi, self.lo = _add128(hi, lo, self.inc_hi, self.inc_lo)
 
     def __len__(self) -> int:
         return len(self.lo)
 
-    def _add(self, hi: np.ndarray, lo: np.ndarray):
-        """``state += hi:lo`` modulo 2^128."""
-        low = self.lo + lo
-        self.hi = self.hi + hi + (low < lo)
-        self.lo = low
-
-    def _step(self):
-        """``state = state * _MULT + inc`` modulo 2^128.  The high word of
-        the low halves' 64x64-bit product is summed from 32-bit limbs."""
-        lo0, lo1 = self.lo & _LO32, self.lo >> _U64(32)
-        p00, p01 = lo0 * _MULT_LO0, lo0 * _MULT_LO1
-        p10, p11 = lo1 * _MULT_LO0, lo1 * _MULT_LO1
-        mid = (p00 >> _U64(32)) + (p01 & _LO32) + (p10 & _LO32)
-        carry = p11 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
-        self.hi = carry + self.hi * _MULT_LO + self.lo * _MULT_HI
-        self.lo = self.lo * _MULT_LO
-        self._add(self.inc_hi, self.inc_lo)
-
-    def next64(self) -> np.ndarray:
-        """Each generator's next 64-bit output: step, then rotate
-        ``hi ^ lo`` right by the top 6 state bits."""
-        self._step()
-        word, rot = self.hi ^ self.lo, self.hi >> _U64(58)
+    def _outputs(self, steps: int, inc_terms) -> np.ndarray:
+        """``(len(self), steps)`` array of each generator's next 64-bit
+        outputs, ``steps <= _TILE``, given ``inc_terms``, the ``B_c * inc``
+        of ``_inc_terms``.  Each output rotates ``hi ^ lo`` of its state
+        right by the top 6 state bits."""
+        hi, lo = _mul128(_A_HI[:steps], _A_LO[:steps],
+                         self.hi[:, None], self.lo[:, None])
+        hi, lo = _add128(hi, lo, inc_terms[0][:, :steps], inc_terms[1][:, :steps])
+        self.hi, self.lo = hi[:, -1], lo[:, -1]
+        word, rot = hi ^ lo, hi >> _U64(58)
         return word >> rot | word << (_U64(64) - rot & _U64(63))
+
+    def _inc_terms(self, steps: int):
+        """``B_c * inc`` for ``c = 1..steps``, one column each."""
+        return _mul128(_B_HI[:steps], _B_LO[:steps],
+                       self.inc_hi[:, None], self.inc_lo[:, None])
 
     def random(self, count: int) -> np.ndarray:
         """``(len(self), count)`` array; row ``t`` is generator ``t``'s
         ``random(count)``: the top 53 bits of each output times 2^-53."""
         out = np.empty((len(self), count), dtype=np.float64)
-        for c in range(count):
-            out[:, c] = self.next64() >> _U64(11)
+        inc_terms = self._inc_terms(min(count, _TILE))
+        for start in range(0, count, _TILE):
+            stop = min(start + _TILE, count)
+            out[:, start:stop] = self._outputs(stop - start, inc_terms) >> _U64(11)
         out *= 2.0 ** -53
         return out
 
@@ -173,7 +215,7 @@ class PCG64Batch:
             zero = np.zeros(len(self), dtype=np.int64)
             return zero, zero.copy()
         shift = _U64(64 - delta.bit_length() + 1)
-        out = self.next64()
+        out = self._outputs(1, self._inc_terms(1))[:, 0]
         return (out << _U64(32) >> shift).astype(np.int64), (out >> shift).astype(np.int64)
 
 

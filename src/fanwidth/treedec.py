@@ -21,8 +21,9 @@ class RootedWalk:
     id, children by id: the subtree at ``order[i]`` is ``order[i:end[i]]``.
 
     ``trace[v]`` lists the nodes whose bags hold ``v``, and ``top[v]`` is the
-    shallowest of them, lowest id on a tie.  ``tree`` says whether the edges
-    form a tree over the bag nodes, and ``top`` is filled only then.
+    first of them in preorder: the shallowest, when the trace is connected.
+    ``tree`` says whether the edges form a tree over the bag nodes, and
+    ``top`` is filled only then.
     """
 
     def __init__(self, td: TreeDecomposition):
@@ -55,8 +56,11 @@ class RootedWalk:
         for i in range(k - 1, 0, -1):
             p = pos[parent[order[i]]]
             end[p] = max(end[p], end[i])
-        self.top = {v: min(xs, key=lambda x: (depth[x], x))
-                    for v, xs in self.trace.items()} if self.tree else {}
+        top = self.top = {}
+        if self.tree:  # later nodes first, so the first in preorder stays
+            bags = dict(nodes.items())  # one read of the bags
+            for x in reversed(order):
+                top.update(dict.fromkeys(bags[x], x))
 
 
 @dataclass(frozen=True)

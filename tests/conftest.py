@@ -7,8 +7,15 @@ from collections import defaultdict
 
 import numpy as np
 
-from fanwidth import Graph, ProductVertex, TreeDecomposition, bfs_layering, path_graph
-from fanwidth.embedding import _ScaleGeometry
+from fanwidth import (
+    DecompInstance,
+    Graph,
+    ProductVertex,
+    TreeDecomposition,
+    bfs_layering,
+    path_graph,
+)
+from fanwidth.embedding import _containing_cut, _deleted_point, _row_geometry
 from fanwidth.randomness import stream
 
 
@@ -71,12 +78,109 @@ def column_in_product(n: int):
     return host, td, g, placements
 
 
-def scale_geometry(host: Graph, sp, delta: int, pvs) -> _ScaleGeometry:
-    """The geometry ``build_embedding`` computes for the points ``pvs`` at
-    block size ``delta``."""
-    return _ScaleGeometry(host, bfs_layering(host, min(host.vertices())), sp, delta,
-                          np.array([pv.h for pv in pvs], dtype=np.int64),
-                          np.array([pv.p for pv in pvs], dtype=np.int64))
+class ReferenceGeometry:
+    """The per-partition geometry of one scale as first written: one
+    instance at a time, each looked up by its offsets ``(r_h, r_p)``.
+    ``embedding._ScaleGeometry.instances`` must give the same instances in
+    the same order, and the lemma tests read ``points``.
+
+    The host part depends only on the host partition of ``r_h`` and the row
+    part only on ``r_p``; each is cached, and an instance is computed once
+    per partition, the pair of both keys.
+    """
+
+    def __init__(self, host, layering, sp, delta, hosts, rows):
+        self.host = host
+        self.layering = layering
+        self.sp = sp
+        self.delta = delta
+        self.hosts = hosts
+        self.rows = rows
+        layers = [layering.layer_of[v] for v in host.vertices()]
+        self._low, self._high = min(layers), max(layers)
+        self._b_span = int(rows.max() - rows.min()) // delta + 2
+        self._host_parts: dict = {}
+        self._row_parts: dict = {}
+        self._instances: dict = {}
+        self.instances: list = []
+
+    def _host_key(self, r_h: int):
+        """The first layer above the lowest live layer that starts a block,
+        or None."""
+        first = self._low + 1 + (r_h - self._low - 1) % self.delta
+        return first if first <= self._high else None
+
+    def _base(self, r_h: int) -> int:
+        return (self._low - r_h) // self.delta
+
+    def _host_part(self, r_h: int):
+        key = self._host_key(r_h)
+        part = self._host_parts.get(key)
+        if part is None:
+            inst = DecompInstance(self.host, self.layering, self.delta, r_h)
+            part = self._host_parts[key] = (
+                inst, inst.block[self.hosts] - self._base(r_h), inst.exit[self.hosts])
+        return part
+
+    def _row_part(self, r_p: int):
+        part = self._row_parts.get(r_p)
+        if part is None:
+            b, lo, hi, row_exit = _row_geometry(self.rows, self.delta, r_p, self.sp.N)
+            _, first, cell_of = np.unique(b, return_index=True, return_inverse=True)
+            cells = list(zip(lo[first].tolist(), hi[first].tolist()))
+            cuts = [_containing_cut(self.sp, lo_t, hi_t) for lo_t, hi_t in cells]
+            part = self._row_parts[r_p] = (b, row_exit, cell_of, cuts, tuple(cells))
+        return part
+
+    def points(self, r_h: int, r_p: int):
+        """``(bdist, a, b, jroot)`` of the instance with offsets ``(r_h, r_p)``."""
+        inst, a_rel, host_exit = self._host_part(r_h)
+        b, row_exit, cell_of, cuts, _ = self._row_part(r_p)
+        labels = np.stack([inst.trim_labels(cut) for cut in cuts])
+        jroot = labels[cell_of, self.hosts]
+        deleted = np.flatnonzero(jroot < 0)
+        if deleted.size:
+            t = int(deleted[0])
+            raise _deleted_point(ProductVertex(int(self.hosts[t]), int(self.rows[t])))
+        return np.minimum(row_exit, host_exit), a_rel + self._base(r_h), b, jroot
+
+    def partition(self, r_h: int, r_p: int):
+        """The host partition and the occupied row cells of ``(r_h, r_p)``."""
+        return self._host_key(r_h), self._row_part(r_p)[-1]
+
+    def instance_index(self, r_h: int, r_p: int) -> int:
+        """Index in ``instances`` of ``(bdist, jidx, components)`` of the
+        instance with offsets ``(r_h, r_p)``."""
+        key = self.partition(r_h, r_p)
+        index = self._instances.get(key)
+        if index is None:
+            bdist, a, b, jroot = self.points(r_h, r_p)
+            order = (a * self._b_span + b) * self.host.n + jroot
+            keys, jidx = np.unique(order, return_inverse=True)
+            index = self._instances[key] = len(self.instances)
+            self.instances.append((bdist, jidx, len(keys)))
+        return index
+
+    def instances_of(self, r_h, r_p):
+        """``(instances, inst_of)`` of columns with offsets ``r_h``, ``r_p``:
+        the distinct offsets are looked up in sorted order."""
+        pairs, pair_of = np.unique(np.asarray(r_h) * self.delta + np.asarray(r_p),
+                                   return_inverse=True)
+        index = np.array([self.instance_index(*divmod(int(pair), self.delta))
+                          for pair in pairs], dtype=np.int64)
+        return self.instances, index[pair_of]
+
+
+def point_arrays(pvs):
+    """The host and row of each point, as ``build_embedding`` holds them."""
+    return (np.array([pv.h for pv in pvs], dtype=np.int64),
+            np.array([pv.p for pv in pvs], dtype=np.int64))
+
+
+def scale_geometry(host: Graph, sp, delta: int, pvs) -> ReferenceGeometry:
+    """The reference geometry of the points ``pvs`` at block size ``delta``."""
+    return ReferenceGeometry(host, bfs_layering(host, min(host.vertices())), sp, delta,
+                             *point_arrays(pvs))
 
 
 def instance_offsets(seed: int, i: int, jr: int) -> tuple[int, int]:

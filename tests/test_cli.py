@@ -799,6 +799,39 @@ class TestCrossProcessDeterminism:
         assert outputs[0] == outputs[1]
 
 
+class TestBlasThreads:
+    """The CLI runs numpy on one BLAS thread unless its caller chose a count."""
+
+    SCRIPT = ("import os, sys\n"
+              "{pre}"
+              "from fanwidth.cli import main\n"
+              "code = main(['verify', '--graph', 'missing.txt', '--cert', 'missing.txt'])\n"
+              "print(code, os.environ.get('OPENBLAS_NUM_THREADS', 'unset'))\n")
+
+    def _run(self, threads, pre=""):
+        import subprocess
+        import sys
+
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT.format(pre=pre)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.split()
+
+    def test_main_sets_one_thread_when_unset(self):
+        assert self._run(None) == ["2", "1"]
+
+    def test_main_keeps_the_callers_count(self):
+        assert self._run("3") == ["2", "3"]
+
+    def test_main_leaves_a_loaded_numpy_alone(self):
+        # the variable is read when numpy loads, so setting it later would
+        # claim a thread count that numpy does not use
+        assert self._run(None, pre="import numpy\n") == ["2", "unset"]
+
+
 class TestGoldenCertificate:
     def test_frozen_bytes(self, tmp_path):
         # regression pin: the column-of-8 run at seed 3 must reproduce the

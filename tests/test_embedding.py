@@ -29,10 +29,13 @@ from fanwidth.embedding import Embedding, _embedding_shape, projection_orders
 from fanwidth.randomness import stream
 
 from conftest import (
+    ReferenceGeometry,
     assert_component_diameters,
+    column_in_product,
     component_groups,
     grid_in_product,
     instance_offsets,
+    point_arrays,
     random_connected_graph,
     scale_geometry,
 )
@@ -408,6 +411,33 @@ class TestProjectOrder:
         assert project_order(emb, 7) == project_order(emb, 7)
 
 
+class TestDirection:
+    def test_unit_norm(self):
+        for seed in range(3):
+            d = embedding._direction(seed, 1000)
+            assert abs(math.fsum((d * d).tolist()) - 1.0) < 1e-12
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # product-certified has 62,696 columns; a threaded BLAS norm of that
+        # many floats changed its last bit with the thread count
+        import os
+        import subprocess
+        import sys
+
+        script = ("import hashlib\n"
+                  "from fanwidth.embedding import _direction\n"
+                  "for s in range(5):\n"
+                  "    print(hashlib.sha256(_direction(s, 62_696).tobytes()).hexdigest())\n")
+        outputs = []
+        for threads in ("1", "2"):
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads))
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.split())
+        assert len(outputs[0]) == 5
+        assert outputs[0] == outputs[1]
+
+
 @st.composite
 def product_instances(draw):
     """Survivors of a random host x path product after the strip cut, with
@@ -492,6 +522,82 @@ class TestProjectionOrders:
                 places = sorted(position[ids[t]] for t in members)
                 assert places == list(range(places[0], places[0] + len(members)))
                 assert [order[t] for t in places] == sorted(ids[t] for t in members)
+
+
+def random_offsets(seed: int, delta: int, columns: int):
+    rng = stream(seed, f"test/offsets/{delta}")
+    return rng.integers(0, delta, size=columns), rng.integers(0, delta, size=columns)
+
+
+def assert_instances_match_reference(sp, pvs, delta, r_h, r_p) -> int:
+    """``_ScaleGeometry.instances`` gives the reference's instances, in its
+    order, and the same column map; or it raises the reference's error.
+    Returns the number of instances."""
+    host = sp.host
+    layering = bfs_layering(host, min(host.vertices()))
+    args = (host, layering, sp, delta, *point_arrays(pvs))
+    try:
+        want, want_of = ReferenceGeometry(*args).instances_of(r_h, r_p)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError) as raised:
+            embedding._ScaleGeometry(*args).instances(r_h, r_p)
+        assert str(raised.value) == str(exc)
+        return 0
+    got, got_of = embedding._ScaleGeometry(*args).instances(r_h, r_p)
+    assert got_of.tolist() == want_of.tolist()
+    assert len(got) == len(want)
+    for (bdist, jidx, count), (want_bdist, want_jidx, want_count) in zip(got, want):
+        assert bdist.dtype == want_bdist.dtype and jidx.dtype == want_jidx.dtype
+        assert np.array_equal(bdist, want_bdist)
+        assert np.array_equal(jidx, want_jidx)
+        assert count == want_count
+    return len(got)
+
+
+class TestBatchedGeometryMatchesReference:
+    @pytest.mark.parametrize("block", [64, 3])
+    def test_product_grid(self, monkeypatch, block):
+        monkeypatch.setattr(embedding, "_PARTITION_BLOCK", block)
+        completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
+        found = 0
+        for i in range(8):
+            delta = 1 << i
+            found += assert_instances_match_reference(
+                sp, pvs, delta, *random_offsets(i, delta, 300))
+        assert found > 2 * 64  # more than one full block at the default size
+
+    def test_column(self):
+        host, td, g, placements = column_in_product(64)
+        sp = product_sparsify(host, td, placements, 8)
+        pvs = [pv for pv in placements if not sp.in_x(pv)]
+        for i in range(7):
+            assert assert_instances_match_reference(
+                sp, pvs, 1 << i, *random_offsets(10 + i, 1 << i, 100)) >= 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(instance=product_instances(), i=st.integers(0, 5),
+           columns=st.integers(1, 40), seed=st.integers(0, 99),
+           block=st.sampled_from([1, 2, 64]))
+    def test_hypothesis_products(self, instance, i, columns, seed, block):
+        sp, _, pvs = instance
+        with mock.patch.object(embedding, "_PARTITION_BLOCK", block):
+            assert assert_instances_match_reference(
+                sp, pvs, 1 << i, *random_offsets(seed, 1 << i, columns)) >= 1
+
+    @pytest.mark.parametrize("i", [0, 1, 2, 3])
+    def test_deleted_point_error(self, i):
+        # points of X among the survivors: the first bad partition names its
+        # first deleted point, as the reference does
+        host, g, placements = grid_in_product(16)
+        completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
+        inside = [placements[v] for v in range(g.n) if sp.in_x(placements[v])]
+        mixed = pvs[:40] + inside[::7] + pvs[40:]
+        with pytest.raises(RuntimeError, match="deleted by a trim cut"):
+            embedding._ScaleGeometry(
+                completed, bfs_layering(completed, min(completed.vertices())), sp,
+                1 << i, *point_arrays(mixed)).instances(*random_offsets(i, 1 << i, 50))
+        assert assert_instances_match_reference(
+            sp, mixed, 1 << i, *random_offsets(i, 1 << i, 50)) == 0
 
 
 class TestBoundaryProbability:

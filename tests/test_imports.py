@@ -1,7 +1,7 @@
-"""The production modules stay independent of the verification oracles, the
-graph representation and the breadth-first walks stay behind ``graphs``, a
-decomposition's tree is walked only by its cached ``RootedWalk``, and
-``fanwidth`` keeps its exports."""
+"""The production modules stay independent of the verification oracles and
+of BLAS, the graph representation and the breadth-first walks stay behind
+``graphs``, a decomposition's tree is walked only by its cached
+``RootedWalk``, and ``fanwidth`` keeps its exports."""
 
 import ast
 import importlib
@@ -46,6 +46,31 @@ def test_production_module_imports_no_oracle(name):
 
 def test_the_guard_sees_relative_imports():
     assert {"embedding", "volumes"} <= imported_modules("starmetric")
+
+
+BLAS_NAMES = {"linalg", "dot", "matmul", "einsum", "tensordot"}
+
+
+def blas_uses(name: str) -> list:
+    """Lines of module ``name`` that name a BLAS-backed numpy routine or use
+    the ``@`` operator.  Their sums run in an order that depends on the BLAS
+    build and its thread count, and the outputs must not."""
+    tree = ast.parse((PACKAGE / f"{name}.py").read_text())
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.MatMult)
+            or {getattr(node, field, None) for field in ("id", "attr", "name")}
+            & BLAS_NAMES]
+
+
+@pytest.mark.parametrize("name", ["graphs", "treedec", "sparsify", "embedding",
+                                  "pipeline", "randomness"])
+def test_production_module_calls_no_blas(name):
+    assert blas_uses(name) == []
+
+
+def test_the_blas_guard_sees_the_matmul_in_starmetric():
+    assert blas_uses("starmetric")
 
 
 def adjacency_reads(name: str) -> list:

@@ -1,4 +1,5 @@
-"""Named streams and the batch PCG64 against numpy's own generators, bit for bit."""
+"""Named streams and the batch PCG64 against numpy's own generators and
+against the batch's first, step-by-step form, bit for bit."""
 
 import hashlib
 
@@ -7,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanwidth.randomness import PCG64Batch, _seed_states, label_states, stream
+from fanwidth.randomness import (
+    _TILE,
+    PCG64Batch,
+    _seed_states,
+    label_states,
+    numbered_states,
+    stream,
+)
 
 SEEDS = st.integers(0, 2**64 - 1)
 LABELS = st.lists(st.text(), min_size=1, max_size=6)
@@ -105,3 +113,113 @@ def test_states_equal_seed_sequence(bits):
     assert_batch_matches(lambda: PCG64Batch(batch),
                          lambda: [np.random.default_rng(x) for x in entropies],
                          200, 2**31)
+
+
+# PCG64Batch as first written: every generator stepped once per draw, about
+# 35 uint64 array operations a step.  The closed-form tiles must match it.
+_U64 = np.uint64
+_LO32 = _U64(0xFFFFFFFF)
+_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MULT_HI, _MULT_LO = _U64(_MULT >> 64), _U64(_MULT & (1 << 64) - 1)
+_MULT_LO0, _MULT_LO1 = _U64(_MULT & 0xFFFFFFFF), _U64(_MULT >> 32 & 0xFFFFFFFF)
+
+
+class SteppingBatch:
+    def __init__(self, states: np.ndarray):
+        self.inc_hi = states[:, 2] << _U64(1) | states[:, 3] >> _U64(63)
+        self.inc_lo = states[:, 3] << _U64(1) | _U64(1)
+        self.hi = np.zeros(len(states), dtype=np.uint64)
+        self.lo = np.zeros(len(states), dtype=np.uint64)
+        self._step()
+        self._add(states[:, 0], states[:, 1])
+        self._step()
+
+    def _add(self, hi, lo):
+        """``state += hi:lo`` modulo 2^128."""
+        low = self.lo + lo
+        self.hi = self.hi + hi + (low < lo)
+        self.lo = low
+
+    def _step(self):
+        """``state = state * _MULT + inc`` modulo 2^128."""
+        lo0, lo1 = self.lo & _LO32, self.lo >> _U64(32)
+        p00, p01 = lo0 * _MULT_LO0, lo0 * _MULT_LO1
+        p10, p11 = lo1 * _MULT_LO0, lo1 * _MULT_LO1
+        mid = (p00 >> _U64(32)) + (p01 & _LO32) + (p10 & _LO32)
+        carry = p11 + (p01 >> _U64(32)) + (p10 >> _U64(32)) + (mid >> _U64(32))
+        self.hi = carry + self.hi * _MULT_LO + self.lo * _MULT_HI
+        self.lo = self.lo * _MULT_LO
+        self._add(self.inc_hi, self.inc_lo)
+
+    def next64(self) -> np.ndarray:
+        self._step()
+        word, rot = self.hi ^ self.lo, self.hi >> _U64(58)
+        return word >> rot | word << (_U64(64) - rot & _U64(63))
+
+    def random(self, count: int) -> np.ndarray:
+        out = np.empty((len(self.lo), count), dtype=np.float64)
+        for c in range(count):
+            out[:, c] = self.next64() >> _U64(11)
+        out *= 2.0 ** -53
+        return out
+
+    def offsets(self, delta: int):
+        if delta == 1:
+            zero = np.zeros(len(self.lo), dtype=np.int64)
+            return zero, zero.copy()
+        shift = _U64(64 - delta.bit_length() + 1)
+        out = self.next64()
+        return (out << _U64(32) >> shift).astype(np.int64), (out >> shift).astype(np.int64)
+
+
+def same_state(batch, ref) -> bool:
+    return all(np.array_equal(getattr(batch, name), getattr(ref, name))
+               for name in ("hi", "lo", "inc_hi", "inc_lo"))
+
+
+RAW_STATES = st.lists(st.tuples(*[st.integers(0, 2**64 - 1)] * 4), min_size=1,
+                      max_size=5).map(lambda rows: np.array(rows, dtype=np.uint64))
+
+
+class TestClosedFormMatchesStepping:
+    def test_every_count_up_to_400(self):
+        # counts 1..400 cross the tile edges at every multiple of _TILE; the
+        # draw after them shows that the state moved exactly count steps
+        states = label_states(9, [f"tile/{t}" for t in range(6)])
+        want = SteppingBatch(states).random(401)
+        assert 400 > 12 * _TILE
+        for count in range(1, 401):
+            batch = PCG64Batch(states)
+            assert np.array_equal(batch.random(count), want[:, :count]), count
+            assert np.array_equal(batch.random(1), want[:, count:count + 1]), count
+
+    @settings(max_examples=40, deadline=None)
+    @given(states=RAW_STATES, calls=st.lists(
+        st.one_of(st.tuples(st.just("random"), st.integers(0, 3 * _TILE + 1)),
+                  st.tuples(st.just("offsets"), st.integers(0, 31).map(lambda i: 1 << i))),
+        max_size=6))
+    def test_ragged_calls_on_hypothesis_states(self, states, calls):
+        batch, ref = PCG64Batch(states), SteppingBatch(states)
+        assert same_state(batch, ref)
+        for kind, arg in calls:
+            got, want = getattr(batch, kind)(arg), getattr(ref, kind)(arg)
+            assert all(np.array_equal(x, y) for x, y in zip(got, want))
+            assert np.asarray(got).shape == np.asarray(want).shape
+            assert same_state(batch, ref)
+
+    def test_ragged_counts_per_row(self):
+        # each row of a ragged table reads its own count from a wide draw
+        labels = [f"inst/i=4/j={j}/alpha" for j in range(1, 70)]
+        counts = [(7 * j) % 75 + 1 for j in range(len(labels))]
+        wide = PCG64Batch(label_states(5, labels)).random(max(counts))
+        for row, (label, count) in enumerate(zip(labels, counts)):
+            alone = SteppingBatch(label_states(5, [label])).random(count)[0]
+            assert np.array_equal(wide[row, :count], alone)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=SEEDS, head=st.text(), tail=st.text(),
+       numbers=st.lists(st.integers(-10**6, 10**12), max_size=5))
+def test_numbered_states_equal_label_states(seed, head, tail, numbers):
+    want = label_states(seed, [f"{head}{j}{tail}" for j in numbers])
+    assert np.array_equal(numbered_states(seed, head, numbers, tail), want)

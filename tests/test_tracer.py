@@ -105,7 +105,8 @@ def test_traced_certify_verifies(tmp_path):
 
 def test_traced_verify_records_the_certificate_layers(tmp_path):
     # verify imports no numerical layer, and the tracer still sees every
-    # binding on its read, check and round-trip path
+    # binding on its read and check path; verify checks the certificate once
+    # and walks its blocks without blowup_to_bandwidth's second check
     g, _ = grid_graph(8, 8)
     graph, cert = tmp_path / "g.txt", tmp_path / "cert.txt"
     graph.write_text(serialize_graph(g))
@@ -114,7 +115,7 @@ def test_traced_verify_records_the_certificate_layers(tmp_path):
     result, traced_stdout = _run(tmp_path, argv, traced=True)
     calls = {name: row["calls"] for name, row in result["spans"].items()}
     assert calls["formats.parse_graph"] == calls["formats.parse_certificate"] == 1
-    assert calls["pipeline.verify_certificate"] == 2
-    assert calls["pipeline.blowup_to_bandwidth"] == 1
+    assert calls["pipeline.verify_certificate"] == 1
+    assert "pipeline.blowup_to_bandwidth" not in calls
     assert traced_stdout == _run(tmp_path, argv, traced=False)[1]
     assert traced_stdout == "ok: round-trip width 8 <= 2b-1 = 15\n"

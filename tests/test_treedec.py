@@ -701,3 +701,24 @@ class TestOneWalkPerDecomposition:
         assert all(x is td for x in separated)
         assert len(walked) == 1 and walked[0] is td
         assert len(validated) == 1 and validated[0] is td
+
+
+class TestWalkTop:
+    @given(st.integers(1, 40), st.integers(0, 999))
+    @settings(max_examples=40, deadline=None)
+    def test_connected_traces_top_at_their_shallowest_node(self, n, seed):
+        td = minfill_decomposition(random_connected_graph(n, 0.2, seed))
+        walk = td.walk
+        assert set(walk.top) == set(walk.trace)
+        for v, xs in walk.trace.items():
+            assert walk.top[v] == min(xs, key=lambda x: (walk.depth[x], x))
+
+    def test_a_disconnected_trace_tops_at_its_first_node_in_preorder(self):
+        # node 0 has children 1 and 2, node 1 has child 3, so the preorder is
+        # 0, 1, 3, 2; vertex 5 lies in bags 3 (depth 2) and 2 (depth 1) only,
+        # an invalid decomposition, and its top is 3, not the shallower 2
+        bags = {0: frozenset({4}), 1: frozenset({4}), 2: frozenset({5}),
+                3: frozenset({5})}
+        td = TreeDecomposition(bags, frozenset({(0, 1), (0, 2), (1, 3)}))
+        assert td.walk.tree and td.walk.order == [0, 1, 3, 2]
+        assert td.walk.top == {4: 0, 5: 3}
