@@ -382,6 +382,27 @@ class TestExitCodes:
         assert f"exceeds the supported {MAX_COLUMNS} columns" in err
         assert err.count("\n") == 1
 
+    def test_400_digit_k_exits_2(self, work, capsys):
+        # too large for a float: the OverflowError branch of the shape check
+        (work / "g4.txt").write_text(serialize_graph(grid_graph(4, 4)[0]))
+        assert run("certify", "--graph", work / "g4.txt", "--D", "16", "--k", "9" * 400,
+                   "--out", work / "out.txt") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: embedding dimension ")
+        assert err.endswith(f" exceeds the supported {MAX_COLUMNS} columns\n")
+        assert MAX_COLUMNS == 2097152 and err.count("\n") == 1
+
+    def test_zero_restarts_exits_2(self, work, capsys):
+        assert run("order", "--graph", work / "g.txt", "--D", "8", "--restarts", "0",
+                   "--out", work / "ord.txt") == 2
+        assert capsys.readouterr().err == "error: --restarts must be at least 1\n"
+
+    def test_missing_graph_file_exits_2(self, work, capsys):
+        path = work / "missing.txt"
+        assert run("certify", "--graph", path, "--D", "8", "--out", work / "c2.txt") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("field", ["X", "ordering"])
     def test_non_integer_certificate_id_exits_2(self, work, capsys, field):
         lines = (work / "c.txt").read_text().splitlines()
@@ -905,6 +926,19 @@ class TestOracleCommand:
 
     def test_missing_graph_flag(self):
         assert run("oracle", "--what", "bandwidth") == 2
+
+    @pytest.mark.parametrize("what,flags,missing", [
+        ("bandwidth", [], "--graph"),
+        ("density", [], "--graph"),
+        ("metric-axioms", ["--D", "8"], "--product"),
+        ("metric-axioms", ["--product", "p.txt"], "--D"),
+    ], ids=["bandwidth", "density", "metric-axioms-product", "metric-axioms-D"])
+    def test_missing_flag_is_a_usage_error(self, work, capsys, what, flags, missing):
+        flags = [work / f if f.endswith(".txt") else f for f in flags]
+        assert run("oracle", "--what", what, *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: oracle {what} needs {missing}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("what,flags,unread", [
         ("bandwidth", ["--graph", "g.txt", "--trials", "5"], "--trials"),

@@ -172,3 +172,49 @@ class TestDrawingFormat:
         text = "[graph]\n3 1\n0 1\n[crossings]\n1\n0 1 2\n"
         with pytest.raises(InputError, match="6 fields"):
             parse_drawing(text)
+
+
+# A two-vertex host (lines 1-3) and the six header lines of a certificate.
+HOST = "[H]\n2 1\n0 1\n"
+CERT_HEAD = "fan-certificate v1\nn 2\nb 1\nfan_size 1\nmeasured_bandwidth 0\nseed 0\n"
+
+# (parser, document, the full message of the InputError it raises)
+PARSER_MESSAGES = {
+    "bad-bag-node": (parse_product_input, HOST + "[TD]\n1\nx: 0 1\n",
+                     "line 6: bad bag node id 'x'"),
+    "duplicate-bag-node": (parse_product_input, HOST + "[TD]\n2\n0: 0 1\n0: 1\n",
+                           "line 7: duplicate bag node 0"),
+    "non-integer-bag-member": (parse_product_input, HOST + "[TD]\n1\n0: 0 a\n",
+                               "line 6: non-integer bag member in ' 0 a'"),
+    "tree-edge-unknown-bag": (parse_product_input,
+                              HOST + "[TD]\n2\n0: 0 1\n1: 1\n0 5\n",
+                              "line 8: tree edge references unknown bag 5"),
+    "row-count-zero": (parse_product_input, HOST + "[P]\n0\n",
+                       "line 5: row count must be positive"),
+    "missing-G": (parse_product_input, HOST + "[P]\n1\n[X]\n",
+                  "line 6: expected [G], got '[X]'"),
+    "duplicate-placement": (parse_product_input,
+                            HOST + "[P]\n1\n[G]\n2 0\n0 0 1\n0 1 1\n",
+                            "line 9: duplicate placement for vertex 0"),
+    "placement-host": (parse_product_input, HOST + "[P]\n1\n[G]\n1 0\n0 5 1\n",
+                       "line 8: host vertex 5 outside 0..1"),
+    "placement-row": (parse_product_input, HOST + "[P]\n1\n[G]\n1 0\n0 0 3\n",
+                      "line 8: row 3 outside 1..1"),
+    "certificate-ends-before-X": (parse_certificate, CERT_HEAD,
+                                  "line 7: certificate ends before X"),
+    "malformed-param": (parse_certificate, CERT_HEAD + "param k\n",
+                        "line 7: param line needs 'param key value'"),
+    "missing-ordering": (parse_certificate, CERT_HEAD + "X\nmapping\n",
+                         "line 8: expected 'ordering <ids>', got 'mapping'"),
+    "missing-mapping": (parse_certificate, CERT_HEAD + "X\nordering 0 1\nend\n",
+                        "line 9: expected 'mapping', got 'end'"),
+}
+
+
+class TestParserMessages:
+    @pytest.mark.parametrize("parse, text, message", PARSER_MESSAGES.values(),
+                             ids=PARSER_MESSAGES.keys())
+    def test_message(self, parse, text, message):
+        with pytest.raises(InputError) as exc:
+            parse(text)
+        assert str(exc.value) == message

@@ -29,8 +29,12 @@ from fanwidth.pipeline import CENTER
 from conftest import column_in_product, grid_in_product, stacked_triangulation
 
 
+def complete_graph(n):
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
 def k5():
-    return Graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    return complete_graph(5)
 
 
 def k5_drawing():
@@ -357,6 +361,23 @@ class TestGkReduce:
         cert = fan_certificate(k5(), res.x, res.ordering,
                                default_blowup_factor(res))
         assert verify_certificate(k5(), cert) == []
+
+    # K_129 has 8256 = 64n edges, so one crossing reaches the dense branch
+    @pytest.mark.parametrize("genus, k, message", [
+        (3, 1, "8256 edges exceed the genus-3 crossing budget"),
+        (1, 1, "8256 edges exceed the k-planar budget on any surface"),
+    ], ids=["genus-budget", "k-planar-budget"])
+    def test_dense_drawing_over_budget_rejected(self, genus, k, message):
+        dg = DrawnGraph(complete_graph(129), [Crossing((0, 1), (2, 3), 0.5, 0.5)])
+        with pytest.raises(InputError) as exc:
+            gk_reduce(dg, genus=genus, k=k, D=4, seed=0)
+        assert str(exc.value) == message
+
+    def test_dense_genus_short_circuit(self):
+        dg = DrawnGraph(complete_graph(129), [Crossing((0, 1), (2, 3), 0.5, 0.5)])
+        res = gk_reduce(dg, genus=6, k=22, D=4, seed=0)
+        assert res.x == set(range(129))
+        assert res.info == {"short_circuit": "dense genus case"}
 
     def test_short_circuit_when_k_huge(self):
         g = path_graph(6)

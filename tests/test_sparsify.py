@@ -29,7 +29,7 @@ from fanwidth import (
 
 import fanwidth.sparsify
 from fanwidth.cli import main
-from fanwidth.formats import serialize_graph
+from fanwidth.formats import serialize_graph, serialize_product_input
 from fanwidth.randomness import stream
 from fanwidth.sparsify import _cut_slabs, _strip_weights
 
@@ -376,6 +376,26 @@ class TestProductSparsify:
                 for comp in completed.delete(y).components():
                     w = sum(weights.get(v, 0) for v in comp)
                     assert w <= Fraction(span, 2) * 4
+
+    def test_failed_separator_trips_the_strip_recheck(self, monkeypatch):
+        # a separator that selects nothing leaves the whole host as one
+        # component, heavier than the strip's threshold wherever c > 1
+        monkeypatch.setattr(fanwidth.sparsify, "weighted_separator",
+                            lambda *args: set())
+        with pytest.raises(AssertionError) as exc:
+            small_product(8)
+        assert str(exc.value) == "strip (0,0): component weight 16 exceeds 4"
+
+    def test_failed_separator_exits_3(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(fanwidth.sparsify, "weighted_separator",
+                            lambda *args: set())
+        host, g, placements = grid_in_product(5)
+        (tmp_path / "p.txt").write_text(
+            serialize_product_input(host, None, 5, placements, g))
+        assert main(["certify", "--product", str(tmp_path / "p.txt"), "--D", "8",
+                     "--out", str(tmp_path / "c.txt")]) == 3
+        assert capsys.readouterr().err == (
+            "internal invariant failed: strip (0,0): component weight 10 exceeds 4\n")
 
     def test_strip_components_are_host_components_times_strip(self):
         completed, g, placements, sp = small_product(8)
