@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import formats
 from .errors import InputError, VerificationFailure
 from .graphs import bfs_layering
-from .oracles import exact_bandwidth, exhaustive_local_density
+from .oracles import DENSITY_LIMIT, exact_bandwidth, exhaustive_local_density
 from .pipeline import (
     _round_trip,
     default_blowup_factor,
@@ -132,7 +132,7 @@ def cmd_sparsify(args) -> int:
             ("removed_g", " ".join(str(v) for v in removed)),
         ]
     gp = g.delete(removed)
-    if gp.num_vertices and gp.num_vertices <= 5000:
+    if 0 < gp.num_vertices <= DENSITY_LIMIT:
         density = exhaustive_local_density(gp)
         pairs.append(("density_after", formats.format_density(density)))
         pairs.append(("density_le_D", "yes" if density <= D else "no"))
@@ -236,7 +236,8 @@ def cmd_reduce_gk(args) -> int:
     return _certify_and_write(args, dg.graph, result)
 
 
-# oracle --what -> the flags it reads besides --what and --out
+# oracle --what -> the flags it reads besides --what and --out; each is
+# required unless it has a default here
 _ORACLE_FLAGS = {
     "bandwidth": ("graph",),
     "density": ("graph",),
@@ -244,23 +245,24 @@ _ORACLE_FLAGS = {
     "volume-sandwich": ("trials", "seed"),
     "reciprocal": ("trials", "seed"),
 }
+_ORACLE_DEFAULTS = {"trials": 100, "seed": 0}
 
 
 def cmd_oracle(args) -> int:
+    reads = _ORACLE_FLAGS[args.what]
     for name in ("graph", "product", "D", "trials", "seed"):
-        if getattr(args, name) is not None and name not in _ORACLE_FLAGS[args.what]:
+        if getattr(args, name) is not None and name not in reads:
             raise InputError(f"oracle {args.what} does not read --{name}")
-    if args.seed is None:
-        args.seed = 0
-    if args.trials is None:
-        args.trials = 100
-    if args.trials < 1:
+    for name in reads:
+        if getattr(args, name) is None:
+            if name not in _ORACLE_DEFAULTS:
+                raise InputError(f"oracle {args.what} needs --{name}")
+            setattr(args, name, _ORACLE_DEFAULTS[name])
+    if "trials" in reads and args.trials < 1:
         raise InputError("--trials must be at least 1")
     lines = []
     failure = None
     if args.what in ("bandwidth", "density"):
-        if not args.graph:
-            raise InputError(f"oracle {args.what} needs --graph")
         g = formats.parse_graph(_read(args.graph))
         if args.what == "bandwidth":
             lines.append(f"exact_bandwidth {exact_bandwidth(g)}")
@@ -269,10 +271,6 @@ def cmd_oracle(args) -> int:
     elif args.what == "metric-axioms":
         from .starmetric import StarMetric, metric_local_density, verify_metric_axioms
 
-        if not args.product:
-            raise InputError("oracle metric-axioms needs --product")
-        if args.D is None:
-            raise InputError("oracle metric-axioms needs --D")
         _, _, sp, placed, removed = _sparsify_product(args.product,
                                                       _parse_density(args.D))
         pvs = [pv for v, pv in placed.items() if v not in removed]

@@ -48,6 +48,19 @@ class _Lines:
         """Lines after the cursor, blank ones included."""
         return len(self.rows) - self.pos
 
+    def end(self, what: str):
+        """Check that only blank lines follow the cursor: ``what`` ends here."""
+        row, lineno = self.peek()
+        if row is not None:
+            raise InputError(f"line {lineno}: unexpected line after the {what}: "
+                             f"{_shown(row)!r}")
+
+
+def _shown(row: str) -> str:
+    """``row`` stripped, and cut to 60 characters for a message."""
+    row = row.strip()
+    return row if len(row) <= 60 else row[:57] + "..."
+
 
 def _ints(row: str, lineno: int, count: int | None, what: str):
     """The integer fields of ``row``; exactly ``count`` of them unless
@@ -58,14 +71,18 @@ def _ints(row: str, lineno: int, count: int | None, what: str):
     try:
         return [int(p) for p in parts]
     except ValueError:
-        shown = row.strip()
-        shown = shown if len(shown) <= 60 else shown[:57] + "..."
-        raise InputError(f"line {lineno}: non-integer field in {what!r}: {shown!r}")
+        raise InputError(f"line {lineno}: non-integer field in {what!r}: {_shown(row)!r}")
 
 
-def _check_vertex_count(n: int, lineno: int, what: str):
-    if n > MAX_VERTICES:
-        raise InputError(f"line {lineno}: {what} {n} exceeds the supported {MAX_VERTICES}")
+def _counts(row: str, lineno: int, what: str, *names: str):
+    """The header ``row`` of ``what``: one non-negative count per name, or
+    one count named ``what``."""
+    names = names or (what,)
+    values = _ints(row, lineno, len(names), what)
+    for name, value in zip(names, values):
+        if value < 0:
+            raise InputError(f"line {lineno}: {name} {value} is negative")
+    return values
 
 
 # -- graphs ------------------------------------------------------------------
@@ -75,8 +92,11 @@ def _read_graph(cur: _Lines, what: str) -> Graph:
     """The header ``n m`` and the ``m`` edge lines ``u v`` of a graph;
     ``what`` names the graph in messages."""
     row, lineno = cur.take(f"{what} header 'n m'")
-    n, m = _ints(row, lineno, 2, f"{what} header")
-    _check_vertex_count(n, lineno, f"{what} vertex count")
+    n, m = _counts(row, lineno, f"{what} header", f"{what} vertex count",
+                   f"{what} edge count")
+    if n > MAX_VERTICES:
+        raise InputError(f"line {lineno}: {what} vertex count {n} exceeds the "
+                         f"supported {MAX_VERTICES}")
     expected, field = f"{what} edge 'u v'", f"{what} edge"
     edges = []
     for _ in range(m):
@@ -92,7 +112,10 @@ def _read_graph(cur: _Lines, what: str) -> Graph:
 
 
 def parse_graph(text: str) -> Graph:
-    return _read_graph(_Lines(text), "graph")
+    cur = _Lines(text)
+    g = _read_graph(cur, "graph")
+    cur.end("graph")
+    return g
 
 
 def serialize_graph(g: Graph) -> str:
@@ -107,12 +130,13 @@ def serialize_graph(g: Graph) -> str:
 def parse_vertex_set(text: str) -> list[int]:
     cur = _Lines(text)
     row, lineno = cur.take("vertex count")
-    (count,) = _ints(row, lineno, 1, "vertex count")
+    (count,) = _counts(row, lineno, "vertex count")
     out = []
     for _ in range(count):
         row, lineno = cur.take("vertex id")
         (v,) = _ints(row, lineno, 1, "vertex id")
         out.append(v)
+    cur.end("vertex set")
     return out
 
 
@@ -126,7 +150,7 @@ def serialize_vertex_set(vs) -> str:
 
 def parse_decomposition(cur: _Lines) -> TreeDecomposition:
     row, lineno = cur.take("bag count")
-    (k,) = _ints(row, lineno, 1, "bag count")
+    (k,) = _counts(row, lineno, "bag count")
     bags = {}
     for _ in range(k):
         row, lineno = cur.take("bag line 'node: v1 v2 ...'")
@@ -200,7 +224,8 @@ def parse_product_input(text: str):
     if row != "[G]":
         raise InputError(f"line {lineno}: expected [G], got {row!r}")
     row, lineno = cur.take("embedded graph header 'n m'")
-    gn, gm = _ints(row, lineno, 2, "embedded graph header")
+    gn, gm = _counts(row, lineno, "embedded graph header", "placement count",
+                     "embedded edge count")
     if gn > cur.remaining():
         raise InputError(f"line {lineno}: {gn} placements but only "
                          f"{cur.remaining()} lines follow")
@@ -238,6 +263,7 @@ def parse_product_input(text: str):
                 f"hosts {pu.h},{pv.h} rows {pu.p},{pv.p}"
             )
         gedges.append((u, v))
+    cur.end("product document")
     g = Graph(gn, gedges)
     return host, td, rows, placements, g
 
@@ -269,7 +295,7 @@ def parse_drawing(text: str) -> DrawnGraph:
     if row != "[crossings]":
         raise InputError(f"line {lineno}: expected [crossings], got {row!r}")
     row, lineno = cur.take("crossing count")
-    (count,) = _ints(row, lineno, 1, "crossing count")
+    (count,) = _counts(row, lineno, "crossing count")
     crossings = []
     for _ in range(count):
         row, lineno = cur.take("crossing 'u1 v1 u2 v2 t1 t2'")
@@ -282,6 +308,7 @@ def parse_drawing(text: str) -> DrawnGraph:
         except ValueError:
             raise InputError(f"line {lineno}: bad crossing fields {row!r}")
         crossings.append(Crossing((u1, v1), (u2, v2), t1, t2))
+    cur.end("drawing")
     return DrawnGraph(g, crossings)
 
 
@@ -367,6 +394,7 @@ def parse_certificate(text: str) -> FanCertificate:
         if v in mapping:
             raise InputError(f"line {lineno}: duplicate mapping for vertex {v}")
         mapping[v] = (node, slot)
+    cur.end("certificate")
     return FanCertificate(
         n=fields["n"],
         b=fields["b"],

@@ -65,8 +65,12 @@ def exact_bandwidth(g: Graph, max_vertices: int = 12) -> int:
     return target
 
 
-def exhaustive_local_density(g: Graph, max_points: int = 5000):
+# The most vertices the exact local density is computed for.
+DENSITY_LIMIT = 5000
+
+
+def exhaustive_local_density(g: Graph):
     """Exact local density of a graph."""
-    if g.num_vertices > max_points:
-        raise InputError(f"density oracle is limited to {max_points} points")
+    if g.num_vertices > DENSITY_LIMIT:
+        raise InputError(f"density oracle is limited to {DENSITY_LIMIT} points")
     return graph_local_density(g)

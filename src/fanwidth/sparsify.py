@@ -1,7 +1,8 @@
 """Local-density sparsifiers.
 
-Two variants share one mechanism: cut dyadic slabs with weighted separators
-so that every surviving ball of radius r contains O(D * r) vertices.
+Two variants share one mechanism, ``_windows``: cut dyadic windows of layers
+or rows with weighted separators so that every surviving ball of radius r
+contains O(D * r) vertices.
 
 * ``baker_sparsify`` works on a layered graph directly (slabs are runs of
   consecutive layers, separators come from per-slab tree decompositions).
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -32,6 +34,20 @@ from .treedec import (
 def _ceil_div(numer, denom) -> int:
     """Exact ceiling of numer / denom for int or Fraction operands."""
     return math.ceil(Fraction(numer) / Fraction(denom))
+
+
+def _windows(units, i: int, count: int, D):
+    """Each scale-``i`` window ``j < count`` of ``(unit, key)`` pairs, as
+    ``(keys, c, threshold)``: the key of every pair whose unit lies in blocks
+    j-1..j+1 of 2^i units, ``threshold = D * 2^(i-1)``, and the parts
+    ``c = max(1, ceil(len(keys) / threshold))`` that keep each within it."""
+    blocks: dict = {}
+    for unit, key in units:
+        blocks.setdefault(unit >> i, []).append(key)
+    threshold = Fraction(D) * Fraction(1 << i, 2)
+    for j in range(count):
+        keys = [*blocks.get(j - 1, ()), *blocks.get(j, ()), *blocks.get(j + 1, ())]
+        yield keys, max(1, _ceil_div(len(keys), threshold)), threshold
 
 
 @dataclass
@@ -58,9 +74,9 @@ def baker_sparsify(g: Graph, D, layering: Layering) -> BakerResult:
     Scales i cover every dyadic radius class with 2^i >= r for the radii
     r < n/D that the density bound must control.  At scale i, slab j is the
     union of layers ``j*2^i .. (j+1)*2^i - 1`` widened by one slab on each
-    side; the widened slab is cut with unit weights and
-    ``c = ceil(|slab| / (D * 2^(i-1)))``, so surviving slab components have
-    at most ``D * 2^(i-1)`` vertices.
+    side (a ``_windows`` window of the layers); it is cut with unit weights
+    into c parts, so surviving slab components have at most
+    ``D * 2^(i-1)`` vertices.
 
     A slab that several windows share is decomposed once and cut once per
     window.  The distinct slabs are independent, so above
@@ -76,27 +92,17 @@ def baker_sparsify(g: Graph, D, layering: Layering) -> BakerResult:
     layering.validate(g)
     layer = layering.normalized().layer_of
 
-    by_layer: dict = {}
-    for v in g.vertices():
-        by_layer.setdefault(layer[v], []).append(v)
-
     r_max = _ceil_div(n, D) - 1
     if r_max < 1:
         return BakerResult(set(), 0, Fraction(0), Fraction(0))
     top = max(0, (r_max - 1).bit_length())
+    units = sorted((layer[v], v) for v in g.vertices())
 
-    max_layer = max(by_layer)
     windows: dict = {}  # slab -> [(span, c), ...] of the windows that cut it
     for i in range(top + 1):
-        span = 1 << i
-        threshold = Fraction(D) * Fraction(span, 2)
-        for j in range(0, max_layer // span + 1):
-            slab = []
-            for s in range((j - 1) * span, (j + 2) * span):
-                slab.extend(by_layer.get(s, ()))
-            c = max(1, _ceil_div(len(slab), threshold))
+        for slab, c, _ in _windows(units, i, (units[-1][0] >> i) + 1, D):
             if c > 1:
-                windows.setdefault(frozenset(slab), []).append((span, c))
+                windows.setdefault(frozenset(slab), []).append((1 << i, c))
 
     # largest first, so that the last slab a worker takes is a small one
     tasks = sorted(windows.items(), key=lambda task: -len(task[0]))
@@ -256,22 +262,6 @@ class StructuredSparsifier:
         return "\n".join(lines) + "\n"
 
 
-def _strip_weights(placements, i: int, N: int):
-    """Yield the column weights ``{h: count}`` of each scale-``i`` strip
-    ``j`` in order: the placements in column ``h`` with rows in strips
-    ``j - 1..j + 1``, the widened strip."""
-    per_strip: dict = {}
-    for pv in placements:
-        column = per_strip.setdefault((pv.p - 1) >> i, {})
-        column[pv.h] = column.get(pv.h, 0) + 1
-    for j in range(N >> i):
-        xi: dict = {}
-        for s in (j - 1, j, j + 1):
-            for h, w in per_strip.get(s, {}).items():
-                xi[h] = xi.get(h, 0) + w
-        yield xi
-
-
 def product_sparsify(
     host: Graph,
     td: TreeDecomposition,
@@ -283,10 +273,10 @@ def product_sparsify(
     ``host`` is completed along ``td`` first, which validates ``td``.
     ``g_vertices`` are the placements (host vertex, row); rows must lie in
     1..N for N the smallest power of two at least the placement count.  Each
-    scale-i strip is cut with column weights
-    ``xi(h) = #(G vertices in column h with rows in the widened strip)`` and
-    ``c = ceil(xi(host) / (2^(i-1) D))``, so every component of host - Y
-    carries at most ``2^(i-1) D`` G-vertices.
+    scale-i strip (a ``_windows`` window of the rows) is cut with column
+    weights ``xi(h) = #(G vertices in column h with rows in the widened
+    strip)`` into c parts, so every component of host - Y carries at most
+    ``2^(i-1) D`` G-vertices.
     """
     host = ttree_complete(host, td)
     if D < 2:
@@ -305,20 +295,15 @@ def product_sparsify(
             raise InputError(f"placement host vertex {pv.h} invalid")
 
     cells = sp.cells
+    units = [(pv.p - 1, pv.h) for pv in placements]
     for i in range(sp.num_scales):
-        threshold = Fraction(D) * Fraction(1 << i, 2)
-        for j, xi in enumerate(_strip_weights(placements, i, N)):
-            total = sum(xi.values())
-            if total == 0:
-                cells[(i, j)] = frozenset()
-                continue
-            c = max(1, _ceil_div(total, threshold))
+        for j, (keys, c, threshold) in enumerate(_windows(units, i, N >> i, D)):
             if c == 1:
                 cells[(i, j)] = frozenset()
                 continue
-            sep = weighted_separator(host, td, xi, c)
-            y = frozenset(separator_bag_union(td, sep))
-            cells[(i, j)] = y
+            xi = Counter(keys)
+            y = cells[(i, j)] = frozenset(
+                separator_bag_union(td, weighted_separator(host, td, xi, c)))
             # recheck the separator guarantee on this strip
             for comp in host.delete(y).components():
                 cw = sum(xi.get(v, 0) for v in comp)

@@ -8,7 +8,7 @@ separator inequality.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -67,21 +67,12 @@ class RootedWalk:
 class TreeDecomposition:
     """Bags indexed by tree nodes plus the tree edges.
 
-    ``width`` is the declared width; ``validate_decomposition`` checks it
-    against the bags.  The bags and tree edges must not change once ``walk``
-    or ``members`` has been read.
+    The bags and tree edges must not change once ``width``, ``walk`` or
+    ``members`` has been read.
     """
 
     bags: dict
     tree_edges: frozenset
-    width: int = field(default=-1)
-
-    def __post_init__(self):
-        if self.width == -1:
-            object.__setattr__(self, "width", self.computed_width())
-
-    def computed_width(self) -> int:
-        return max((len(b) for b in self.bags.values()), default=0) - 1
 
     def nodes(self):
         return sorted(self.bags)
@@ -94,6 +85,11 @@ class TreeDecomposition:
         return {x: sorted(ys) for x, ys in adj.items()}
 
     walk = cached_property(RootedWalk)  # built on first read, then kept
+
+    @cached_property
+    def width(self) -> int:
+        """The largest bag size minus one; -1 without bags."""
+        return max((len(b) for b in self.bags.values()), default=0) - 1
 
     @cached_property
     def members(self) -> frozenset:
@@ -135,10 +131,6 @@ def validate_decomposition(g: Graph, td: TreeDecomposition) -> list[str]:
             violations.append(f"vertex {v} appears in no bag")
         elif sum(walk.parent[x] not in nodes_v for x in nodes_v) != 1:
             violations.append(f"bags containing vertex {v} induce a disconnected subtree")
-
-    actual = td.computed_width()
-    if td.width != actual:
-        violations.append(f"declared width {td.width} but bags give width {actual}")
     return violations
 
 

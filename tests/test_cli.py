@@ -749,6 +749,11 @@ class TestLazyImports:
         assert not self.command_loads_numpy(
             2, "verify", "--graph", work / "missing.txt", "--cert", work / "c.txt")
 
+    def test_missing_oracle_flag_never_loads_numpy(self):
+        # the flag checks come before the metric's imports
+        assert not self.command_loads_numpy(2, "oracle", "--what", "metric-axioms",
+                                            "--D", "8")
+
     def test_import_never_loads_a_process_pool(self):
         assert self.loaded("import sys\nimport fanwidth.cli\n").isdisjoint(self.POOL)
 

@@ -208,6 +208,33 @@ PARSER_MESSAGES = {
                          "line 8: expected 'ordering <ids>', got 'mapping'"),
     "missing-mapping": (parse_certificate, CERT_HEAD + "X\nordering 0 1\nend\n",
                         "line 9: expected 'mapping', got 'end'"),
+    # a negative header count is an error, not zero records
+    "graph-negative-vertices": (parse_graph, "-2 0\n",
+                                "line 1: graph vertex count -2 is negative"),
+    "graph-negative-edges": (parse_graph, "3 -1\n", "line 1: graph edge count -1 is negative"),
+    "host-negative-edges": (parse_product_input, "[H]\n2 -1\n",
+                            "line 2: host edge count -1 is negative"),
+    "vertex-set-negative": (parse_vertex_set, "-3\n", "line 1: vertex count -3 is negative"),
+    "bag-count-negative": (parse_product_input, HOST + "[TD]\n-1\n[P]\n1\n[G]\n0 0\n",
+                           "line 5: bag count -1 is negative"),
+    "placement-count-negative": (parse_product_input, HOST + "[P]\n1\n[G]\n-2 0\n",
+                                 "line 7: placement count -2 is negative"),
+    "embedded-edges-negative": (parse_product_input, HOST + "[P]\n1\n[G]\n1 -5\n0 0 1\n",
+                                "line 7: embedded edge count -5 is negative"),
+    "crossing-count-negative": (parse_drawing, "[graph]\n2 0\n[crossings]\n-1\n",
+                                "line 4: crossing count -1 is negative"),
+    # a line after a document's last record is an error, not ignored
+    "graph-trailing": (parse_graph, "3 1\n0 1\n0 2\n",
+                       "line 3: unexpected line after the graph: '0 2'"),
+    "vertex-set-trailing": (parse_vertex_set, "1\n4\n5\n",
+                            "line 3: unexpected line after the vertex set: '5'"),
+    "product-trailing": (parse_product_input, HOST + "[P]\n1\n[G]\n1 0\n0 0 1\n[G]\n",
+                         "line 9: unexpected line after the product document: '[G]'"),
+    "drawing-trailing": (parse_drawing, "[graph]\n2 0\n[crossings]\n0\n0 1 2 3 0.5 0.5\n",
+                         "line 5: unexpected line after the drawing: '0 1 2 3 0.5 0.5'"),
+    "certificate-trailing": (parse_certificate,
+                             CERT_HEAD + "X\nordering 0 1\nmapping\nend\nend\n",
+                             "line 11: unexpected line after the certificate: 'end'"),
 }
 
 
@@ -218,3 +245,12 @@ class TestParserMessages:
         with pytest.raises(InputError) as exc:
             parse(text)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_graph, "3 1\n0 1\n\n  \n"),
+        (parse_vertex_set, "1\n4\n\n"),
+        (parse_drawing, "[graph]\n2 0\n[crossings]\n0\n\n"),
+        (parse_certificate, CERT_HEAD + "X\nordering 0 1\nmapping\nend\n\n"),
+    ], ids=["graph", "vertex-set", "drawing", "certificate"])
+    def test_blank_lines_may_follow_the_last_record(self, parse, text):
+        parse(text)

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -31,7 +32,7 @@ import fanwidth.sparsify
 from fanwidth.cli import main
 from fanwidth.formats import serialize_graph, serialize_product_input
 from fanwidth.randomness import stream
-from fanwidth.sparsify import _cut_slabs, _strip_weights
+from fanwidth.sparsify import _cut_slabs, _windows
 
 from conftest import column_in_product, grid_in_product, stacked_triangulation
 
@@ -482,9 +483,10 @@ class TestStripWeights:
         placements = [ProductVertex(h, p)
                       for h, p in data.draw(st.sets(cells, max_size=width * N))]
         host = path_graph(width)
+        units = [(pv.p - 1, pv.h) for pv in placements]
         for i in range(N.bit_length()):
-            assert list(_strip_weights(placements, i, N)) == _reference_strip_weights(
-                host, placements, i, N)
+            weights = [dict(Counter(keys)) for keys, _, _ in _windows(units, i, N >> i, 2)]
+            assert weights == _reference_strip_weights(host, placements, i, N)
 
 
 def _reference_in_x(sp, pv) -> bool:

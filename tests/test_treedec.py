@@ -60,16 +60,6 @@ class TestValidate:
         violations = validate_decomposition(g, td)
         assert any("vertex 0" in v and "disconnected" in v for v in violations)
 
-    def test_wrong_width_reported(self):
-        g = path_graph(3)
-        td = TreeDecomposition(
-            {0: frozenset({0, 1}), 1: frozenset({1, 2})},
-            frozenset([(0, 1)]),
-            width=7,
-        )
-        violations = validate_decomposition(g, td)
-        assert any("width" in v for v in violations)
-
     def test_non_tree_rejected(self):
         g = path_graph(3)
         bags = {0: frozenset({0, 1}), 1: frozenset({1, 2}), 2: frozenset({1})}
@@ -135,10 +125,6 @@ def _reference_validate(g, td):
                     queue.append(y)
         if len(seen) != len(node_set):
             violations.append(f"bags containing vertex {v} induce a disconnected subtree")
-
-    actual = td.computed_width()
-    if td.width != actual:
-        violations.append(f"declared width {td.width} but bags give width {actual}")
     return violations
 
 
@@ -154,7 +140,7 @@ def _outcome(validate, g, td):
 def corrupted_decompositions(draw):
     """A min-fill decomposition of a masked graph with bag members dropped or
     added (ids outside the graph and deleted ids included), tree edges
-    dropped, added (to unknown nodes too) or rewired, and a declared width."""
+    dropped, added (to unknown nodes too) or rewired."""
     g = draw(masked_graphs())
     td = minfill_decomposition(g)
     bags, edges = dict(td.bags), set(td.tree_edges)
@@ -174,8 +160,7 @@ def corrupted_decompositions(draw):
             a, b = draw(st.sampled_from(sorted(edges)))
             edges.discard((a, b))
             edges.add((a, x))
-    width = draw(st.sampled_from([-1, 0, td.width, td.width + 1]))
-    return g, TreeDecomposition(bags, frozenset(edges), width)
+    return g, TreeDecomposition(bags, frozenset(edges))
 
 
 class TestValidateMatchesReference:
