@@ -12,6 +12,7 @@ from fanwidth import (
     Graph,
     ProductVertex,
     TreeDecomposition,
+    bandwidth_of_ordering,
     bfs_layering,
     path_graph,
 )
@@ -227,3 +228,109 @@ def brute_force_bandwidth(g: Graph) -> int:
         if best == 0:
             break
     return best
+
+
+def reference_edge_error(n: int, edges):
+    """The message of the first bad edge of ``edges`` for ``Graph(n, edges)``,
+    checked one edge at a time as the constructor first did, or None."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) has endpoint outside 0..{n - 1}"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return f"duplicate edge ({key[0]},{key[1]})"
+        seen.add(key)
+    return None
+
+
+def reference_verify_certificate(g: Graph, cert, strict_shape: bool = True) -> list[str]:
+    """``pipeline.verify_certificate`` as first written: one check at a
+    time, with ``g.delete(X)`` and sorted permutation checks.  The one-sweep
+    version must return the same violations in the same order."""
+    violations = []
+    live = g.vertices()
+    n = len(live)
+    if cert.n != n:
+        violations.append(f"certificate n={cert.n} but graph has {n} vertices")
+    if not (1 <= cert.b <= max(n, 1)):
+        violations.append(f"blowup factor {cert.b} out of range")
+        return violations
+    if strict_shape and cert.fan_size != max(2, -(-cert.n // cert.b)):
+        violations.append(
+            f"fan size {cert.fan_size} differs from ceil(n/b) = {-(-cert.n // cert.b)}"
+        )
+
+    mapped = set(cert.mapping)
+    live_set = set(live)
+    for v in live:
+        if v not in mapped:
+            violations.append(f"vertex {v} is not mapped")
+    for v in mapped:
+        if v not in live_set:
+            violations.append(f"mapped vertex {v} is not in the graph")
+
+    seen_slots = {}
+    for v, (node, slot) in sorted(cert.mapping.items()):
+        if not (0 <= node < cert.fan_size):
+            violations.append(f"vertex {v} mapped to missing fan node {node}")
+            continue
+        if not (0 <= slot < cert.b):
+            violations.append(f"vertex {v} mapped to slot {slot} outside 0..{cert.b - 1}")
+            continue
+        if (node, slot) in seen_slots:
+            violations.append(
+                f"vertices {seen_slots[(node, slot)]} and {v} share node {node} slot {slot}"
+            )
+        seen_slots[(node, slot)] = v
+
+    x_set = set(cert.x)
+    if len(x_set) != len(cert.x):
+        violations.append("X lists a vertex id more than once")
+    for v in sorted(x_set - live_set):
+        violations.append(f"X vertex {v} is not in the graph")
+    centered = {v for v, (node, _) in cert.mapping.items() if node == 0}
+    for v in sorted(x_set ^ centered):
+        violations.append(f"vertex {v}: center membership disagrees with X")
+
+    if strict_shape:
+        if sorted(cert.ordering) != sorted(live_set - x_set):
+            violations.append("ordering is not a permutation of the non-center vertices")
+        else:
+            width = bandwidth_of_ordering(g.delete(x_set), cert.ordering)
+            if width != cert.measured_bandwidth:
+                violations.append(
+                    f"declared bandwidth {cert.measured_bandwidth} but ordering has {width}"
+                )
+            elif width > cert.b:
+                violations.append(f"ordering width {width} exceeds b = {cert.b}")
+
+    for u, v in g.edges():
+        if u not in cert.mapping or v not in cert.mapping:
+            continue
+        nu, nv = cert.mapping[u][0], cert.mapping[v][0]
+        if nu != 0 and nv != 0 and abs(nu - nv) > 1:
+            violations.append(
+                f"edge ({u},{v}) spans non-adjacent fan nodes {nu} and {nv}"
+            )
+    return violations
+
+
+def reference_round_trip(g: Graph, cert):
+    """``pipeline._round_trip`` as first written: X, the block walk and its
+    width on ``g.delete(X)``."""
+    x = {v for v, (node, _) in cert.mapping.items() if node == 0}
+    blocks: dict = {}
+    for v, (node, slot) in cert.mapping.items():
+        if node != 0:
+            blocks.setdefault(node, []).append((slot, v))
+    ordering = []
+    for node in sorted(blocks):
+        for _, v in sorted(blocks[node]):
+            ordering.append(v)
+    bw = bandwidth_of_ordering(g.delete(x), ordering)
+    if bw > 2 * cert.b - 1:
+        raise AssertionError(f"round-trip width {bw} exceeds 2b-1 = {2 * cert.b - 1}")
+    return x, ordering, bw

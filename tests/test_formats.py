@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanwidth import Graph, InputError, fan_certificate, path_graph
 from fanwidth.formats import (
@@ -237,6 +239,118 @@ PARSER_MESSAGES = {
                              "line 11: unexpected line after the certificate: 'end'"),
 }
 
+# The record blocks: graph and host edges, vertex ids, [G] placements and
+# edges, and certificate mapping rows.  Each is split at once; a bad row is
+# reported with the message and line number of a row-by-row reader, and the
+# first bad row in the document wins, whatever its fault.
+G_HEAD = HOST + "[P]\n1\n[G]\n"  # placements start on line 8
+MAP_HEAD = CERT_HEAD + "X\nordering 0 1\nmapping\n"  # mapping rows start on line 10
+
+RECORD_MESSAGES = {
+    "graph-edge-1-field": (parse_graph, "3 2\n0 1\n2\n",
+                           "line 3: expected 2 fields for graph edge, got 1"),
+    "graph-edge-3-fields": (parse_graph, "3 2\n0 1\n1 2 0\n",
+                            "line 3: expected 2 fields for graph edge, got 3"),
+    "graph-edge-non-integer": (parse_graph, "3 1\n0 x\n",
+                               "line 2: non-integer field in 'graph edge': '0 x'"),
+    "graph-edge-out-of-range": (parse_graph, "3 1\n0 3\n",
+                                "line 2: graph edge needs 0 <= u < v < n, got 0 3"),
+    "graph-edge-negative": (parse_graph, "3 1\n-1 2\n",
+                            "line 2: graph edge needs 0 <= u < v < n, got -1 2"),
+    "graph-edge-u-not-below-v": (parse_graph, "3 1\n1 1\n",
+                                 "line 2: graph edge needs 0 <= u < v < n, got 1 1"),
+    "graph-edge-duplicate": (parse_graph, "3 3\n0 1\n1 2\n0 1\n",
+                             "graph body: duplicate edge (0,1)"),
+    "graph-edge-end-of-file": (parse_graph, "3 2\n0 1\n\n",
+                               "line 4: expected graph edge 'u v', found end of file"),
+    "graph-edge-after-blanks": (parse_graph, "3 2\n\n0 1\n \t\n0 x\n",
+                                "line 5: non-integer field in 'graph edge': '0 x'"),
+    "graph-edge-range-before-fields": (parse_graph, "3 2\n2 1\n0 1 2\n",
+                                       "line 2: graph edge needs 0 <= u < v < n, got 2 1"),
+    "graph-edge-fields-before-range": (parse_graph, "3 2\n0 1 2\n2 1\n",
+                                       "line 2: expected 2 fields for graph edge, got 3"),
+    "graph-edge-long-row": (parse_graph, "3 1\n0 " + "9" * 70 + "z\n",
+                            "line 2: non-integer field in 'graph edge': '0 "
+                            + "9" * 55 + "...'"),
+    "host-edge-1-field": (parse_product_input, "[H]\n3 1\n2\n",
+                          "line 3: expected 2 fields for host edge, got 1"),
+    "host-edge-non-integer": (parse_product_input, "[H]\n3 1\n0 1.0\n",
+                              "line 3: non-integer field in 'host edge': '0 1.0'"),
+    "host-edge-out-of-range": (parse_product_input, "[H]\n3 1\n0 7\n",
+                               "line 3: host edge needs 0 <= u < v < n, got 0 7"),
+    "host-edge-end-of-file": (parse_product_input, "[H]\n3 1\n",
+                              "line 3: expected host edge 'u v', found end of file"),
+    "vertex-id-2-fields": (parse_vertex_set, "2\n4\n5 6\n",
+                           "line 3: expected 1 fields for vertex id, got 2"),
+    "vertex-id-non-integer": (parse_vertex_set, "2\n\nq\n7\n",
+                              "line 3: non-integer field in 'vertex id': 'q'"),
+    "vertex-id-end-of-file": (parse_vertex_set, "2\n4\n",
+                              "line 3: expected vertex id, found end of file"),
+    "placement-1-field": (parse_product_input, G_HEAD + "1 0\n0\n",
+                          "line 8: expected 3 fields for placement, got 1"),
+    "placement-4-fields": (parse_product_input, G_HEAD + "1 0\n0 0 1 1\n",
+                           "line 8: expected 3 fields for placement, got 4"),
+    "placement-non-integer": (parse_product_input, G_HEAD + "1 0\n0 0 z\n",
+                              "line 8: non-integer field in 'placement': '0 0 z'"),
+    "placement-id-out-of-range": (parse_product_input, G_HEAD + "1 0\n1 0 1\n",
+                                  "line 8: vertex id 1 outside 0..0"),
+    "placement-duplicate-after-blank": (parse_product_input,
+                                        G_HEAD + "3 0\n1 0 1\n\n1 1 1\n0 0 1\n",
+                                        "line 10: duplicate placement for vertex 1"),
+    "placement-shared-cell": (parse_product_input, G_HEAD + "2 0\n0 1 1\n1 1 1\n",
+                              "line 9: vertices 0 and 1 share cell (1,1)"),
+    "placement-too-few-lines": (parse_product_input, G_HEAD + "2 0\n0 0 1\n",
+                                "line 7: 2 placements but only 1 lines follow"),
+    "placement-end-of-file": (parse_product_input, G_HEAD + "2 0\n0 0 1\n\n",
+                              "line 10: expected placement 'id host_vertex row', "
+                              "found end of file"),
+    "placement-range-before-fields": (parse_product_input,
+                                      G_HEAD + "2 0\n0 9 1\n1 0\n",
+                                      "line 8: host vertex 9 outside 0..1"),
+    "embedded-edge-1-field": (parse_product_input, G_HEAD + "2 1\n0 0 1\n1 1 1\n0\n",
+                              "line 10: expected 2 fields for embedded edge, got 1"),
+    "embedded-edge-3-fields": (parse_product_input,
+                               G_HEAD + "2 1\n0 0 1\n1 1 1\n0 1 1\n",
+                               "line 10: expected 2 fields for embedded edge, got 3"),
+    "embedded-edge-non-integer": (parse_product_input,
+                                  G_HEAD + "2 1\n0 0 1\n1 1 1\n0 one\n",
+                                  "line 10: non-integer field in 'embedded edge': '0 one'"),
+    "embedded-edge-out-of-range": (parse_product_input,
+                                   G_HEAD + "2 1\n0 0 1\n1 1 1\n0 2\n",
+                                   "line 10: embedded edge needs 0 <= u < v < n"),
+    "embedded-edge-u-not-below-v": (parse_product_input,
+                                    G_HEAD + "2 1\n0 0 1\n1 1 1\n1 0\n",
+                                    "line 10: embedded edge needs 0 <= u < v < n"),
+    "embedded-edge-duplicate": (parse_product_input,
+                                G_HEAD + "2 2\n0 0 1\n1 1 1\n0 1\n\n0 1\n",
+                                "duplicate edge (0,1)"),
+    "embedded-edge-not-product": (parse_product_input,
+                                  HOST + "[P]\n3\n[G]\n2 1\n0 0 1\n1 0 3\n\n0 1\n",
+                                  "line 11: edge (0,1) is not a product edge: "
+                                  "hosts 0,0 rows 1,3"),
+    "embedded-edge-end-of-file": (parse_product_input,
+                                  G_HEAD + "2 1\n0 0 1\n1 1 1\n",
+                                  "line 10: expected embedded edge 'u v', found end of file"),
+    "mapping-1-field": (parse_certificate, MAP_HEAD + "0\nend\n",
+                        "line 10: expected 3 fields for mapping row, got 1"),
+    "mapping-4-fields": (parse_certificate, MAP_HEAD + "0 1 0\n1 1 1 1\nend\n",
+                         "line 11: expected 3 fields for mapping row, got 4"),
+    "mapping-non-integer": (parse_certificate, MAP_HEAD + "0 1 a\nend\n",
+                            "line 10: non-integer field in 'mapping row': '0 1 a'"),
+    "mapping-duplicate": (parse_certificate, MAP_HEAD + "0 1 0\n\n0 1 1\nend\n",
+                          "line 12: duplicate mapping for vertex 0"),
+    "mapping-duplicate-before-fields": (parse_certificate,
+                                        MAP_HEAD + "0 1 0\n0 1 1\n1 1\nend\n",
+                                        "line 11: duplicate mapping for vertex 0"),
+    "mapping-end-of-file": (parse_certificate, MAP_HEAD + "0 1 0\n1 1 1\n",
+                            "line 12: expected mapping row or 'end', found end of file"),
+    "mapping-end-word-in-row": (parse_certificate, MAP_HEAD + "0 1 0\nend 1 1\nend\n",
+                                "line 11: non-integer field in 'mapping row': 'end 1 1'"),
+    "mapping-end-with-spaces-ends": (parse_certificate, MAP_HEAD + "0 1 0\n end \n1 1 1\n",
+                                     "line 12: unexpected line after the certificate: "
+                                     "'1 1 1'"),
+}
+
 
 class TestParserMessages:
     @pytest.mark.parametrize("parse, text, message", PARSER_MESSAGES.values(),
@@ -246,6 +360,27 @@ class TestParserMessages:
             parse(text)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("parse, text, message", RECORD_MESSAGES.values(),
+                             ids=RECORD_MESSAGES.keys())
+    def test_record_message(self, parse, text, message):
+        with pytest.raises(InputError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("parse, text, same_as", [
+        (parse_graph, "3 2\n0 1\n\n \t \n1 2\n", "3 2\n0 1\n1 2\n"),
+        (parse_product_input, "[H]\n3 2\n0 1\n\n1 2\n[P]\n1\n[G]\n0 0\n",
+         "[H]\n3 2\n0 1\n1 2\n[P]\n1\n[G]\n0 0\n"),
+        (parse_vertex_set, "2\n4\n\n7\n", "2\n4\n7\n"),
+        (parse_product_input, G_HEAD + "2 1\n0 0 1\n \n1 1 1\n\n0 1\n",
+         G_HEAD + "2 1\n0 0 1\n1 1 1\n0 1\n"),
+        (parse_certificate, MAP_HEAD + "0 1 0\n\n1 1 1\n\t\n  end \n",
+         MAP_HEAD + "0 1 0\n1 1 1\nend\n"),
+    ], ids=["graph-edges", "host-edges", "vertex-ids", "placements-and-edges",
+            "mapping-rows"])
+    def test_blank_row_inside_a_block(self, parse, text, same_as):
+        assert repr(parse(text)) == repr(parse(same_as))
+
     @pytest.mark.parametrize("parse, text", [
         (parse_graph, "3 1\n0 1\n\n  \n"),
         (parse_vertex_set, "1\n4\n\n"),
@@ -254,3 +389,49 @@ class TestParserMessages:
     ], ids=["graph", "vertex-set", "drawing", "certificate"])
     def test_blank_lines_may_follow_the_last_record(self, parse, text):
         parse(text)
+
+
+BLANKS = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+def with_blank_rows(draw, text: str) -> str:
+    """``text`` with blank rows drawn before, between and after its rows."""
+    out = []
+    for row in text.splitlines():
+        out += draw(st.lists(BLANKS, max_size=2))
+        out.append(row)
+    out += draw(st.lists(BLANKS, max_size=2))
+    return "\n".join(out) + "\n"
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+
+
+class TestBlankRowRoundTrip:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_graph(self, data):
+        g = data.draw(small_graphs())
+        text = serialize_graph(g)
+        assert serialize_graph(parse_graph(with_blank_rows(data.draw, text))) == text
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_certificate(self, data):
+        g = data.draw(small_graphs().filter(lambda g: g.n > 0))
+        x = data.draw(st.sets(st.sampled_from(g.vertices())))
+        rest = [v for v in g.vertices() if v not in x]
+        ordering = data.draw(st.permutations(rest))
+        b = max(len(x), *(abs(ordering.index(u) - ordering.index(v))
+                          for u, v in g.edges() if u in rest and v in rest), 1)
+        cert = fan_certificate(g, x, ordering, min(b, g.n), seed=data.draw(st.integers(0, 9)),
+                               params=data.draw(st.dictionaries(
+                                   st.sampled_from(["D", "k", "a"]), st.sampled_from(["1", "x y"]))))
+        text = serialize_certificate(cert)
+        cert2 = parse_certificate(with_blank_rows(data.draw, text))
+        assert serialize_certificate(cert2) == text
+        assert cert2.mapping == cert.mapping

@@ -24,7 +24,7 @@ from fanwidth import (
 from fanwidth.graphs import bfs, component_labels
 from fanwidth.treedec import TreeDecomposition
 
-from conftest import random_connected_graph, random_graph
+from conftest import random_connected_graph, random_graph, reference_edge_error
 
 INF = math.inf
 
@@ -35,6 +35,50 @@ def cycle(n):
 
 def complete(n):
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+class TestConstructorMessages:
+    """A bad edge list is checked in bulk, and the first bad edge in input
+    order is reported as one edge at a time would report it."""
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, [(0, 1), (0, 3)], "edge (0,3) has endpoint outside 0..2"),
+        (3, [(-1, 2)], "edge (-1,2) has endpoint outside 0..2"),
+        (0, [(0, 0)], "edge (0,0) has endpoint outside 0..-1"),
+        (3, [(0, 1), (2, 2)], "self-loop at vertex 2"),
+        (3, [(0, 1), (1, 2), (1, 0)], "duplicate edge (0,1)"),
+        (3, [(2, 1), (1, 2)], "duplicate edge (1,2)"),
+        (4, [(0, 1), (1, 1), (0, 9), (1, 0)], "self-loop at vertex 1"),
+        (4, [(0, 1), (0, 9), (1, 1)], "edge (0,9) has endpoint outside 0..3"),
+        (4, [(0, 1), (1, 0), (3, 3)], "duplicate edge (0,1)"),
+        (-1, [], "vertex count must be non-negative"),
+    ], ids=["range", "negative", "empty-graph", "self-loop", "duplicate",
+            "duplicate-reversed", "loop-first", "range-first", "duplicate-first",
+            "vertex-count"])
+    def test_message(self, n, edges, message):
+        with pytest.raises(InputError) as exc:
+            Graph(n, edges)
+        assert str(exc.value) == message
+
+    @given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n)),
+                             max_size=12))))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_one_edge_at_a_time(self, case):
+        n, edges = case
+        want = reference_edge_error(n, edges)
+        if want is None:
+            g = Graph(n, edges)
+            assert sorted(g.edges()) == sorted({(min(e), max(e)) for e in edges})
+            assert all(list(g.neighbors(v)) == sorted(g.neighbors(v)) for v in range(n))
+        else:
+            with pytest.raises(InputError) as exc:
+                Graph(n, edges)
+            assert str(exc.value) == want
+
+    def test_edges_may_be_any_iterable(self):
+        g = Graph(4, ((v, v + 1) for v in range(3)))
+        assert g.edges() == [(0, 1), (1, 2), (2, 3)]
 
 
 class TestBfs:

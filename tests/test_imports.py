@@ -1,6 +1,7 @@
 """The production modules stay independent of the verification oracles and
-of BLAS, the graph representation and the breadth-first walks stay behind
-``graphs``, a decomposition's tree is walked only by its cached
+of BLAS, the modules ``import fanwidth.cli`` loads import nothing new at
+their top level, the graph representation and the breadth-first walks stay
+behind ``graphs``, a decomposition's tree is walked only by its cached
 ``RootedWalk``, and ``fanwidth`` keeps its exports."""
 
 import ast
@@ -46,6 +47,73 @@ def test_production_module_imports_no_oracle(name):
 
 def test_the_guard_sees_relative_imports():
     assert {"embedding", "volumes"} <= imported_modules("starmetric")
+
+
+# The modules each module on the ``import fanwidth.cli`` path imports when it
+# is itself imported, in source order.  Every CLI process pays for these, and
+# a new one showed as a slower process start, not as a failed test; an import
+# the CLI needs on one path only goes inside the function that needs it.
+CLI_PATH_IMPORTS = {
+    "__init__": ["importlib", ".errors", ".graphs", ".treedec", ".sparsify", ".oracles",
+                 ".pipeline"],
+    "cli": ["__future__", "argparse", "math", "sys", "fractions", ".formats", ".errors",
+            ".graphs", ".oracles", ".pipeline", ".sparsify"],
+    "errors": [],
+    "formats": ["__future__", "os", "fractions", ".errors", ".graphs", ".pipeline",
+                ".treedec"],
+    "graphs": ["__future__", "math", "numbers", "dataclasses", "fractions", ".errors"],
+    "oracles": ["__future__", ".errors", ".graphs"],
+    "pipeline": ["__future__", "math", "statistics", "dataclasses", ".errors", ".graphs",
+                 ".sparsify", ".treedec"],
+    "sparsify": ["__future__", "math", "os", "collections", "dataclasses", "fractions",
+                 "functools", ".errors", ".graphs", ".treedec"],
+    "treedec": ["__future__", "heapq", "dataclasses", "functools", "itertools", ".errors",
+                ".graphs"],
+}
+
+
+def import_time_imports(source: str) -> list:
+    """The modules ``source`` imports when it is imported: every import
+    statement outside a function body, as ``.name`` when relative."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                dots = "." * child.level
+                found.extend([dots + child.module] if child.module
+                             else [dots + alias.name for alias in child.names])
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(CLI_PATH_IMPORTS))
+def test_cli_path_imports_nothing_new(name):
+    assert import_time_imports((PACKAGE / f"{name}.py").read_text()) == CLI_PATH_IMPORTS[name]
+
+
+def test_the_cli_path_is_the_pinned_modules():
+    script = ("import sys, fanwidth.cli\n"
+              "print(sorted(m for m in sys.modules if m.startswith('fanwidth')))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          check=True)
+    loaded = {m.partition(".")[2] or "__init__" for m in ast.literal_eval(proc.stdout)}
+    assert loaded == set(CLI_PATH_IMPORTS)
+
+
+@pytest.mark.parametrize("added", ["import operator\n", "from .embedding import Embedding\n",
+                                   "if True:\n    import numpy as np\n",
+                                   "class Late:\n    import itertools\n"])
+def test_the_import_guard_sees_an_added_import(added):
+    source = (PACKAGE / "graphs.py").read_text() + added
+    assert import_time_imports(source) != CLI_PATH_IMPORTS["graphs"]
+    assert import_time_imports("def f():\n    import numpy\n") == []
 
 
 BLAS_NAMES = {"linalg", "dot", "matmul", "einsum", "tensordot"}

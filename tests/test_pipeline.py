@@ -1,7 +1,10 @@
 import math
+import re
 import tracemalloc
 
 import pytest
+from hypothesis import find, given, settings
+from hypothesis import strategies as st
 
 from fanwidth import (
     ConstraintError,
@@ -10,6 +13,7 @@ from fanwidth import (
     Graph,
     InputError,
     TreeDecomposition,
+    bandwidth_of_ordering,
     blowup_to_bandwidth,
     default_blowup_factor,
     exhaustive_local_density,
@@ -24,9 +28,15 @@ from fanwidth import (
     verify_certificate,
 )
 from fanwidth.embedding import _embedding_shape
-from fanwidth.pipeline import CENTER
+from fanwidth.pipeline import CENTER, _round_trip
 
-from conftest import column_in_product, grid_in_product, stacked_triangulation
+from conftest import (
+    column_in_product,
+    grid_in_product,
+    reference_round_trip,
+    reference_verify_certificate,
+    stacked_triangulation,
+)
 
 
 def complete_graph(n):
@@ -156,6 +166,111 @@ class TestVerifyCertificate:
         cert = fan_certificate(g, [0], list(range(1, 6)), 2)
         violations = verify_certificate(g.delete({5}), cert)
         assert "mapped vertex 5 is not in the graph" in violations
+
+
+MUTATIONS = ["swap", "move", "x-drop", "x-duplicate", "x-add", "bandwidth", "node-range",
+             "slot-range", "unmap", "map-non-vertex", "fan-size", "ordering", "b", "n"]
+
+
+@st.composite
+def mutated_certificates(draw, kinds=MUTATIONS):
+    """A graph, some of its vertices deleted, and a valid certificate of it
+    with up to four mutations drawn from ``kinds``."""
+    n = draw(st.integers(1, 14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    g = Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    g = g.delete(draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+    live = g.vertices()
+    x = draw(st.sets(st.sampled_from(live), max_size=len(live)))
+    ordering = draw(st.permutations([v for v in live if v not in x]))
+    width = bandwidth_of_ordering(g.delete(x), ordering)
+    b = draw(st.integers(max(width, len(x), 1), len(live)))
+    cert = fan_certificate(g, x, ordering, b)
+    mapping = cert.mapping
+    outside = st.sampled_from(sorted(set(range(-2, n + 2)) - set(live)))
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=4)):
+        mapped = sorted(mapping)
+        if kind == "swap" and len(mapped) > 1:
+            u, v = draw(st.lists(st.sampled_from(mapped), min_size=2, max_size=2, unique=True))
+            mapping[u], mapping[v] = mapping[v], mapping[u]
+        elif kind == "move" and mapped:
+            v = draw(st.sampled_from(mapped))
+            node, slot = mapping[v]
+            mapping[v] = (node + draw(st.sampled_from([-2, 2])), slot)
+        elif kind == "x-drop" and cert.x:
+            cert.x = [v for v in cert.x if v != draw(st.sampled_from(cert.x))]
+        elif kind == "x-duplicate" and cert.x:
+            cert.x = cert.x + [draw(st.sampled_from(cert.x))]
+        elif kind == "x-add":
+            cert.x = cert.x + [draw(st.sampled_from(live) | outside)]
+        elif kind == "bandwidth":
+            cert.measured_bandwidth += draw(st.sampled_from([-1, 1, 5]))
+        elif kind == "node-range" and mapped:
+            v = draw(st.sampled_from(mapped))
+            mapping[v] = (draw(st.sampled_from([-1, cert.fan_size, cert.fan_size + 3])),
+                          mapping[v][1])
+        elif kind == "slot-range" and mapped:
+            v = draw(st.sampled_from(mapped))
+            mapping[v] = (mapping[v][0], draw(st.sampled_from([-1, cert.b])))
+        elif kind == "unmap" and mapped:
+            del mapping[draw(st.sampled_from(mapped))]
+        elif kind == "map-non-vertex":
+            mapping[draw(outside)] = (draw(st.integers(0, cert.fan_size)),
+                                      draw(st.integers(0, max(cert.b, 0))))
+        elif kind == "fan-size":
+            cert.fan_size = draw(st.integers(1, cert.fan_size + 3))
+        elif kind == "ordering" and cert.ordering:
+            cert.ordering = draw(st.lists(st.sampled_from(cert.ordering) | outside,
+                                          max_size=len(cert.ordering) + 1))
+        elif kind == "b":
+            cert.b = draw(st.sampled_from([0, 1, cert.measured_bandwidth - 1, len(live) + 1]))
+        elif kind == "n":
+            cert.n += draw(st.sampled_from([-1, 1]))
+    return g, cert
+
+
+class TestVerifyMatchesReference:
+    """The one-sweep check returns the violations of the check as first
+    written (``conftest.reference_verify_certificate``), string for string
+    and in order, and the same block walk."""
+
+    @given(mutated_certificates())
+    @settings(max_examples=400, deadline=None)
+    def test_violations_and_round_trip(self, case):
+        g, cert = case
+        for strict in (True, False):
+            assert (verify_certificate(g, cert, strict_shape=strict)
+                    == reference_verify_certificate(g, cert, strict_shape=strict))
+        if not reference_verify_certificate(g, cert, strict_shape=False):
+            assert _round_trip(g, cert) == reference_round_trip(g, cert)
+
+    @pytest.mark.parametrize("kind, shape", [
+        ("n", "certificate n=# but graph has # vertices"),
+        ("b", "blowup factor # out of range"),
+        ("fan-size", "fan size # differs from ceil(n/b) = #"),
+        ("unmap", "vertex # is not mapped"),
+        ("map-non-vertex", "mapped vertex # is not in the graph"),
+        ("node-range", "vertex # mapped to missing fan node #"),
+        ("slot-range", "vertex # mapped to slot # outside #..#"),
+        ("move", "vertices # and # share node # slot #"),
+        ("x-duplicate", "X lists a vertex id more than once"),
+        ("x-add", "X vertex # is not in the graph"),
+        ("x-drop", "vertex #: center membership disagrees with X"),
+        ("ordering", "ordering is not a permutation of the non-center vertices"),
+        ("bandwidth", "declared bandwidth # but ordering has #"),
+        ("b", "ordering width # exceeds b = #"),
+        ("move", "edge (#,#) spans non-adjacent fan nodes # and #"),
+    ])
+    def test_the_mutations_reach_every_violation(self, kind, shape):
+        def shapes(case):
+            return {re.sub(r"-?\d+", "#", line)
+                    for line in reference_verify_certificate(*case)}
+
+        g, cert = find(mutated_certificates([kind]), lambda case: shape in shapes(case),
+                       settings=settings(max_examples=2000, database=None))
+        for strict in (True, False):
+            assert (verify_certificate(g, cert, strict_shape=strict)
+                    == reference_verify_certificate(g, cert, strict_shape=strict))
 
 
 class TestBlowupToBandwidth:
