@@ -44,6 +44,52 @@ class _Lines:
                 return row, self.pos
         raise InputError(f"line {self.pos + 1}: expected {what}, found end of file")
 
+    def records(self, count: int, width: int, what: str, field: str,
+                check=None) -> list[int]:
+        """The ``width`` integer fields of each of the next ``count`` non-blank
+        rows, in one flat list; ``what`` names a row for the end-of-file
+        message and ``field`` for the others.
+
+        The rows are split at once.  ``check(values, lineno)`` then gets the
+        values of the rows that parsed and raises for the first bad record,
+        ``lineno(k)`` giving the line of record ``k``.  Only when a row fails
+        to parse is that row found, after ``check`` has passed the rows
+        before it, and reported with the message of ``_ints`` (or of
+        ``take`` at the end of the text).
+        """
+        if count == 0:
+            return []
+        start = self.pos
+        rows: list[str] = []
+        while len(rows) < count and self.pos < len(self.rows):
+            chunk = self.rows[self.pos:self.pos + count - len(rows)]
+            self.pos += len(chunk)
+            rows += filter(None, map(str.strip, chunk))
+        values = _split_ints(rows, width) if len(rows) == count else None
+        lines = []
+
+        def lineno(k: int) -> int:
+            if not lines:
+                lines.extend(i + 1 for i in range(start, self.pos) if self.rows[i].strip())
+            return lines[k]
+
+        if values is not None:
+            if check:
+                check(values, lineno)
+            return values
+        values, error = [], None
+        for k, row in enumerate(rows):
+            try:
+                values += _ints(row, lineno(k), width, field)
+            except InputError as exc:
+                error = exc
+                break
+        else:
+            error = InputError(f"line {self.pos + 1}: expected {what}, found end of file")
+        if check:
+            check(values, lineno)
+        raise error
+
     def remaining(self) -> int:
         """Lines after the cursor, blank ones included."""
         return len(self.rows) - self.pos
@@ -62,6 +108,22 @@ def _shown(row: str) -> str:
     return row if len(row) <= 60 else row[:57] + "..."
 
 
+def _split_ints(rows: list, width: int):
+    """The integer fields of ``rows`` in one list, or None unless each row
+    has exactly ``width`` of them."""
+    # rows are joined by ";" tokens, which must fall on every (width + 1)-th
+    # token; a ";" inside a row fails int(), so none is taken for a joint
+    tokens = " ; ".join(rows).split()
+    joints = len(rows) - 1
+    if len(tokens) != len(rows) * width + joints or tokens[width::width + 1].count(";") != joints:
+        return None
+    del tokens[width::width + 1]
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        return None
+
+
 def _ints(row: str, lineno: int, count: int | None, what: str):
     """The integer fields of ``row``; exactly ``count`` of them unless
     ``count`` is None."""
@@ -69,7 +131,7 @@ def _ints(row: str, lineno: int, count: int | None, what: str):
     if count is not None and len(parts) != count:
         raise InputError(f"line {lineno}: expected {count} fields for {what}, got {len(parts)}")
     try:
-        return [int(p) for p in parts]
+        return list(map(int, parts))
     except ValueError:
         raise InputError(f"line {lineno}: non-integer field in {what!r}: {_shown(row)!r}")
 
@@ -97,16 +159,18 @@ def _read_graph(cur: _Lines, what: str) -> Graph:
     if n > MAX_VERTICES:
         raise InputError(f"line {lineno}: {what} vertex count {n} exceeds the "
                          f"supported {MAX_VERTICES}")
-    expected, field = f"{what} edge 'u v'", f"{what} edge"
-    edges = []
-    for _ in range(m):
-        row, lineno = cur.take(expected)
-        u, v = _ints(row, lineno, 2, field)
-        if not (0 <= u < v < n):
-            raise InputError(f"line {lineno}: {field} needs 0 <= u < v < n, got {u} {v}")
-        edges.append((u, v))
+    field = f"{what} edge"
+
+    def check(values, lineno):
+        us, vs = values[0::2], values[1::2]
+        if us and not (min(us) >= 0 and max(vs) < n and all(map(int.__lt__, us, vs))):
+            k = next(k for k, (u, v) in enumerate(zip(us, vs)) if not 0 <= u < v < n)
+            raise InputError(f"line {lineno(k)}: {field} needs 0 <= u < v < n, "
+                             f"got {us[k]} {vs[k]}")
+
+    values = cur.records(m, 2, f"{field} 'u v'", field, check)
     try:
-        return Graph(n, edges)
+        return Graph(n, zip(values[0::2], values[1::2]))
     except InputError as exc:
         raise InputError(f"{what} body: {exc}")
 
@@ -131,11 +195,7 @@ def parse_vertex_set(text: str) -> list[int]:
     cur = _Lines(text)
     row, lineno = cur.take("vertex count")
     (count,) = _counts(row, lineno, "vertex count")
-    out = []
-    for _ in range(count):
-        row, lineno = cur.take("vertex id")
-        (v,) = _ints(row, lineno, 1, "vertex id")
-        out.append(v)
+    out = cur.records(count, 1, "vertex id", "vertex id")
     cur.end("vertex set")
     return out
 
@@ -229,42 +289,50 @@ def parse_product_input(text: str):
     if gn > cur.remaining():
         raise InputError(f"line {lineno}: {gn} placements but only "
                          f"{cur.remaining()} lines follow")
+
+    def check_placements(values, lineno):
+        vids, hs, ps = values[0::3], values[1::3], values[2::3]
+        if not vids or (min(vids) >= 0 and max(vids) < gn and len(set(vids)) == len(vids)
+                        and min(hs) >= 0 and max(hs) < host.n and min(ps) >= 1
+                        and max(ps) <= rows and len(set(zip(hs, ps))) == len(hs)):
+            return
+        placed, used = set(), {}
+        for k, (vid, h, p) in enumerate(zip(vids, hs, ps)):
+            at = f"line {lineno(k)}"
+            if not (0 <= vid < gn):
+                raise InputError(f"{at}: vertex id {vid} outside 0..{gn - 1}")
+            if vid in placed:
+                raise InputError(f"{at}: duplicate placement for vertex {vid}")
+            if not (0 <= h < host.n):
+                raise InputError(f"{at}: host vertex {h} outside 0..{host.n - 1}")
+            if not (1 <= p <= rows):
+                raise InputError(f"{at}: row {p} outside 1..{rows}")
+            if (h, p) in used:
+                raise InputError(f"{at}: vertices {used[(h, p)]} and {vid} share cell ({h},{p})")
+            placed.add(vid)
+            used[(h, p)] = vid
+
+    values = cur.records(gn, 3, "placement 'id host_vertex row'", "placement",
+                         check_placements)
     placements: list = [None] * gn
-    used = {}
-    for _ in range(gn):
-        row, lineno = cur.take("placement 'id host_vertex row'")
-        vid, h, p = _ints(row, lineno, 3, "placement")
-        if not (0 <= vid < gn):
-            raise InputError(f"line {lineno}: vertex id {vid} outside 0..{gn - 1}")
-        if placements[vid] is not None:
-            raise InputError(f"line {lineno}: duplicate placement for vertex {vid}")
-        if not (0 <= h < host.n):
-            raise InputError(f"line {lineno}: host vertex {h} outside 0..{host.n - 1}")
-        if not (1 <= p <= rows):
-            raise InputError(f"line {lineno}: row {p} outside 1..{rows}")
-        if (h, p) in used:
-            raise InputError(
-                f"line {lineno}: vertices {used[(h, p)]} and {vid} share cell ({h},{p})"
-            )
-        used[(h, p)] = vid
+    for vid, h, p in zip(values[0::3], values[1::3], values[2::3]):
         placements[vid] = ProductVertex(h, p)
-    gedges = []
-    for _ in range(gm):
-        row, lineno = cur.take("embedded edge 'u v'")
-        u, v = _ints(row, lineno, 2, "embedded edge")
-        if not (0 <= u < v < gn):
-            raise InputError(f"line {lineno}: embedded edge needs 0 <= u < v < n")
-        pu, pv = placements[u], placements[v]
-        gap = abs(pu.p - pv.p)
-        legal = (pu.h == pv.h and gap == 1) or (host.has_edge(pu.h, pv.h) and gap <= 1)
-        if not legal:
-            raise InputError(
-                f"line {lineno}: edge ({u},{v}) is not a product edge: "
-                f"hosts {pu.h},{pv.h} rows {pu.p},{pv.p}"
-            )
-        gedges.append((u, v))
+
+    def check_edges(values, lineno):
+        for k, (u, v) in enumerate(zip(values[0::2], values[1::2])):
+            if not (0 <= u < v < gn):
+                raise InputError(f"line {lineno(k)}: embedded edge needs 0 <= u < v < n")
+            pu, pv = placements[u], placements[v]
+            gap = abs(pu.p - pv.p)
+            if not ((pu.h == pv.h and gap == 1) or (host.has_edge(pu.h, pv.h) and gap <= 1)):
+                raise InputError(
+                    f"line {lineno(k)}: edge ({u},{v}) is not a product edge: "
+                    f"hosts {pu.h},{pv.h} rows {pu.p},{pv.p}"
+                )
+
+    values = cur.records(gm, 2, "embedded edge 'u v'", "embedded edge", check_edges)
     cur.end("product document")
-    g = Graph(gn, gedges)
+    g = Graph(gn, zip(values[0::2], values[1::2]))
     return host, td, rows, placements, g
 
 
@@ -385,15 +453,24 @@ def parse_certificate(text: str) -> FanCertificate:
     row, lineno = cur.take("mapping header")
     if row != "mapping":
         raise InputError(f"line {lineno}: expected 'mapping', got {row!r}")
-    mapping = {}
-    while True:
-        row, lineno = cur.take("mapping row or 'end'")
-        if row == "end":
-            break
-        v, node, slot = _ints(row, lineno, 3, "mapping row")
-        if v in mapping:
-            raise InputError(f"line {lineno}: duplicate mapping for vertex {v}")
-        mapping[v] = (node, slot)
+    # the mapping rows are the non-blank rows before the first 'end'
+    rest = list(map(str.strip, cur.rows[cur.pos:]))
+    if "end" in rest:
+        rest = rest[:rest.index("end")]
+    count = len(rest) - rest.count("")
+
+    def check(values, lineno):
+        vs = values[0::3]
+        if len(set(vs)) != len(vs):
+            seen = set()
+            for k, v in enumerate(vs):
+                if v in seen:
+                    raise InputError(f"line {lineno(k)}: duplicate mapping for vertex {v}")
+                seen.add(v)
+
+    values = cur.records(count, 3, "mapping row or 'end'", "mapping row", check)
+    mapping = dict(zip(values[0::3], zip(values[1::3], values[2::3])))
+    cur.take("mapping row or 'end'")  # the 'end' row
     cur.end("certificate")
     return FanCertificate(
         n=fields["n"],

@@ -33,21 +33,25 @@ class Graph:
     def __init__(self, n: int, edges):
         if n < 0:
             raise InputError("vertex count must be non-negative")
-        adj: list[list[int]] = [[] for _ in range(n)]
-        seen = set()
+        # the ends in two lists, so that no pair outlives the loop
+        us: list = []
+        vs: list = []
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
-            if u == v:
-                raise InputError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise InputError(f"duplicate edge ({key[0]},{key[1]})")
-            seen.add(key)
-            adj[u].append(v)
-            adj[v].append(u)
+            us.append(u)
+            vs.append(v)
+        adj = None
+        if not us or (min(us) >= 0 and min(vs) >= 0 and max(us) < n and max(vs) < n):
+            adj = [[] for _ in range(n)]
+            for u, v in zip(us, vs):
+                adj[u].append(v)
+                adj[v].append(u)
+        # a self-loop or a repeated edge repeats a neighbor, which a set drops
+        if adj is None or sum(map(len, map(set, adj))) != 2 * len(us):
+            raise InputError(_first_bad_edge(n, zip(us, vs)))
+        for nbrs in adj:
+            nbrs.sort()
         self.n = n
-        self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+        self._adj = tuple(map(tuple, adj))
         self.removed = frozenset()
 
     # -- basic queries ----------------------------------------------------
@@ -119,6 +123,22 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.num_edges}, removed={len(self.removed)})"
+
+
+def _first_bad_edge(n: int, edges) -> str:
+    """The message of the first edge in ``edges`` that has an end outside
+    ``0..n-1``, is a self-loop or repeats an edge before it."""
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return f"edge ({u},{v}) has endpoint outside 0..{n - 1}"
+        if u == v:
+            return f"self-loop at vertex {u}"
+        key = (u, v) if u < v else (v, u)
+        if key in seen:
+            return f"duplicate edge ({key[0]},{key[1]})"
+        seen.add(key)
+    raise AssertionError("no bad edge in an edge list that failed its check")
 
 
 @dataclass(frozen=True)
@@ -293,18 +313,39 @@ def bfs_layering(g: Graph, root: int) -> Layering:
     return Layering({v: layer[v] for v in order})
 
 
+def positions(n: int, ordering) -> list:
+    """Id-indexed index of each vertex in ``ordering``; None for the ids
+    ``0..n-1`` it leaves out."""
+    pos = [None] * n
+    for t, v in enumerate(ordering):
+        pos[v] = t
+    return pos
+
+
+def edge_spans(g: Graph, *keys) -> list:
+    """For each id-indexed list ``key``, the largest ``|key[u] - key[w]|``
+    over the edges ``uw`` of ``g`` whose ends both have a key (are not
+    None); 0 when no edge has.  The span of ``positions(g.n, ordering)`` is
+    the width of ``ordering`` on the subgraph its vertices induce."""
+    spans = []
+    for key in keys:
+        best = 0
+        # every edge is met from both ends, so the positive difference covers it
+        for ku, nbrs in zip(key, g._adj):
+            if ku is not None:
+                for w in nbrs:
+                    kw = key[w]
+                    if kw is not None and kw - ku > best:
+                        best = kw - ku
+        spans.append(best)
+    return spans
+
+
 def bandwidth_of_ordering(g: Graph, ordering) -> int:
     """Maximum index gap across an edge of ``g`` under ``ordering``."""
-    live = g.vertices()
-    if sorted(ordering) != live:
+    if sorted(ordering) != g.vertices():
         raise InputError("ordering is not a permutation of the live vertex set")
-    pos = {v: i for i, v in enumerate(ordering)}
-    width = 0
-    for u, v in g.edges():
-        gap = abs(pos[u] - pos[v])
-        if gap > width:
-            width = gap
-    return width
+    return edge_spans(g, positions(g.n, ordering))[0]
 
 
 def graph_local_density(g: Graph) -> Fraction:

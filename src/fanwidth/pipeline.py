@@ -19,6 +19,8 @@ from .graphs import (
     ProductVertex,
     bandwidth_of_ordering,
     bfs_layering,
+    edge_spans,
+    positions,
 )
 from .sparsify import StructuredSparsifier, baker_sparsify, product_sparsify
 from .treedec import TreeDecomposition, minfill_decomposition, ttree_complete
@@ -110,6 +112,12 @@ def verify_certificate(g: Graph, cert: FanCertificate,
     that ``fan_certificate`` produces; without it any fan size is accepted
     (used for round-tripping foreign embeddings, where path blocks may be
     empty).
+
+    One pass over the mapping, in vertex order, checks each vertex's node
+    and slot and collects the center; one sweep over the edges
+    (``edge_spans``) measures the ordering's width on G - X and the fan-node
+    span of each edge.  A permutation is checked with sets, and X is never
+    deleted from ``g``.
     """
     violations = []
     live = g.vertices()
@@ -124,58 +132,71 @@ def verify_certificate(g: Graph, cert: FanCertificate,
             f"fan size {cert.fan_size} differs from ceil(n/b) = {-(-cert.n // cert.b)}"
         )
 
-    mapped = set(cert.mapping)
+    mapping = cert.mapping
     live_set = set(live)
-    for v in live:
-        if v not in mapped:
-            violations.append(f"vertex {v} is not mapped")
-    for v in mapped:
-        if v not in live_set:
-            violations.append(f"mapped vertex {v} is not in the graph")
+    if mapping.keys() == live_set:
+        order = live
+    else:
+        for v in live:
+            if v not in mapping:
+                violations.append(f"vertex {v} is not mapped")
+        for v in set(mapping):
+            if v not in live_set:
+                violations.append(f"mapped vertex {v} is not in the graph")
+        order = sorted(mapping)
 
-    seen_slots = {}
-    for v, (node, slot) in sorted(cert.mapping.items()):
-        if not (0 <= node < cert.fan_size):
+    b, fan_size = cert.b, cert.fan_size
+    centered = set()
+    node_of = [None] * g.n  # the fan node of each mapped live vertex off the center
+    cells: dict = {}  # node * b + slot -> the last vertex put there
+    for v in order:
+        node, slot = mapping[v]
+        if node == CENTER:
+            centered.add(v)
+        elif v in live_set:
+            node_of[v] = node
+        if not (0 <= node < fan_size):
             violations.append(f"vertex {v} mapped to missing fan node {node}")
             continue
-        if not (0 <= slot < cert.b):
-            violations.append(f"vertex {v} mapped to slot {slot} outside 0..{cert.b - 1}")
+        if not (0 <= slot < b):
+            violations.append(f"vertex {v} mapped to slot {slot} outside 0..{b - 1}")
             continue
-        if (node, slot) in seen_slots:
-            violations.append(
-                f"vertices {seen_slots[(node, slot)]} and {v} share node {node} slot {slot}"
-            )
-        seen_slots[(node, slot)] = v
+        cell = node * b + slot
+        if cell in cells:
+            violations.append(f"vertices {cells[cell]} and {v} share node {node} slot {slot}")
+        cells[cell] = v
 
     x_set = set(cert.x)
     if len(x_set) != len(cert.x):
         violations.append("X lists a vertex id more than once")
     for v in sorted(x_set - live_set):
         violations.append(f"X vertex {v} is not in the graph")
-    centered = {v for v, (node, _) in cert.mapping.items() if node == CENTER}
     for v in sorted(x_set ^ centered):
         violations.append(f"vertex {v}: center membership disagrees with X")
 
+    keys = [node_of]
     if strict_shape:
-        if sorted(cert.ordering) != sorted(live_set - x_set):
-            violations.append("ordering is not a permutation of the non-center vertices")
+        rest = live_set - x_set
+        if len(cert.ordering) == len(rest) and set(cert.ordering) == rest:
+            keys.append(positions(g.n, cert.ordering))
         else:
-            width = bandwidth_of_ordering(g.delete(x_set), cert.ordering)
-            if width != cert.measured_bandwidth:
-                violations.append(
-                    f"declared bandwidth {cert.measured_bandwidth} but ordering has {width}"
-                )
-            elif width > cert.b:
-                violations.append(f"ordering width {width} exceeds b = {cert.b}")
-
-    for u, v in g.edges():
-        if u not in cert.mapping or v not in cert.mapping:
-            continue
-        nu, nv = cert.mapping[u][0], cert.mapping[v][0]
-        if nu != CENTER and nv != CENTER and abs(nu - nv) > 1:
+            violations.append("ordering is not a permutation of the non-center vertices")
+    span, *width = edge_spans(g, *keys)
+    if width:
+        if width[0] != cert.measured_bandwidth:
             violations.append(
-                f"edge ({u},{v}) spans non-adjacent fan nodes {nu} and {nv}"
+                f"declared bandwidth {cert.measured_bandwidth} but ordering has {width[0]}"
             )
+        elif width[0] > cert.b:
+            violations.append(f"ordering width {width[0]} exceeds b = {cert.b}")
+
+    if span > 1:
+        for u, v in g.edges():
+            nu, nv = node_of[u], node_of[v]
+            if nu is not None and nv is not None and abs(nu - nv) > 1:
+                violations.append(
+                    f"edge ({u},{v}) spans non-adjacent fan nodes {nu} and {nv}"
+                )
     return violations
 
 
@@ -190,17 +211,16 @@ def blowup_to_bandwidth(g: Graph, cert: FanCertificate):
 
 def _round_trip(g: Graph, cert: FanCertificate):
     """``blowup_to_bandwidth`` of a certificate that passes
-    ``verify_certificate(g, cert, strict_shape=False)``, without the check."""
-    x = {v for v, (node, _) in cert.mapping.items() if node == CENTER}
-    blocks: dict = {}
-    for v, (node, slot) in cert.mapping.items():
-        if node != CENTER:
-            blocks.setdefault(node, []).append((slot, v))
-    ordering = []
-    for node in sorted(blocks):
-        for _, v in sorted(blocks[node]):
-            ordering.append(v)
-    bw = bandwidth_of_ordering(g.delete(x), ordering)
+    ``verify_certificate(g, cert, strict_shape=False)``, without the check.
+
+    Such a mapping puts each vertex in its own (node, slot) cell, and the
+    center is node 0, so the vertices in cell order are X and then the
+    block walk."""
+    mapping = cert.mapping
+    walk = sorted(mapping, key=mapping.__getitem__)
+    x = {v for v in walk if mapping[v][0] == CENTER}
+    ordering = walk[len(x):]
+    bw = edge_spans(g, positions(g.n, ordering))[0]
     if bw > 2 * cert.b - 1:
         raise AssertionError(f"round-trip width {bw} exceeds 2b-1 = {2 * cert.b - 1}")
     return x, ordering, bw

@@ -36,18 +36,29 @@ def _ceil_div(numer, denom) -> int:
     return math.ceil(Fraction(numer) / Fraction(denom))
 
 
-def _windows(units, i: int, count: int, D):
-    """Each scale-``i`` window ``j < count`` of ``(unit, key)`` pairs, as
-    ``(keys, c, threshold)``: the key of every pair whose unit lies in blocks
-    j-1..j+1 of 2^i units, ``threshold = D * 2^(i-1)``, and the parts
-    ``c = max(1, ceil(len(keys) / threshold))`` that keep each within it."""
-    blocks: dict = {}
-    for unit, key in units:
-        blocks.setdefault(unit >> i, []).append(key)
-    threshold = Fraction(D) * Fraction(1 << i, 2)
-    for j in range(count):
-        keys = [*blocks.get(j - 1, ()), *blocks.get(j, ()), *blocks.get(j + 1, ())]
-        yield keys, max(1, _ceil_div(len(keys), threshold)), threshold
+def _windows(units, counts, D):
+    """The windows of the ``(unit, key)`` pairs ``units``, sorted by unit,
+    at each scale ``i < len(counts)``: for each ``j < counts[i]``,
+    ``(i, j, keys, c, threshold)`` with the key of every pair whose unit
+    lies in blocks j-1..j+1 of 2^i units, ``threshold = D * 2^(i-1)``, and
+    the parts ``c = max(1, ceil(len(keys) / threshold))`` that keep each
+    within it.  A window is a contiguous run of ``units``, so its keys are a
+    slice, in the order of ``units``."""
+    keys = [key for _, key in units]
+    first: list[int] = []  # first[u]: the index of the first pair with unit >= u
+    for t, (unit, _) in enumerate(units):
+        while len(first) <= unit:
+            first.append(t)
+    first.append(len(units))
+
+    def bound(u: int) -> int:
+        return first[min(max(u, 0), len(first) - 1)]
+
+    for i, count in enumerate(counts):
+        threshold = Fraction(D) * Fraction(1 << i, 2)
+        for j in range(count):
+            run = keys[bound((j - 1) << i):bound((j + 2) << i)]
+            yield i, j, run, max(1, _ceil_div(len(run), threshold)), threshold
 
 
 @dataclass
@@ -98,14 +109,16 @@ def baker_sparsify(g: Graph, D, layering: Layering) -> BakerResult:
     top = max(0, (r_max - 1).bit_length())
     units = sorted((layer[v], v) for v in g.vertices())
 
-    windows: dict = {}  # slab -> [(span, c), ...] of the windows that cut it
-    for i in range(top + 1):
-        for slab, c, _ in _windows(units, i, (units[-1][0] >> i) + 1, D):
-            if c > 1:
-                windows.setdefault(frozenset(slab), []).append((1 << i, c))
+    counts = [(units[-1][0] >> i) + 1 for i in range(top + 1)]
+    # a slab is a run of distinct vertices, so its first vertex and its size
+    # name it: -> (slab, [(span, c), ...] of the windows that cut it)
+    windows: dict = {}
+    for i, _, slab, c, _ in _windows(units, counts, D):
+        if c > 1:
+            windows.setdefault((slab[0], len(slab)), (slab, []))[1].append((1 << i, c))
 
     # largest first, so that the last slab a worker takes is a small one
-    tasks = sorted(windows.items(), key=lambda task: -len(task[0]))
+    tasks = sorted(windows.values(), key=lambda task: -len(task[0]))
     work = sum(len(slab) for slab, _ in tasks)
     workers = 1  # where the platform cannot fork or name its CPUs, too
     if (work >= PARALLEL_MIN_WORK and hasattr(os, "fork")
@@ -127,11 +140,11 @@ def baker_sparsify(g: Graph, D, layering: Layering) -> BakerResult:
 
 
 def _cut_slab(g: Graph, task) -> tuple:
-    """Decompose one slab of ``g`` and cut it with unit weights once per
-    window ``(span, c)``; returns the decomposition's width and the union of
-    the separator bags."""
+    """Decompose one slab of ``g`` (a list of its vertices) and cut it with
+    unit weights once per window ``(span, c)``; returns the decomposition's
+    width and the union of the separator bags."""
     slab, cuts = task
-    sub = g.delete(set(range(g.n)) - slab)
+    sub = g.delete(set(range(g.n)).difference(slab))
     td = minfill_decomposition(sub)
     unit = dict.fromkeys(slab, 1)
     part: set = set()
@@ -295,22 +308,23 @@ def product_sparsify(
             raise InputError(f"placement host vertex {pv.h} invalid")
 
     cells = sp.cells
-    units = [(pv.p - 1, pv.h) for pv in placements]
-    for i in range(sp.num_scales):
-        for j, (keys, c, threshold) in enumerate(_windows(units, i, N >> i, D)):
-            if c == 1:
-                cells[(i, j)] = frozenset()
-                continue
-            xi = Counter(keys)
-            y = cells[(i, j)] = frozenset(
-                separator_bag_union(td, weighted_separator(host, td, xi, c)))
-            # recheck the separator guarantee on this strip
-            for comp in host.delete(y).components():
-                cw = sum(xi.get(v, 0) for v in comp)
-                if cw > threshold:
-                    raise AssertionError(
-                        f"strip ({i},{j}): component weight {cw} exceeds {threshold}"
-                    )
+    # sorted by row; a strip's weights are a Counter, which ignores the order
+    units = sorted((pv.p - 1, pv.h) for pv in placements)
+    counts = [N >> i for i in range(sp.num_scales)]
+    for i, j, keys, c, threshold in _windows(units, counts, D):
+        if c == 1:
+            cells[(i, j)] = frozenset()
+            continue
+        xi = Counter(keys)
+        y = cells[(i, j)] = frozenset(
+            separator_bag_union(td, weighted_separator(host, td, xi, c)))
+        # recheck the separator guarantee on this strip
+        for comp in host.delete(y).components():
+            cw = sum(xi.get(v, 0) for v in comp)
+            if cw > threshold:
+                raise AssertionError(
+                    f"strip ({i},{j}): component weight {cw} exceeds {threshold}"
+                )
 
     sp.size_bound = Fraction(18) * (td.width + 1) * n * sp.num_scales / Fraction(D)
     size = sp.x_size()

@@ -269,6 +269,8 @@ RECORD_MESSAGES = {
                                        "line 2: graph edge needs 0 <= u < v < n, got 2 1"),
     "graph-edge-fields-before-range": (parse_graph, "3 2\n0 1 2\n2 1\n",
                                        "line 2: expected 2 fields for graph edge, got 3"),
+    "graph-edge-semicolon": (parse_graph, "3 2\n0 ;\n1 2\n",
+                             "line 2: non-integer field in 'graph edge': '0 ;'"),
     "graph-edge-long-row": (parse_graph, "3 1\n0 " + "9" * 70 + "z\n",
                             "line 2: non-integer field in 'graph edge': '0 "
                             + "9" * 55 + "...'"),

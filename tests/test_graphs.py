@@ -24,7 +24,12 @@ from fanwidth import (
 from fanwidth.graphs import bfs, component_labels
 from fanwidth.treedec import TreeDecomposition
 
-from conftest import random_connected_graph, random_graph, reference_edge_error
+from conftest import (
+    random_connected_graph,
+    random_graph,
+    reference_bandwidth,
+    reference_edge_error,
+)
 
 INF = math.inf
 
@@ -289,6 +294,15 @@ class TestBandwidth:
 
     def test_edgeless(self):
         assert bandwidth_of_ordering(Graph(3, []), [2, 0, 1]) == 0
+
+    @given(many_component_graphs(), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_edge_loop(self, case, rng):
+        # the one edge sweep gives the width of the position-dict loop
+        g, _ = case
+        ordering = g.vertices()
+        rng.shuffle(ordering)
+        assert bandwidth_of_ordering(g, ordering) == reference_bandwidth(g, ordering)
 
 
 class TestLocalDensity:

@@ -3,7 +3,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import find, given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from fanwidth import (
@@ -266,8 +266,10 @@ class TestVerifyMatchesReference:
             return {re.sub(r"-?\d+", "#", line)
                     for line in reference_verify_certificate(*case)}
 
+        quick = settings(max_examples=2000, database=None, derandomize=True,
+                         phases=[Phase.generate])
         g, cert = find(mutated_certificates([kind]), lambda case: shape in shapes(case),
-                       settings=settings(max_examples=2000, database=None))
+                       settings=quick)
         for strict in (True, False):
             assert (verify_certificate(g, cert, strict_shape=strict)
                     == reference_verify_certificate(g, cert, strict_shape=strict))

@@ -483,10 +483,39 @@ class TestStripWeights:
         placements = [ProductVertex(h, p)
                       for h, p in data.draw(st.sets(cells, max_size=width * N))]
         host = path_graph(width)
-        units = [(pv.p - 1, pv.h) for pv in placements]
+        units = sorted((pv.p - 1, pv.h) for pv in placements)
+        counts = [N >> i for i in range(N.bit_length())]
+        weights: dict = {}
+        for i, _, keys, _, _ in _windows(units, counts, 2):
+            weights.setdefault(i, []).append(dict(Counter(keys)))
         for i in range(N.bit_length()):
-            weights = [dict(Counter(keys)) for keys, _, _ in _windows(units, i, N >> i, 2)]
-            assert weights == _reference_strip_weights(host, placements, i, N)
+            assert weights[i] == _reference_strip_weights(host, placements, i, N)
+
+
+def _reference_windows(units, i: int, count: int, D):
+    """The scale-``i`` windows as first listed: every unit bucketed by its
+    block again at each scale, and each window the keys of three buckets."""
+    blocks: dict = {}
+    for unit, key in units:
+        blocks.setdefault(unit >> i, []).append(key)
+    threshold = Fraction(D) * Fraction(1 << i, 2)
+    for j in range(count):
+        keys = [*blocks.get(j - 1, ()), *blocks.get(j, ()), *blocks.get(j + 1, ())]
+        yield keys, max(1, math.ceil(Fraction(len(keys)) / threshold)), threshold
+
+
+class TestWindowsAreRuns:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 99)), max_size=60),
+           st.integers(0, 7), st.sampled_from([1, 2, 3, Fraction(5, 2), 8]))
+    def test_matches_the_rebucketing_reference(self, pairs, extra, D):
+        units = sorted(pairs)
+        top = units[-1][0] if units else 0
+        counts = [(top >> i) + 1 + extra for i in range(top.bit_length() + 2)]
+        got = [(keys, c, threshold) for _, _, keys, c, threshold in _windows(units, counts, D)]
+        want = [w for i, count in enumerate(counts)
+                for w in _reference_windows(units, i, count, D)]
+        assert got == want
 
 
 def _reference_in_x(sp, pv) -> bool:
