@@ -19,11 +19,13 @@ from .errors import InputError, VerificationFailure
 from .graphs import bfs_layering
 from .oracles import DENSITY_LIMIT, exact_bandwidth, exhaustive_local_density
 from .pipeline import (
+    DEFAULT_A,
+    DEFAULT_RESTARTS,
     _round_trip,
+    check_ordering_params,
     default_blowup_factor,
     fan_certificate,
     gk_reduce,
-    kplanar_reduce,
     planar_pipeline,
     product_pipeline,
     sparsify_product,
@@ -56,16 +58,11 @@ def _read(path: str) -> str:
 
 def _embedding_args(args):
     """Parse ``--D`` in place and check the embedding flags that ``args``
-    carries (``embed`` has no ``--restarts``, the reductions no ``--k``)."""
+    carries (``embed`` has no ``--restarts``, the reductions no ``--k``)
+    with the library's own check, before any input is read."""
     args.D = _parse_density(args.D)
-    if getattr(args, "restarts", 1) < 1:
-        raise InputError("--restarts must be at least 1")
-    if getattr(args, "k", None) is not None and args.k < 2:
-        raise InputError("embedding needs k >= 2")
-    if not (math.isfinite(args.a) and args.a > 0):
-        raise InputError(f"--a {args.a!r} is not a finite positive number")
-    if args.dims_cap is not None and args.dims_cap < 1:
-        raise InputError("--dims-cap must be at least 1")
+    check_ordering_params(getattr(args, "k", None), args.a,
+                          getattr(args, "restarts", DEFAULT_RESTARTS), args.dims_cap)
 
 
 def _params(args) -> dict:
@@ -216,15 +213,9 @@ def cmd_verify(args) -> int:
     return 0
 
 
-def cmd_reduce_kplanar(args) -> int:
-    _embedding_args(args)
-    dg = formats.parse_drawing(_read(args.drawing))
-    result = kplanar_reduce(dg, args.kk, args.D, args.seed, a=args.a,
-                            restarts=args.restarts, dims_cap=args.dims_cap)
-    return _certify_and_write(args, dg.graph, result)
-
-
-def cmd_reduce_gk(args) -> int:
+def cmd_reduce(args) -> int:
+    """``reduce-gk``, and ``reduce-kplanar`` as its genus 0, where
+    ``gk_reduce`` is ``kplanar_reduce``."""
     _embedding_args(args)
     dg = formats.parse_drawing(_read(args.drawing))
     planarizing = None
@@ -365,14 +356,14 @@ def _add_embedding_flags(sub, k=True):
     sub.add_argument("--D", type=str, required=True)
     if k:
         sub.add_argument("--k", type=int, default=None)
-    sub.add_argument("--a", type=float, default=193.0)
+    sub.add_argument("--a", type=float, default=DEFAULT_A)
     sub.add_argument("--dims-cap", dest="dims_cap", type=int, default=None)
 
 
 def _add_common(sub, k=True):
     """The embedding flags and ``--restarts`` of the ordering."""
     _add_embedding_flags(sub, k)
-    sub.add_argument("--restarts", type=int, default=5)
+    sub.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     rk.add_argument("--b", type=int, default=None)
     rk.add_argument("--out", required=True)
     _add_common(rk, k=False)
-    rk.set_defaults(func=cmd_reduce_kplanar)
+    rk.set_defaults(func=cmd_reduce, genus=0, planarizing=None)
 
     rg = subs.add_parser("reduce-gk", help="reduce a genus-g drawing")
     rg.add_argument("--drawing", required=True)
@@ -439,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--b", type=int, default=None)
     rg.add_argument("--out", required=True)
     _add_common(rg, k=False)
-    rg.set_defaults(func=cmd_reduce_gk)
+    rg.set_defaults(func=cmd_reduce)
 
     orc = subs.add_parser("oracle", help="run brute-force oracles")
     orc.add_argument("--what", required=True, choices=tuple(_ORACLE_FLAGS))

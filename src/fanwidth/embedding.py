@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import Graph, Layering, ProductVertex, bfs, bfs_layering, component_labels
+from .pipeline import check_ordering_params
 from .randomness import PCG64Batch, numbered_states, stream
 from .sparsify import StructuredSparsifier
 
@@ -160,12 +161,14 @@ class _Columns:
     per-component stretches.  ``k`` defaults to ``max(2, ceil(log2 n))``.
     ``dims_cap`` subsamples the columns uniformly for exploratory runs;
     certified use keeps the full dimension
-    ``floor(1 + log2 n) * ceil(a k ln n)``.  The checks run on construction;
-    ``scales`` draws the columns.
+    ``floor(1 + log2 n) * ceil(a k ln n)``.  The checks run on construction,
+    the parameters first (``pipeline.check_ordering_params``); ``scales``
+    draws the columns.
     """
 
     def __init__(self, point_ids, placements, sp: StructuredSparsifier,
                  k: int | None, a, seed: int, dims_cap: int | None):
+        check_ordering_params(k=k, a=a, dims_cap=dims_cap)
         self.ids = list(point_ids)
         self.pvs = list(placements)
         if len(self.ids) != len(self.pvs) or not self.ids:
@@ -173,10 +176,6 @@ class _Columns:
         n = len(self.ids)
         if k is None:
             k = max(2, math.ceil(math.log2(n)))
-        if k < 2:
-            raise InputError("embedding needs k >= 2")
-        if a <= 0:
-            raise InputError("embedding needs a > 0")
         self.k, self.sp, self.seed = k, sp, seed
         self.num_scales, self.reps = _embedding_shape(n, k, a)
         self.L_full = self.num_scales * self.reps

@@ -27,6 +27,28 @@ from .treedec import TreeDecomposition, minfill_decomposition, ttree_complete
 
 CENTER = 0  # fan node id of the center; path nodes are 1..fan_size-1
 
+# The defaults of the ordering parameters: Feige's constant a and the number
+# of projection restarts.  The pipelines and the CLI take them from here.
+DEFAULT_A = 193.0
+DEFAULT_RESTARTS = 5
+
+
+def check_ordering_params(k=None, a=DEFAULT_A, restarts=DEFAULT_RESTARTS,
+                          dims_cap=None):
+    """Raise InputError unless the parameters of the projection ordering are
+    usable: ``restarts >= 1``, ``k`` None (the default) or ``>= 2``, ``a``
+    finite and positive, ``dims_cap`` None (certified) or ``>= 1``, checked
+    in that order.  Every entry point calls this before any work, so a bad
+    value is rejected whatever the input; ``embedding`` imports it."""
+    if restarts < 1:
+        raise InputError("--restarts must be at least 1")
+    if k is not None and k < 2:
+        raise InputError("embedding needs k >= 2")
+    if not (math.isfinite(a) and a > 0):
+        raise InputError(f"--a {a!r} is not a finite positive number")
+    if dims_cap is not None and dims_cap < 1:
+        raise InputError("--dims-cap must be at least 1")
+
 
 @dataclass
 class FanCertificate:
@@ -50,12 +72,21 @@ class PipelineResult:
     info: dict = field(default_factory=dict)
 
 
+def _fan_size(n: int, b: int) -> int:
+    """The fan size a certificate of n vertices at blowup b must have:
+    ceil(n/b) nodes, and at least the center and one path node."""
+    return max(2, -(-n // b))
+
+
 def fan_certificate(g: Graph, x, ordering, b: int, seed: int = 0,
                     params: dict | None = None) -> FanCertificate:
-    """Certificate mapping g into the b-blowup of a fan on ceil(n/b) nodes.
+    """Certificate mapping g into the b-blowup of a fan on max(2, ceil(n/b))
+    nodes.
 
     X is padded to exactly b vertices from the tail of the ordering, which
-    cannot increase the ordering's width.
+    cannot increase the ordering's width.  One sweep over the edges
+    (``edge_spans``) measures the ordering before and after the padding; the
+    vertices of X have no position, so their edges drop out.
     """
     n = g.num_vertices
     if n == 0:
@@ -65,22 +96,26 @@ def fan_certificate(g: Graph, x, ordering, b: int, seed: int = 0,
     x = sorted(x)
     if len(set(x)) != len(x):
         raise ConstraintError("X lists a vertex id more than once")
-    missing = sorted(set(x) - set(g.vertices()))
+    live = set(g.vertices())
+    missing = sorted(set(x) - live)
     if missing:
         raise ConstraintError(f"X vertex {missing[0]} is not in the graph")
     if len(x) > b:
         raise ConstraintError(f"|X| = {len(x)} exceeds b = {b}")
     ordering = list(ordering)
-    bw = bandwidth_of_ordering(g.delete(x), ordering)
-    if bw > b:
-        raise ConstraintError(f"ordering width {bw} exceeds b = {b}")
+    if sorted(ordering) != sorted(live.difference(x)):
+        raise InputError("ordering is not a permutation of the live vertex set")
+    before = positions(g.n, ordering)
 
     pad = b - len(x)
     if pad:
         x = x + ordering[len(ordering) - pad:]
         ordering = ordering[: len(ordering) - pad]
+    bw, measured = edge_spans(g, before, positions(g.n, ordering))
+    if bw > b:
+        raise ConstraintError(f"ordering width {bw} exceeds b = {b}")
 
-    fan_size = max(2, -(-n // b))
+    fan_size = _fan_size(n, b)
     p = fan_size - 1
     mapping = {}
     for slot, v in enumerate(x):
@@ -90,7 +125,6 @@ def fan_certificate(g: Graph, x, ordering, b: int, seed: int = 0,
         if node > p:
             raise AssertionError("chunking overflowed the fan path")
         mapping[v] = (node, t % b)
-    measured = bandwidth_of_ordering(g.delete(x), ordering)
     return FanCertificate(
         n=n,
         b=b,
@@ -108,10 +142,10 @@ def verify_certificate(g: Graph, cert: FanCertificate,
                        strict_shape: bool = True) -> list[str]:
     """Check the containment claim edge by edge; violations are data.
 
-    With ``strict_shape`` the fan must have the canonical ceil(n/b) nodes
-    that ``fan_certificate`` produces; without it any fan size is accepted
-    (used for round-tripping foreign embeddings, where path blocks may be
-    empty).
+    With ``strict_shape`` the fan must have the canonical max(2, ceil(n/b))
+    nodes that ``fan_certificate`` produces; without it any fan size is
+    accepted (used for round-tripping foreign embeddings, where path blocks
+    may be empty).
 
     One pass over the mapping, in vertex order, checks each vertex's node
     and slot and collects the center; one sweep over the edges
@@ -127,9 +161,10 @@ def verify_certificate(g: Graph, cert: FanCertificate,
     if not (1 <= cert.b <= max(n, 1)):
         violations.append(f"blowup factor {cert.b} out of range")
         return violations
-    if strict_shape and cert.fan_size != max(2, -(-cert.n // cert.b)):
+    required = _fan_size(cert.n, cert.b)
+    if strict_shape and cert.fan_size != required:
         violations.append(
-            f"fan size {cert.fan_size} differs from ceil(n/b) = {-(-cert.n // cert.b)}"
+            f"fan size {cert.fan_size} differs from max(2, ceil(n/b)) = {required}"
         )
 
     mapping = cert.mapping
@@ -257,8 +292,9 @@ def _compressed_rows(vertices, row_of) -> dict:
     return {v: rank[row_of[v]] for v in vertices}
 
 
-def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=193,
-                    restarts: int = 5, dims_cap: int | None = None) -> PipelineResult:
+def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=DEFAULT_A,
+                    restarts: int = DEFAULT_RESTARTS,
+                    dims_cap: int | None = None) -> PipelineResult:
     """Sparsify with the layered Baker cut, then order the survivors by
     random projections of the product-style embedding.
 
@@ -266,6 +302,7 @@ def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=193,
     (path of compressed BFS layers), with an empty structured sparsifier, so
     one embedding engine serves both this and the product pipeline.
     """
+    check_ordering_params(k, a, restarts, dims_cap)
     if g.num_vertices == 0:
         return PipelineResult(set(), [], 0, 0.0)
 
@@ -320,11 +357,12 @@ def sparsify_product(host: Graph, td: TreeDecomposition | None, g: Graph,
 
 
 def product_pipeline(host: Graph, td: TreeDecomposition | None, g: Graph,
-                     placements, D, k: int | None = None, a=193,
-                     seed: int = 0, restarts: int = 5,
+                     placements, D, k: int | None = None, a=DEFAULT_A,
+                     seed: int = 0, restarts: int = DEFAULT_RESTARTS,
                      dims_cap: int | None = None) -> PipelineResult:
     """Full product run: complete the host, cut the strips, embed the
     survivors, and keep the best of R projections."""
+    check_ordering_params(k, a, restarts, dims_cap)
     if g.num_vertices == 0:
         return PipelineResult(set(), [], 0, 0.0)
     td, sp, placed, removed = sparsify_product(host, td, g, placements, D)
@@ -481,8 +519,9 @@ def _reduce_drawing(dg: DrawnGraph, k: int, planarizing: set, D, seed: int,
     return PipelineResult(x, ordering, bw, inner.bandwidth_median, info)
 
 
-def kplanar_reduce(dg: DrawnGraph, k: int, D, seed: int, a=193,
-                   restarts: int = 5, dims_cap: int | None = None) -> PipelineResult:
+def kplanar_reduce(dg: DrawnGraph, k: int, D, seed: int, a=DEFAULT_A,
+                   restarts: int = DEFAULT_RESTARTS,
+                   dims_cap: int | None = None) -> PipelineResult:
     """Planarize a k-planar drawing, sparsify and order the planarization,
     then lift the deleted set back (each dummy costs its four endpoints).
 
@@ -490,6 +529,7 @@ def kplanar_reduce(dg: DrawnGraph, k: int, D, seed: int, a=193,
     ``8 sqrt(k) n`` (classic crossing-lemma constant 1/64), or at k = 0 the
     planar bound ``3n - 6`` (n >= 3).
     """
+    check_ordering_params(a=a, restarts=restarts, dims_cap=dims_cap)
     if k < 0:
         raise InputError("k must be non-negative")
     dg.validate(k=k)
@@ -510,7 +550,7 @@ def kplanar_reduce(dg: DrawnGraph, k: int, D, seed: int, a=193,
 
 
 def gk_reduce(dg: DrawnGraph, genus: int, k: int, D, seed: int,
-              planarizing_set=None, a=193, restarts: int = 5,
+              planarizing_set=None, a=DEFAULT_A, restarts: int = DEFAULT_RESTARTS,
               dims_cap: int | None = None) -> PipelineResult:
     """Reduction for drawings on a genus-g surface with at most k crossings
     per edge: planarize crossings, remove an externally supplied planarizing
@@ -522,6 +562,7 @@ def gk_reduce(dg: DrawnGraph, genus: int, k: int, D, seed: int,
     m^3 / (64 n^2) and m^2 / (64 g)) either force the same short-circuit or
     expose an inconsistent input.
     """
+    check_ordering_params(a=a, restarts=restarts, dims_cap=dims_cap)
     g = dg.graph
     n = g.num_vertices
     m = g.num_edges

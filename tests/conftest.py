@@ -272,7 +272,8 @@ def reference_verify_certificate(g: Graph, cert, strict_shape: bool = True) -> l
         return violations
     if strict_shape and cert.fan_size != max(2, -(-cert.n // cert.b)):
         violations.append(
-            f"fan size {cert.fan_size} differs from ceil(n/b) = {-(-cert.n // cert.b)}"
+            f"fan size {cert.fan_size} differs from max(2, ceil(n/b)) = "
+            f"{max(2, -(-cert.n // cert.b))}"
         )
 
     mapped = set(cert.mapping)

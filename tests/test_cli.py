@@ -294,6 +294,31 @@ class TestCertifyAndVerify:
         assert "param dims_cap 16" in params
 
 
+# command -> the flags before its missing input file
+MISSING_INPUT_SOURCES = {
+    "embed": ["--product"], "order": ["--graph"], "certify": ["--product"],
+    "reduce-kplanar": ["--kk", "1", "--drawing"],
+    "reduce-gk": ["--genus", "1", "--kk", "1", "--drawing"],
+}
+BAD_ORDERING_FLAGS = [
+    (["--restarts", "0"], "--restarts must be at least 1"),
+    (["--k", "1"], "embedding needs k >= 2"),
+    (["--a", "nan"], "--a nan is not a finite positive number"),
+    (["--dims-cap", "0"], "--dims-cap must be at least 1"),
+]
+
+
+def bad_flag_cases():
+    for command, source in MISSING_INPUT_SOURCES.items():
+        for flag, message in BAD_ORDERING_FLAGS:
+            # embed makes no ordering, and the reductions take no --k
+            if command == "embed" and flag[0] == "--restarts":
+                continue
+            if command.startswith("reduce") and flag[0] == "--k":
+                continue
+            yield pytest.param(command, source, flag, message, id=f"{command}{flag[0]}")
+
+
 class TestExitCodes:
     @pytest.mark.parametrize("error", [AssertionError, RuntimeError])
     def test_broken_invariant_exits_3(self, work, monkeypatch, capsys, error):
@@ -396,6 +421,32 @@ class TestExitCodes:
         assert run("order", "--graph", work / "g.txt", "--D", "8", "--restarts", "0",
                    "--out", work / "ord.txt") == 2
         assert capsys.readouterr().err == "error: --restarts must be at least 1\n"
+
+    @pytest.mark.parametrize("command, source, flag, message", bad_flag_cases())
+    def test_bad_flag_is_reported_before_a_missing_input(self, work, capsys, command,
+                                                         source, flag, message):
+        out = work / "out.txt"
+        assert run(command, *source, work / "missing.txt", "--D", "8", *flag,
+                   "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", [fanwidth.planar_pipeline, fanwidth.product_pipeline,
+                                       fanwidth.kplanar_reduce, fanwidth.gk_reduce],
+                             ids=lambda entry: entry.__name__)
+    def test_library_defaults_are_the_flag_defaults(self, entry):
+        import argparse
+        import inspect
+
+        subs = next(action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+        signature = inspect.signature(entry).parameters
+        for name in ("a", "restarts"):
+            flag_defaults = {repr(sub.get_default(name))
+                             for command, sub in subs.choices.items()
+                             if f"--{name}" in FLAGS[command]}
+            assert flag_defaults == {repr(signature[name].default)}
+        assert repr(signature["a"].default) == "193.0"
 
     def test_missing_graph_file_exits_2(self, work, capsys):
         path = work / "missing.txt"

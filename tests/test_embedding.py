@@ -237,8 +237,8 @@ class TestBuildEmbedding:
                     lambda *args: projection_orders(*args, direction_seeds=[1])):
             for ids, points, k, a, message in [
                     (surv, pvs, 1, 1, "k >= 2"),
-                    (surv, pvs, 2, 0, "a > 0"),
-                    (surv, pvs, 2, -1, "a > 0"),
+                    (surv, pvs, 2, 0, "--a 0 is not a finite positive number"),
+                    (surv, pvs, 2, -1, "--a -1 is not a finite positive number"),
                     (surv[1:], pvs, 2, 1, "must align"),
                     ([], [], 2, 1, "nonempty")]:
                 with pytest.raises(InputError, match=message):

@@ -213,6 +213,93 @@ def test_the_walk_guard_sees_a_call_in_a_method():
     assert adjacency_callers(source) == ["Walker.run"]
 
 
+# The rules of the ordering parameters, by the text of their messages, and
+# the literal defaults of ``a`` and ``restarts``: each is stated in one module,
+# ``pipeline`` (``check_ordering_params``, ``DEFAULT_A``, ``DEFAULT_RESTARTS``).
+ORDERING_RULES = ["--restarts must be at least 1", "embedding needs k >= 2",
+                  "is not a finite positive number", "--dims-cap must be at least 1"]
+ORDERING_DEFAULTS = {"a": 193.0, "restarts": 5}
+
+
+def ordering_statements(sources: dict) -> dict:
+    """For each rule message and default, the modules of ``sources`` (module
+    name -> source) that state it.  A message is stated by a string constant
+    that holds it, docstrings aside.  A default is stated by a literal: the
+    default of a parameter named after it, the ``default=`` of an
+    ``add_argument`` of its flag, or the value of ``DEFAULT_<NAME>``; and
+    ``a``'s 193 by any numeric constant."""
+    found = {key: set() for key in ORDERING_RULES + list(ORDERING_DEFAULTS)}
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        literals = []  # (parameter name, literal value)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and id(node) not in docstrings:
+                if isinstance(node.value, str):
+                    for rule in ORDERING_RULES:
+                        if rule in node.value:
+                            found[rule].add(module)
+                elif node.value == ORDERING_DEFAULTS["a"]:
+                    literals.append(("a", node.value))
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args.posonlyargs + node.args.args
+                pairs = list(zip(args[len(args) - len(node.args.defaults):],
+                                 node.args.defaults))
+                pairs += [(arg, d) for arg, d in zip(node.args.kwonlyargs,
+                                                     node.args.kw_defaults) if d]
+                literals += [(arg.arg, d.value) for arg, d in pairs
+                             if isinstance(d, ast.Constant)]
+            elif isinstance(node, ast.Call) and node.args:
+                flag = node.args[0]
+                if isinstance(flag, ast.Constant) and isinstance(flag.value, str):
+                    literals += [(flag.value.lstrip("-"), kw.value.value)
+                                 for kw in node.keywords
+                                 if kw.arg == "default" and isinstance(kw.value, ast.Constant)]
+            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
+                literals += [(target.id[len("DEFAULT_"):].lower(), node.value.value)
+                             for target in node.targets
+                             if isinstance(target, ast.Name)
+                             and target.id.startswith("DEFAULT_")]
+        for name, value in literals:
+            if name in ORDERING_DEFAULTS and value is not None:
+                found[name].add(module)
+    return found
+
+
+def package_sources() -> dict:
+    return {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_each_ordering_rule_and_default_is_stated_once():
+    assert ordering_statements(package_sources()) == {
+        key: {"pipeline"} for key in ORDERING_RULES + list(ORDERING_DEFAULTS)}
+
+
+@pytest.mark.parametrize("added, key", [
+    ('def check(args):\n    if args.restarts < 1:\n'
+     '        raise ValueError("--restarts must be at least 1")\n', ORDERING_RULES[0]),
+    ('MESSAGE = f"--a {1!r} is not a finite positive number"\n', ORDERING_RULES[2]),
+    ("def run(g, a=193, restarts=None):\n    pass\n", "a"),
+    ("def run(g, *, restarts=5):\n    pass\n", "restarts"),
+    ('parser.add_argument("--restarts", type=int, default=5)\n', "restarts"),
+    ('parser.add_argument("--a", type=float, default=193.0)\n', "a"),
+    ("DEFAULT_RESTARTS = 5\n", "restarts"),
+    ("a = a or 193.0\n", "a"),
+])
+def test_the_ordering_guard_sees_a_second_copy(added, key):
+    sources = package_sources()
+    sources["cli"] += added
+    assert ordering_statements(sources)[key] == {"pipeline", "cli"}
+
+
+def test_the_ordering_guard_skips_docstrings():
+    sources = {"doc": '"""Says embedding needs k >= 2."""\n'
+                      'def f(restarts=None):\n    "the default a is 193"\n'}
+    assert not any(ordering_statements(sources).values())
+
+
 # Every name ``fanwidth`` exported before the numerical layers became lazy,
 # by defining module, in export order.
 EXPORTS = {

@@ -27,8 +27,8 @@ from fanwidth import (
     product_pipeline,
     verify_certificate,
 )
-from fanwidth.embedding import _embedding_shape
-from fanwidth.pipeline import CENTER, _round_trip
+from fanwidth.embedding import _embedding_shape, build_embedding, projection_orders
+from fanwidth.pipeline import CENTER, _round_trip, sparsify_product
 
 from conftest import (
     column_in_product,
@@ -49,6 +49,22 @@ def k5():
 
 def k5_drawing():
     return DrawnGraph(k5(), [Crossing((0, 3), (1, 2), 0.5, 0.5)])
+
+
+@st.composite
+def certifiable(draw):
+    """``(g, x, ordering, b)`` that ``fan_certificate`` accepts: a graph with
+    some ids removed, a set X, an ordering of the rest and a b from the
+    least one the two allow up to n."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(n, edges).delete(draw(st.sets(st.integers(0, n - 1), max_size=n - 1)))
+    live = g.vertices()
+    x = draw(st.lists(st.sampled_from(live), unique=True))
+    ordering = draw(st.permutations([v for v in live if v not in x]))
+    least = max(len(x), bandwidth_of_ordering(g.delete(x), ordering), 1)
+    return g, x, ordering, draw(st.integers(least, len(live)))
 
 
 class TestFanCertificate:
@@ -112,8 +128,31 @@ class TestFanCertificate:
         with pytest.raises(ConstraintError):
             fan_certificate(g, [], [0, 1, 2], 4)
 
+    @pytest.mark.parametrize("ordering", [[1, 2], [1, 2, 3, 3], [1, 2, 9]])
+    def test_rejects_an_ordering_that_is_not_the_rest(self, ordering):
+        with pytest.raises(InputError) as exc:
+            fan_certificate(path_graph(4), [0], ordering, 2)
+        assert str(exc.value) == "ordering is not a permutation of the live vertex set"
+
+    @given(certifiable())
+    @settings(max_examples=300, deadline=None)
+    def test_measured_bandwidth_is_the_width_on_g_minus_x(self, case):
+        g, x, ordering, b = case
+        cert = fan_certificate(g, x, ordering, b)
+        assert cert.measured_bandwidth == bandwidth_of_ordering(g.delete(cert.x),
+                                                                cert.ordering)
+        assert verify_certificate(g, cert) == []
+
 
 class TestVerifyCertificate:
+    def test_fan_size_message_names_the_required_size(self):
+        # at n <= b the fan still needs the center and one path node
+        g = path_graph(5)
+        cert = fan_certificate(g, [], list(range(5)), 5)
+        cert.fan_size = 1
+        assert verify_certificate(g, cert) == [
+            "fan size 1 differs from max(2, ceil(n/b)) = 2"]
+
     def test_slot_collision_detected(self):
         g = path_graph(4)
         cert = fan_certificate(g, [0], [1, 2, 3], 2)
@@ -247,7 +286,7 @@ class TestVerifyMatchesReference:
     @pytest.mark.parametrize("kind, shape", [
         ("n", "certificate n=# but graph has # vertices"),
         ("b", "blowup factor # out of range"),
-        ("fan-size", "fan size # differs from ceil(n/b) = #"),
+        ("fan-size", "fan size # differs from max(#, ceil(n/b)) = #"),
         ("unmap", "vertex # is not mapped"),
         ("map-non-vertex", "mapped vertex # is not in the graph"),
         ("node-range", "vertex # mapped to missing fan node #"),
@@ -502,3 +541,109 @@ class TestGkReduce:
         res = gk_reduce(dg, genus=1, k=6, D=3, seed=0, planarizing_set=[0])
         assert res.x == set(range(6))
         assert res.info["short_circuit"]
+
+
+# Each bad value of an ordering parameter and the one message that rejects it
+BAD_ORDERING_PARAMS = [
+    ("k", 1, "embedding needs k >= 2"),
+    ("a", 0, "--a 0 is not a finite positive number"),
+    ("a", -1, "--a -1 is not a finite positive number"),
+    ("a", math.nan, "--a nan is not a finite positive number"),
+    ("a", math.inf, "--a inf is not a finite positive number"),
+    ("restarts", 0, "--restarts must be at least 1"),
+    ("restarts", -1, "--restarts must be at least 1"),
+    ("dims_cap", 0, "--dims-cap must be at least 1"),
+    ("dims_cap", -2, "--dims-cap must be at least 1"),
+]
+GOOD_ORDERING_PARAMS = {"k": 2, "a": 1, "restarts": 1, "dims_cap": None}
+
+
+def grid(side):
+    return grid_graph(side, side)[0]
+
+
+def product_grid(D):
+    host, g, placements = grid_in_product(4)
+    return host, None, g, placements, D
+
+
+def points(survive):
+    """The survivors of the 4 x 4 grid product at D = 8 (4 of 16), or none."""
+    host, g, placements = grid_in_product(4)
+    _, sp, placed, removed = sparsify_product(host, None, g, placements, 8)
+    ids = [v for v in placed if v not in removed] if survive else []
+    return ids, [placed[v] for v in ids], sp
+
+
+def one_crossing_path():
+    # k = 6 > 6^(2/3) crossings per edge short-circuits to X = V(G)
+    return DrawnGraph(path_graph(6), [Crossing((0, 1), (2, 3), 0.5, 0.5)])
+
+
+PIPELINE = ("k", "a", "restarts", "dims_cap")
+REDUCTION = ("a", "restarts", "dims_cap")  # their k counts crossings
+EMBEDDING = ("k", "a", "dims_cap")  # no ordering restarts
+# entry point -> (the ordering parameters it takes, input -> a call with
+# them); on "none" no vertex survives the sparsifier (or there is no point to
+# embed), on "some" survivors are ordered
+ORDERING_ENTRY_POINTS = {
+    "planar_pipeline": (PIPELINE, {
+        "none": lambda **p: planar_pipeline(grid(6), 4, 0, **p),
+        "some": lambda **p: planar_pipeline(grid(8), 32, 0, **p)}),
+    "product_pipeline": (PIPELINE, {
+        "none": lambda **p: product_pipeline(*product_grid(2), **p),
+        "some": lambda **p: product_pipeline(*product_grid(8), **p)}),
+    "kplanar_reduce": (REDUCTION, {
+        "none": lambda **p: kplanar_reduce(DrawnGraph(grid(6), []), 0, 4, 0, **p),
+        "some": lambda **p: kplanar_reduce(DrawnGraph(grid(8), []), 0, 32, 0, **p)}),
+    "gk_reduce": (REDUCTION, {
+        "short-circuit": lambda **p: gk_reduce(one_crossing_path(), 1, 6, 3, 0,
+                                               planarizing_set=[0], **p),
+        "none": lambda **p: gk_reduce(DrawnGraph(grid(6), []), 0, 0, 4, 0, **p),
+        "some": lambda **p: gk_reduce(DrawnGraph(grid(8), []), 1, 0, 32, 0,
+                                      planarizing_set=[], **p)}),
+    "build_embedding": (EMBEDDING, {
+        "none": lambda **p: build_embedding(*points(False), seed=0, **p),
+        "some": lambda **p: build_embedding(*points(True), seed=0, **p)}),
+    "projection_orders": (EMBEDDING, {
+        "none": lambda **p: projection_orders(*points(False), seed=0,
+                                              direction_seeds=[1], **p),
+        "some": lambda **p: projection_orders(*points(True), seed=0,
+                                              direction_seeds=[1], **p)}),
+}
+
+
+def ordering_cases():
+    for entry, (takes, inputs) in ORDERING_ENTRY_POINTS.items():
+        for kind in inputs:
+            for name, value, message in BAD_ORDERING_PARAMS:
+                if name in takes:
+                    yield pytest.param(entry, kind, name, value, message,
+                                       id=f"{entry}-{kind}-{name}={value}")
+
+
+class TestOrderingParams:
+    """``pipeline.check_ordering_params`` runs before any work at every
+    entry point, so a bad value gets the same message whatever the input."""
+
+    @pytest.mark.parametrize("entry, kind, name, value, message", ordering_cases())
+    def test_bad_value_rejected_before_any_work(self, entry, kind, name, value,
+                                                message):
+        takes, inputs = ORDERING_ENTRY_POINTS[entry]
+        params = {p: GOOD_ORDERING_PARAMS[p] for p in takes} | {name: value}
+        with pytest.raises(InputError) as exc:
+            inputs[kind](**params)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("entry", ["planar_pipeline", "product_pipeline",
+                                       "kplanar_reduce", "gk_reduce"])
+    def test_the_inputs_keep_none_or_some(self, entry):
+        takes, inputs = ORDERING_ENTRY_POINTS[entry]
+        good = {p: GOOD_ORDERING_PARAMS[p] for p in takes}
+        assert inputs["none"](**good).ordering == []
+        assert len(inputs["some"](**good).ordering) >= 2
+        if "short-circuit" in inputs:
+            assert inputs["short-circuit"](**good).info["short_circuit"]
+
+    def test_the_embedding_inputs_have_no_point_or_some(self):
+        assert points(False)[0] == [] and len(points(True)[0]) >= 2
