@@ -21,7 +21,6 @@ from .oracles import DENSITY_LIMIT, exact_bandwidth, exhaustive_local_density
 from .pipeline import (
     DEFAULT_A,
     DEFAULT_RESTARTS,
-    _round_trip,
     check_ordering_params,
     default_blowup_factor,
     fan_certificate,
@@ -208,7 +207,7 @@ def cmd_verify(args) -> int:
             print(line, file=sys.stderr)
         return 1
     # the strict check covers the one blowup_to_bandwidth makes
-    bw = _round_trip(g, cert)[-1]
+    bw = violations.walk[-1]
     print(f"ok: round-trip width {bw} <= 2b-1 = {2 * cert.b - 1}")
     return 0
 
@@ -216,10 +215,12 @@ def cmd_verify(args) -> int:
 def cmd_reduce(args) -> int:
     """``reduce-gk``, and ``reduce-kplanar`` as its genus 0, where
     ``gk_reduce`` is ``kplanar_reduce``."""
+    if args.planarizing is not None and args.genus == 0:
+        raise InputError("--planarizing is used only at positive --genus")
     _embedding_args(args)
     dg = formats.parse_drawing(_read(args.drawing))
     planarizing = None
-    if args.planarizing:
+    if args.planarizing is not None:
         planarizing = formats.parse_vertex_set(_read(args.planarizing))
     result = gk_reduce(dg, args.genus, args.kk, args.D, args.seed,
                        planarizing_set=planarizing, a=args.a,

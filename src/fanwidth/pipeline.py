@@ -63,6 +63,15 @@ class FanCertificate:
     params: dict = field(default_factory=dict)
 
 
+class Violations(list):
+    """The violations ``verify_certificate`` found, one line each.  With
+    none, ``walk`` is ``(X, ordering, width)``: the center and then the
+    vertices of the path blocks in (node, slot) order, which is an ordering
+    of G - X of width at most 2b-1; otherwise ``walk`` is None."""
+
+    walk = None
+
+
 @dataclass
 class PipelineResult:
     x: set
@@ -139,7 +148,7 @@ def fan_certificate(g: Graph, x, ordering, b: int, seed: int = 0,
 
 
 def verify_certificate(g: Graph, cert: FanCertificate,
-                       strict_shape: bool = True) -> list[str]:
+                       strict_shape: bool = True) -> Violations:
     """Check the containment claim edge by edge; violations are data.
 
     With ``strict_shape`` the fan must have the canonical max(2, ceil(n/b))
@@ -148,12 +157,13 @@ def verify_certificate(g: Graph, cert: FanCertificate,
     may be empty).
 
     One pass over the mapping, in vertex order, checks each vertex's node
-    and slot and collects the center; one sweep over the edges
-    (``edge_spans``) measures the ordering's width on G - X and the fan-node
-    span of each edge.  A permutation is checked with sets, and X is never
-    deleted from ``g``.
+    and slot and fills the (node, slot) cells; one sweep over the edges
+    (``edge_spans``) measures the ordering's width on G - X, the fan-node
+    span of each edge and the width of the block walk, read from the cells
+    in order (the ``walk`` of the result).  A permutation is checked with
+    sets, and X is never deleted from ``g``.
     """
-    violations = []
+    violations = Violations()
     live = g.vertices()
     n = len(live)
     if cert.n != n:
@@ -216,14 +226,20 @@ def verify_certificate(g: Graph, cert: FanCertificate,
             keys.append(positions(g.n, cert.ordering))
         else:
             violations.append("ordering is not a permutation of the non-center vertices")
-    span, *width = edge_spans(g, *keys)
-    if width:
-        if width[0] != cert.measured_bandwidth:
+    walk = None
+    if not violations:
+        # every vertex has a cell of its own and the center's come first
+        walk = [cells[cell] for cell in sorted(cells)[len(centered):]]
+        if not (strict_shape and walk == cert.ordering):  # as fan_certificate maps it
+            keys.append(positions(g.n, walk))
+    span, *widths = edge_spans(g, *keys)
+    if strict_shape and widths:
+        if widths[0] != cert.measured_bandwidth:
             violations.append(
-                f"declared bandwidth {cert.measured_bandwidth} but ordering has {width[0]}"
+                f"declared bandwidth {cert.measured_bandwidth} but ordering has {widths[0]}"
             )
-        elif width[0] > cert.b:
-            violations.append(f"ordering width {width[0]} exceeds b = {cert.b}")
+        elif widths[0] > cert.b:
+            violations.append(f"ordering width {widths[0]} exceeds b = {cert.b}")
 
     if span > 1:
         for u, v in g.edges():
@@ -232,6 +248,11 @@ def verify_certificate(g: Graph, cert: FanCertificate,
                 violations.append(
                     f"edge ({u},{v}) spans non-adjacent fan nodes {nu} and {nv}"
                 )
+    if walk is not None and not violations:
+        bw = widths[-1]
+        if bw > 2 * cert.b - 1:
+            raise AssertionError(f"round-trip width {bw} exceeds 2b-1 = {2 * cert.b - 1}")
+        violations.walk = centered, walk, bw
     return violations
 
 
@@ -241,24 +262,7 @@ def blowup_to_bandwidth(g: Graph, cert: FanCertificate):
     violations = verify_certificate(g, cert, strict_shape=False)
     if violations:
         raise InputError("invalid fan mapping: " + "; ".join(violations))
-    return _round_trip(g, cert)
-
-
-def _round_trip(g: Graph, cert: FanCertificate):
-    """``blowup_to_bandwidth`` of a certificate that passes
-    ``verify_certificate(g, cert, strict_shape=False)``, without the check.
-
-    Such a mapping puts each vertex in its own (node, slot) cell, and the
-    center is node 0, so the vertices in cell order are X and then the
-    block walk."""
-    mapping = cert.mapping
-    walk = sorted(mapping, key=mapping.__getitem__)
-    x = {v for v in walk if mapping[v][0] == CENTER}
-    ordering = walk[len(x):]
-    bw = edge_spans(g, positions(g.n, ordering))[0]
-    if bw > 2 * cert.b - 1:
-        raise AssertionError(f"round-trip width {bw} exceeds 2b-1 = {2 * cert.b - 1}")
-    return x, ordering, bw
+    return violations.walk
 
 
 # ---------------------------------------------------------------------------
@@ -569,6 +573,8 @@ def gk_reduce(dg: DrawnGraph, genus: int, k: int, D, seed: int,
     if genus < 0:
         raise InputError("genus must be non-negative")
     if genus == 0:
+        if planarizing_set is not None:
+            raise InputError("a planarizing set is used only at positive genus")
         return kplanar_reduce(dg, k, D, seed, a=a, restarts=restarts,
                               dims_cap=dims_cap)
 

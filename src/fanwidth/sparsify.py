@@ -72,11 +72,12 @@ class BakerResult:
 
 
 # Slab vertices, summed over the distinct slabs, from which baker_sparsify
-# cuts the slabs in forked workers.  Starting the pool costs about 40 ms
-# (its imports and the forks); on 2 CPUs, fresh processes cut grids at D=8
-# faster in one process up to 3230 slab vertices (16x16) and faster on two
-# from 4388 (18x18).
-PARALLEL_MIN_WORK = 4000
+# forks children to cut slabs beside this process.  On a 2-vCPU VM, in
+# fresh processes and alternating order, forking cut grids at D=8 faster in
+# 4 of 50 pairs at 4388 slab vertices (18x18), 22 of 60 at 6916 (22x22),
+# 28 of 42 at 8286 (24x24) and 21 of 24 at 16,030 (32x32); the second
+# vCPU's speed varied between batches.
+PARALLEL_MIN_WORK = 8000
 
 
 def baker_sparsify(g: Graph, D, layering: Layering) -> BakerResult:
@@ -90,10 +91,10 @@ def baker_sparsify(g: Graph, D, layering: Layering) -> BakerResult:
     ``D * 2^(i-1)`` vertices.
 
     A slab that several windows share is decomposed once and cut once per
-    window.  The distinct slabs are independent, so above
-    ``PARALLEL_MIN_WORK`` slab vertices they are cut in forked worker
-    processes; X and ``w_eff`` are a union and a maximum, the same in any
-    order.
+    window.  The distinct slabs are independent, so from
+    ``PARALLEL_MIN_WORK`` slab vertices on, this process and forked
+    children share them; X and ``w_eff`` are a union and a maximum, folded
+    in task order.
     """
     n = g.num_vertices
     if n == 0:
@@ -117,7 +118,7 @@ def baker_sparsify(g: Graph, D, layering: Layering) -> BakerResult:
         if c > 1:
             windows.setdefault((slab[0], len(slab)), (slab, []))[1].append((1 << i, c))
 
-    # largest first, so that the last slab a worker takes is a small one
+    # largest first, so that the last slab a process takes is a small one
     tasks = sorted(windows.values(), key=lambda task: -len(task[0]))
     work = sum(len(slab) for slab, _ in tasks)
     workers = 1  # where the platform cannot fork or name its CPUs, too
@@ -153,37 +154,97 @@ def _cut_slab(g: Graph, task) -> tuple:
     return td.width, part
 
 
-_forked_graph = None  # the graph of a slab worker, set in the worker only
-
-
-def _adopt_graph(g: Graph):
-    global _forked_graph
-    _forked_graph = g
-
-
-def _cut_forked_slab(task) -> tuple:
-    return _cut_slab(_forked_graph, task)
+def _cut_claimed(g: Graph, tasks: list, claim) -> tuple:
+    """Cut the tasks that ``claim()`` hands out until none is left or one
+    raises.  Returns the ``(index, width, part)`` of each task cut and the
+    ``(index, error)`` of the one that raised, or None; a task that raises
+    stops every process's claims."""
+    done = []
+    while (t := claim()) < len(tasks):
+        try:
+            done.append((t, *_cut_slab(g, tasks[t])))
+        except Exception as exc:  # sent to the parent, which raises it
+            claim(stop=True)
+            return done, (t, exc)
+    return done, None
 
 
 def _cut_slabs(g: Graph, tasks: list, workers: int) -> list:
     """``_cut_slab`` of every task, in task order, on ``workers`` processes.
 
-    One worker cuts in this process.  More are forked, so the graph reaches
-    them by inheritance, not by pickling; a worker's exception is re-raised
-    here with its type and message, and every worker is reaped before this
-    returns or raises.
+    This process cuts too, beside ``workers - 1`` forked children that
+    inherit the graph.  Each process claims the next task, largest first:
+    the next index is the one token in a pipe, so a claim never waits on
+    pipe capacity, whatever the number of tasks.  A child sends what it cut,
+    or the error that stopped it, through a pipe of its own.  Every task
+    before the first that raised was cut, so that task's error is raised,
+    with its type and message, as the one-process cut raises it; a child
+    that exits without its results is a RuntimeError.  Every child is
+    reaped before this returns or raises.
     """
     if workers == 1:
         return list(map(partial(_cut_slab, g), tasks))
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    import pickle
+    import signal
 
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_adopt_graph, initargs=(g,))
+    token_r, token_w = os.pipe()
+    os.write(token_w, bytes(8))
+
+    def claim(stop: bool = False) -> int:
+        t = int.from_bytes(os.read(token_r, 8), "little")
+        os.write(token_w, (len(tasks) if stop else t + 1).to_bytes(8, "little"))
+        return t
+
+    children: dict = {}  # pid -> the read end of its result pipe, until reaped
     try:
-        return list(pool.map(_cut_forked_slab, tasks, chunksize=1))
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: cut with those forked
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:  # the child reports once and exits, whatever happens
+                code = 1
+                try:
+                    for fd in (r, *children.values()):  # read ends: the parent's
+                        os.close(fd)
+                    with open(w, "wb") as pipe:
+                        pickle.dump(_cut_claimed(g, tasks, claim), pipe)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children[pid] = r
+        reports = [_cut_claimed(g, tasks, claim)]
+        for pid, r in list(children.items()):
+            with open(r, "rb", closefd=False) as pipe:
+                payload = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(children.pop(pid))
+            if code:
+                raise RuntimeError(f"slab worker {pid} exited with status {code} "
+                                   "without its results")
+            reports.append(pickle.loads(payload))
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pid, r in children.items():
+            os.close(r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(token_r)
+        os.close(token_w)
+
+    results = [None] * len(tasks)
+    failures = []
+    for done, failure in reports:
+        for t, width, part in done:
+            results[t] = width, part
+        if failure:
+            failures.append(failure)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return results
 
 
 class StructuredSparsifier:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import os
 from collections import defaultdict
 
 import numpy as np
+import pytest
 
 from fanwidth import (
     DecompInstance,
@@ -18,6 +20,15 @@ from fanwidth import (
 )
 from fanwidth.embedding import _containing_cut, _deleted_point, _row_geometry
 from fanwidth.randomness import stream
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test reaps each process it starts: none is left, running or
+    exited, when it ends."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def random_connected_graph(n: int, p: float, seed: int) -> Graph:
@@ -332,7 +343,7 @@ def reference_verify_certificate(g: Graph, cert, strict_shape: bool = True) -> l
 
 
 def reference_round_trip(g: Graph, cert):
-    """``pipeline._round_trip`` as first written: X, the block walk and its
+    """``blowup_to_bandwidth`` as first written: X, the block walk and its
     width on ``g.delete(X)``."""
     x = {v for v, (node, _) in cert.mapping.items() if node == 0}
     blocks: dict = {}

@@ -668,6 +668,19 @@ class TestReduceCommands:
         assert run("reduce-gk", "--drawing", work / "d.txt", "--genus", "1",
                    "--kk", "1", "--D", "4", "--out", work / "c.txt") == 2
 
+    @pytest.mark.parametrize("pset", ["pset.txt", "missing.txt"])
+    def test_gk_genus_zero_rejects_planarizing(self, work, capsys, pset):
+        # rejected before the file is read: a set naming vertex 999, and a
+        # file that does not exist, give the same one line
+        (work / "pset.txt").write_text(serialize_vertex_set([999]))
+        cert = work / "cert.txt"
+        assert run("reduce-gk", "--drawing", work / "d.txt", "--genus", "0",
+                   "--kk", "1", "--D", "5", "--planarizing", work / pset,
+                   "--a", "2", "--out", cert) == 2
+        assert capsys.readouterr().err == (
+            "error: --planarizing is used only at positive --genus\n")
+        assert not cert.exists()
+
     def test_gk_with_planarizer(self, work):
         drawing = work / "plain.txt"
         drawing.write_text(serialize_drawing(DrawnGraph(k5(), [])))
@@ -741,7 +754,7 @@ class TestProductFrontEnd:
 class TestLazyImports:
     """``import fanwidth`` and every command that computes no embedding or
     metric run without loading numpy (a fifth of a ``verify`` job), and
-    only a Baker cut large enough to fork loads the process pool."""
+    nothing loads a process pool: the Baker cut forks plain children."""
 
     POOL = ("multiprocessing", "concurrent.futures")
 
@@ -805,9 +818,6 @@ class TestLazyImports:
         assert not self.command_loads_numpy(2, "oracle", "--what", "metric-axioms",
                                             "--D", "8")
 
-    def test_import_never_loads_a_process_pool(self):
-        assert self.loaded("import sys\nimport fanwidth.cli\n").isdisjoint(self.POOL)
-
     @pytest.mark.parametrize("argv", [
         ["verify", "--graph", "g.txt", "--cert", "c.txt"],
         ["sparsify", "--graph", "g.txt", "--D", "2", "--out", "x.txt"],
@@ -817,15 +827,26 @@ class TestLazyImports:
                                          for a in argv])
         assert loaded.isdisjoint(self.POOL)
 
-    @pytest.mark.skipif(not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity"))
-                        or len(os.sched_getaffinity(0)) < 2,
-                        reason="slabs are cut in one process without two CPUs and fork")
-    def test_large_sparsify_loads_the_process_pool(self, tmp_path):
-        # the guard has teeth: the 32x32 grid at D=8 cuts 16,030 slab vertices
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="the platform cannot fork")
+    def test_no_module_and_no_forked_cut_loads_a_process_pool(self, tmp_path):
+        # every production module, then a sparsify that forks its slab cut:
+        # the 32x32 grid at D=8 cuts 16,030 slab vertices, here on two CPUs
+        import pkgutil
+
         (tmp_path / "g.txt").write_text(serialize_graph(grid_graph(32, 32)[0]))
-        loaded = self.command_loads(0, "sparsify", "--graph", tmp_path / "g.txt",
-                                    "--D", "8", "--out", tmp_path / "x.txt")
-        assert set(self.POOL) <= loaded
+        modules = sorted(m.name for m in pkgutil.iter_modules(fanwidth.__path__))
+        assert {"cli", "pipeline", "sparsify", "treedec"} <= set(modules)
+        loaded = self.loaded(
+            "import os, sys\n"
+            + "".join(f"import fanwidth.{m}\n" for m in modules)
+            + "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(fork()) or forks[-1]\n"
+            "assert fanwidth.cli.main(sys.argv[1:]) == 0\n"
+            "assert len(forks) == 1, forks\n",
+            "sparsify", "--graph", tmp_path / "g.txt", "--D", "8",
+            "--out", tmp_path / "x.txt")
+        assert loaded.isdisjoint(self.POOL)
 
     def test_certify_with_survivors_loads_numpy(self, work):
         # the guard has teeth: ordering two or more survivors embeds them

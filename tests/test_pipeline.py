@@ -28,7 +28,7 @@ from fanwidth import (
     verify_certificate,
 )
 from fanwidth.embedding import _embedding_shape, build_embedding, projection_orders
-from fanwidth.pipeline import CENTER, _round_trip, sparsify_product
+from fanwidth.pipeline import CENTER, sparsify_product
 
 from conftest import (
     column_in_product,
@@ -278,10 +278,12 @@ class TestVerifyMatchesReference:
     def test_violations_and_round_trip(self, case):
         g, cert = case
         for strict in (True, False):
-            assert (verify_certificate(g, cert, strict_shape=strict)
-                    == reference_verify_certificate(g, cert, strict_shape=strict))
-        if not reference_verify_certificate(g, cert, strict_shape=False):
-            assert _round_trip(g, cert) == reference_round_trip(g, cert)
+            violations = verify_certificate(g, cert, strict_shape=strict)
+            assert violations == reference_verify_certificate(g, cert, strict_shape=strict)
+            if violations:
+                assert violations.walk is None
+            else:
+                assert violations.walk == reference_round_trip(g, cert)
 
     @pytest.mark.parametrize("kind, shape", [
         ("n", "certificate n=# but graph has # vertices"),
@@ -489,6 +491,14 @@ class TestGkReduce:
         a = gk_reduce(dg, genus=0, k=1, D=5, seed=3, a=2, restarts=2)
         b = kplanar_reduce(dg, k=1, D=5, seed=3, a=2, restarts=2)
         assert a.x == b.x and a.ordering == b.ordering
+
+    @pytest.mark.parametrize("planarizing", [[999], []])
+    def test_genus_zero_rejects_a_planarizing_set(self, planarizing):
+        # genus 0 never reads the set, so it neither records nor checks it
+        with pytest.raises(InputError, match="^a planarizing set is used only at "
+                                             "positive genus$"):
+            gk_reduce(k5_drawing(), genus=0, k=1, D=5, seed=3,
+                      planarizing_set=planarizing, a=2, restarts=2)
 
     def test_genus_one_with_planarizer(self):
         dg = DrawnGraph(k5(), [])

@@ -1,6 +1,8 @@
 import math
-import multiprocessing
 import os
+import re
+import select
+import time
 from collections import Counter
 from fractions import Fraction
 from unittest import mock
@@ -174,7 +176,6 @@ def slab_tasks(g, D) -> list:
 def assert_same_cut_on_one_and_two_workers(g, D):
     tasks = slab_tasks(g, D)
     assert _cut_slabs(g, tasks, 2) == _cut_slabs(g, tasks, 1)
-    assert multiprocessing.active_children() == []
     return tasks
 
 
@@ -212,7 +213,6 @@ def cut_path(request, monkeypatch):
     calls = spy_workers(monkeypatch)
     yield calls
     assert calls == [2 if request.param == "parallel" else 1]
-    assert multiprocessing.active_children() == []
 
 
 class TestParallelSlabCut:
@@ -264,16 +264,95 @@ class TestParallelSlabCut:
         assert capsys.readouterr().err == f"{prefix}: slab separator broke at vertex 7\n"
 
     def test_a_dead_worker_is_a_broken_invariant(self, monkeypatch, capsys, tmp_path):
-        # a worker that exits without a result breaks the pool: a
-        # RuntimeError, so the CLI exits 3
+        # a child that exits in the middle of a slab sends no results: a
+        # RuntimeError, so the CLI exits 3; this process waits in its first
+        # cut until the child has claimed a slab and died
         fork_two_workers(monkeypatch)
-        monkeypatch.setattr(fanwidth.sparsify, "weighted_separator",
-                            lambda *args: os._exit(1))
+        parent = os.getpid()
+        separator = fanwidth.sparsify.weighted_separator
+        died_r, died_w = os.pipe()
+        waited = []
+
+        def dying(*args):
+            if os.getpid() != parent:
+                os.write(died_w, b"!")
+                os._exit(1)
+            if not waited:
+                waited.append(select.select([died_r], [], [], 60)[0])
+            return separator(*args)
+
+        monkeypatch.setattr(fanwidth.sparsify, "weighted_separator", dying)
         (tmp_path / "g.txt").write_text(serialize_graph(grid_graph(12, 12)[0]))
-        assert main(["sparsify", "--graph", str(tmp_path / "g.txt"), "--D", "8",
-                     "--out", str(tmp_path / "x.txt")]) == 3
-        assert capsys.readouterr().err.startswith("internal invariant failed: ")
-        assert multiprocessing.active_children() == []
+        try:
+            assert main(["sparsify", "--graph", str(tmp_path / "g.txt"), "--D", "8",
+                         "--out", str(tmp_path / "x.txt")]) == 3
+        finally:
+            os.close(died_r)
+            os.close(died_w)
+        assert waited == [[died_r]]
+        assert re.fullmatch(r"internal invariant failed: slab worker \d+ exited with "
+                            r"status 1 without its results\n", capsys.readouterr().err)
+        assert not (tmp_path / "x.txt").exists()
+
+    @pytest.mark.parametrize("error", [AssertionError, InputError])
+    def test_a_child_error_keeps_its_type_and_message(self, monkeypatch, error):
+        # only the child fails, so its error crosses the pipe; this process
+        # waits in its first cut until the child has failed
+        parent = os.getpid()
+        failed_r, failed_w = os.pipe()
+
+        def cut(g, task):
+            if os.getpid() != parent:
+                os.write(failed_w, b"!")
+                raise error(f"task {task} broke in a child")
+            select.select([failed_r], [], [], 60)
+            return task, set()
+
+        monkeypatch.setattr(fanwidth.sparsify, "_cut_slab", cut)
+        try:
+            with pytest.raises(error) as caught:
+                _cut_slabs(path_graph(4), list(range(8)), 2)
+        finally:
+            os.close(failed_r)
+            os.close(failed_w)
+        assert type(caught.value) is error
+        assert re.fullmatch(r"task \d broke in a child", str(caught.value))
+
+    def test_the_first_failing_slab_raises_on_any_worker_count(self, monkeypatch):
+        # task 0 is cut, and every later task fails with its own message;
+        # on two or more processes task 1 fails after a later task has
+        # failed and stopped the claims, but its error is the one that the
+        # one-process cut raises
+        def cut(g, task):
+            if task == 0:
+                return 0, set()
+            if task == 1:
+                time.sleep(0.1)
+            raise InputError(f"task {task} broke")
+
+        monkeypatch.setattr(fanwidth.sparsify, "_cut_slab", cut)
+        # which process claims task 1 varies, so each count runs thrice
+        for workers in (1, 2, 2, 2, 3, 3, 3):
+            with pytest.raises(InputError, match="^task 1 broke$"):
+                _cut_slabs(path_graph(4), list(range(8)), workers)
+
+    def test_every_task_is_claimed_once(self, monkeypatch, tmp_path):
+        # 20,000 tasks on more processes than CPUs: more indices than a pipe
+        # holds, and a child's results larger than its pipe's buffer; each
+        # cut appends its task to a log, so a task claimed twice shows
+        log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def cut(g, task):
+            os.write(log, b"%d\n" % task)
+            return task, {task}
+
+        monkeypatch.setattr(fanwidth.sparsify, "_cut_slab", cut)
+        tasks = list(range(20_000))
+        try:
+            assert _cut_slabs(path_graph(4), tasks, 4) == [(t, {t}) for t in tasks]
+        finally:
+            os.close(log)
+        assert sorted(map(int, (tmp_path / "log").read_text().split())) == tasks
 
     def test_small_grid_stays_serial_and_large_grid_forks(self, monkeypatch):
         calls = spy_workers(monkeypatch)
@@ -288,7 +367,6 @@ class TestParallelSlabCut:
         forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
         cpus = len(os.sched_getaffinity(0)) if forks else 1
         assert calls == [min(cpus, len(tasks))]
-        assert multiprocessing.active_children() == []
 
     def test_workers_never_outnumber_the_slabs(self, monkeypatch):
         # 64 CPUs and 5 distinct slabs: 5 workers, recorded; the cut runs here
