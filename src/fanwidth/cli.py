@@ -51,7 +51,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}")
 
 
@@ -213,8 +213,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    """``reduce-gk``, and ``reduce-kplanar`` as its genus 0, where
-    ``gk_reduce`` is ``kplanar_reduce``."""
+    """``reduce-gk``, and ``reduce-kplanar`` as its genus 0: both call
+    ``gk_reduce``, which checks the drawing (``kplanar_reduce`` is its
+    genus-0 call)."""
     if args.planarizing is not None and args.genus == 0:
         raise InputError("--planarizing is used only at positive --genus")
     _embedding_args(args)

@@ -273,11 +273,18 @@ def _best_of_orderings(gp: Graph, survivors: list, placements: list,
                        sp: StructuredSparsifier, k, a, seed: int, restarts: int,
                        dims_cap):
     """The least-bandwidth projection order of the survivors (the first
-    such restart on a tie) and the median bandwidth over the restarts."""
+    such restart on a tie) and the median bandwidth over the restarts.  A
+    ``restarts x L`` direction matrix larger than the default restarts' at
+    the largest L is rejected before any restart's seed is drawn."""
     # the one place the certificate pipeline loads the embedding (and numpy)
-    from .embedding import projection_orders
+    from .embedding import MAX_COLUMNS, _Columns, projection_orders
     from .randomness import stream
 
+    L = _Columns(survivors, placements, sp, k, a, seed, dims_cap).L
+    if restarts * L > DEFAULT_RESTARTS * MAX_COLUMNS:
+        raise InputError(f"--restarts {restarts} needs a {restarts} x {L} direction "
+                         f"matrix, more than the supported {DEFAULT_RESTARTS} x "
+                         f"{MAX_COLUMNS} entries")
     subs = [int(stream(seed, f"order/restart={r}").integers(0, 2**63 - 1))
             for r in range(restarts)]
     orderings = projection_orders(survivors, placements, sp, k, a, seed, subs,
@@ -477,8 +484,8 @@ def _lift_deleted(x_prime, n: int, dummy_edges) -> set:
     return lifted
 
 
-def _reduce_drawing(dg: DrawnGraph, k: int, planarizing: set, D, seed: int,
-                    a, restarts: int, dims_cap: int | None) -> PipelineResult:
+def _reduce_drawing(dg: DrawnGraph, planarizing: set, D, seed: int, a,
+                    restarts: int, dims_cap: int | None) -> PipelineResult:
     """Planarize ``dg``, delete ``planarizing`` from the planarization, run
     the planar pipeline on the rest and lift the deleted set back: each
     deleted dummy costs the four endpoints of its crossing edges."""
@@ -502,14 +509,6 @@ def _reduce_drawing(dg: DrawnGraph, k: int, planarizing: set, D, seed: int,
     if len(x) > 4 * len(deleted):
         raise AssertionError("lifted set exceeds four times the deleted set")
 
-    crossings_per_edge: dict = {}
-    for cr in dg.crossings:
-        for e in (tuple(sorted(cr.edge_a)), tuple(sorted(cr.edge_b))):
-            crossings_per_edge[e] = crossings_per_edge.get(e, 0) + 1
-    for e, cnt in crossings_per_edge.items():
-        if cnt + 1 > k + 1:
-            raise AssertionError(f"edge {e} became a path of length {cnt + 1} > k+1")
-
     ordering = [v for v in inner.ordering if v < g.n and v not in x]
     bw = bandwidth_of_ordering(g.delete(x), ordering)
     info = dict(inner.info)
@@ -527,40 +526,24 @@ def kplanar_reduce(dg: DrawnGraph, k: int, D, seed: int, a=DEFAULT_A,
                    restarts: int = DEFAULT_RESTARTS,
                    dims_cap: int | None = None) -> PipelineResult:
     """Planarize a k-planar drawing, sparsify and order the planarization,
-    then lift the deleted set back (each dummy costs its four endpoints).
-
-    Rejects inputs whose edge count exceeds the k-planar budget
-    ``8 sqrt(k) n`` (classic crossing-lemma constant 1/64), or at k = 0 the
-    planar bound ``3n - 6`` (n >= 3).
-    """
-    check_ordering_params(a=a, restarts=restarts, dims_cap=dims_cap)
-    if k < 0:
-        raise InputError("k must be non-negative")
-    dg.validate(k=k)
-    g = dg.graph
-    n = g.num_vertices
-    m = g.num_edges
-    if k > 0 and m > 8.0 * math.sqrt(k) * n:
-        raise InputError(
-            f"{m} edges exceed the k-planar budget 8*sqrt(k)*n = "
-            f"{8.0 * math.sqrt(k) * n:.0f}; input is not {k}-planar"
-        )
-    if k == 0 and n >= 3 and m > 3 * n - 6:
-        raise InputError(
-            f"{m} edges exceed the planar bound 3n-6 = {3 * n - 6}; "
-            "input is not planar"
-        )
-    return _reduce_drawing(dg, k, set(), D, seed, a, restarts, dims_cap)
+    then lift the deleted set back (each dummy costs its four endpoints):
+    ``gk_reduce`` at genus 0."""
+    return gk_reduce(dg, 0, k, D, seed, a=a, restarts=restarts, dims_cap=dims_cap)
 
 
 def gk_reduce(dg: DrawnGraph, genus: int, k: int, D, seed: int,
               planarizing_set=None, a=DEFAULT_A, restarts: int = DEFAULT_RESTARTS,
               dims_cap: int | None = None) -> PipelineResult:
     """Reduction for drawings on a genus-g surface with at most k crossings
-    per edge: planarize crossings, remove an externally supplied planarizing
-    set, run the planar pipeline, and lift everything back.
+    per edge: planarize crossings, remove a planarizing set (none at genus
+    0, externally supplied above it), run the planar pipeline, and lift
+    everything back.  It checks every drawing, in this order: the ordering
+    parameters, ``genus >= 0``, no planarizing set at genus 0, ``k >= 0``
+    and ``dg.validate(k)``, then the edge budgets.
 
-    Short-circuit branches (documented constants): when k > n^(2/3) or
+    Genus 0 rejects more than ``8 sqrt(k) n`` edges (classic crossing-lemma
+    constant 1/64), or at k = 0 the planar bound ``3n - 6`` (n >= 3).  Above
+    it, short-circuit branches (documented constants): when k > n^(2/3) or
     g > n, the guarantee bound already exceeds n, so X = V(G) is returned.
     With m >= 64n edges, the surface crossing bounds (adopted constants
     m^3 / (64 n^2) and m^2 / (64 g)) either force the same short-circuit or
@@ -572,13 +555,25 @@ def gk_reduce(dg: DrawnGraph, genus: int, k: int, D, seed: int,
     m = g.num_edges
     if genus < 0:
         raise InputError("genus must be non-negative")
-    if genus == 0:
-        if planarizing_set is not None:
-            raise InputError("a planarizing set is used only at positive genus")
-        return kplanar_reduce(dg, k, D, seed, a=a, restarts=restarts,
-                              dims_cap=dims_cap)
-
+    if genus == 0 and planarizing_set is not None:
+        raise InputError("a planarizing set is used only at positive genus")
+    if k < 0:
+        raise InputError("k must be non-negative")
     dg.validate(k=k)
+
+    if genus == 0:
+        if k > 0 and m > 8.0 * math.sqrt(k) * n:
+            raise InputError(
+                f"{m} edges exceed the k-planar budget 8*sqrt(k)*n = "
+                f"{8.0 * math.sqrt(k) * n:.0f}; input is not {k}-planar"
+            )
+        if k == 0 and n >= 3 and m > 3 * n - 6:
+            raise InputError(
+                f"{m} edges exceed the planar bound 3n-6 = {3 * n - 6}; "
+                "input is not planar"
+            )
+        return _reduce_drawing(dg, set(), D, seed, a, restarts, dims_cap)
+
     if dg.crossings:
         if k > n ** (2.0 / 3.0) or genus > n:
             return PipelineResult(set(g.vertices()), [], 0, 0.0,
@@ -603,7 +598,7 @@ def gk_reduce(dg: DrawnGraph, genus: int, k: int, D, seed: int,
     for v in planarizing:
         if not (0 <= v < g.n + len(dg.crossings)) or v in g.removed:
             raise InputError(f"planarizing vertex {v} is not in the augmented graph")
-    return _reduce_drawing(dg, k, planarizing, D, seed, a, restarts, dims_cap)
+    return _reduce_drawing(dg, planarizing, D, seed, a, restarts, dims_cap)
 
 
 def default_blowup_factor(result: PipelineResult) -> int:

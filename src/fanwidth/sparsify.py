@@ -18,7 +18,6 @@ import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .errors import InputError
 from .graphs import Graph, Layering, ProductVertex
@@ -173,19 +172,19 @@ def _cut_slabs(g: Graph, tasks: list, workers: int) -> list:
     """``_cut_slab`` of every task, in task order, on ``workers`` processes.
 
     This process cuts too, beside ``workers - 1`` forked children that
-    inherit the graph.  Each process claims the next task, largest first:
+    inherit the graph; on one process it runs the same claim loop and fold
+    with no child.  Each process claims the next task, largest first:
     the next index is the one token in a pipe, so a claim never waits on
     pipe capacity, whatever the number of tasks.  A child sends what it cut,
     or the error that stopped it, through a pipe of its own.  Every task
     before the first that raised was cut, so that task's error is raised,
-    with its type and message, as the one-process cut raises it; a child
+    with its type and message, whatever the number of processes; a child
     that exits without its results is a RuntimeError.  Every child is
     reaped before this returns or raises.
     """
-    if workers == 1:
-        return list(map(partial(_cut_slab, g), tasks))
-    import pickle
-    import signal
+    if workers > 1:  # only a forked cut pickles results and kills children
+        import pickle
+        import signal
 
     token_r, token_w = os.pipe()
     os.write(token_w, bytes(8))

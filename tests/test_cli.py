@@ -454,6 +454,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("flag, argv", [
+        ("--graph", ["verify", "--cert", "c.txt"]),
+        ("--product", ["verify", "--cert", "c.txt"]),
+        ("--cert", ["verify", "--graph", "g.txt"]),
+        ("--drawing", ["reduce-kplanar", "--kk", "1", "--D", "5", "--out", "x.txt"]),
+        ("--planarizing", ["reduce-gk", "--drawing", "d.txt", "--genus", "1", "--kk",
+                           "1", "--D", "4", "--out", "x.txt"]),
+    ], ids=["graph", "product", "cert", "drawing", "planarizing"])
+    def test_non_utf8_file_exits_2(self, work, capsys, flag, argv):
+        # the one unreadable file is the flag's; the command's other inputs are valid
+        bad = work / "bad.bin"
+        bad.write_bytes(b"\xff\xfe\x00")
+        argv = [work / a if a.endswith(".txt") else a for a in argv]
+        assert run(*argv, flag, bad) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte\n")
+        assert not (work / "x.txt").exists()
+
+    def test_oversized_restarts_exits_2_before_drawing_a_seed(self, work):
+        # a restart seed is drawn per restart before anything is embedded, so
+        # an unchecked count runs until it is killed: a subprocess with a
+        # timeout turns that into a failure
+        import subprocess
+        import sys
+
+        restarts = "9" * 20
+        out = work / "ord.txt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "fanwidth.cli", "order", "--graph", str(work / "g.txt"),
+             "--D", "20", "--dims-cap", "8", "--restarts", restarts, "--out", str(out)],
+            capture_output=True, text=True, timeout=30)
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: --restarts {restarts} needs a {restarts} x 8 "
+                               "direction matrix, more than the supported 5 x "
+                               f"{MAX_COLUMNS} entries\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("field", ["X", "ordering"])
     def test_non_integer_certificate_id_exits_2(self, work, capsys, field):
         lines = (work / "c.txt").read_text().splitlines()
@@ -663,6 +701,24 @@ class TestReduceCommands:
         assert not cert.exists()
         assert run(*argv, "--D", "5") == 0
         assert cert.read_bytes() == (GOLDEN / "k5_kplanar_D5_seed3.txt").read_bytes()
+
+    @pytest.mark.parametrize("command", [
+        ("reduce-gk", "--genus", "1", "--planarizing", "pset.txt"),
+        ("reduce-gk", "--genus", "0"),
+        ("reduce-kplanar",),
+    ], ids=["gk-genus-1", "gk-genus-0", "kplanar"])
+    def test_negative_kk_exits_2_at_every_genus(self, work, capsys, command):
+        # a crossing-free drawing has no edge over any k, so only the check
+        # of k itself rejects it
+        drawing = work / "plain.txt"
+        drawing.write_text(serialize_drawing(DrawnGraph(path_graph(3), [])))
+        (work / "pset.txt").write_text(serialize_vertex_set([0]))
+        cert = work / "cert.txt"
+        argv = [work / a if a.endswith(".txt") else a for a in command]
+        assert run(*argv, "--drawing", drawing, "--kk", "-1", "--D", "1",
+                   "--out", cert) == 2
+        assert capsys.readouterr().err == "error: k must be non-negative\n"
+        assert not cert.exists()
 
     def test_gk_requires_planarizer(self, work):
         assert run("reduce-gk", "--drawing", work / "d.txt", "--genus", "1",

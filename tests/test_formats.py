@@ -193,6 +193,8 @@ PARSER_MESSAGES = {
                               "line 8: tree edge references unknown bag 5"),
     "row-count-zero": (parse_product_input, HOST + "[P]\n0\n",
                        "line 5: row count must be positive"),
+    "missing-P": (parse_product_input, HOST + "[Q]\n",
+                  "line 4: expected [P], got '[Q]'"),
     "missing-G": (parse_product_input, HOST + "[P]\n1\n[X]\n",
                   "line 6: expected [G], got '[X]'"),
     "duplicate-placement": (parse_product_input,
@@ -202,10 +204,14 @@ PARSER_MESSAGES = {
                        "line 8: host vertex 5 outside 0..1"),
     "placement-row": (parse_product_input, HOST + "[P]\n1\n[G]\n1 0\n0 0 3\n",
                       "line 8: row 3 outside 1..1"),
+    "certificate-bad-integer": (parse_certificate, "fan-certificate v1\nn x\n",
+                                "line 2: bad integer for n"),
     "certificate-ends-before-X": (parse_certificate, CERT_HEAD,
                                   "line 7: certificate ends before X"),
     "malformed-param": (parse_certificate, CERT_HEAD + "param k\n",
                         "line 7: param line needs 'param key value'"),
+    "missing-X": (parse_certificate, CERT_HEAD + "Y 1\n",
+                  "line 7: expected 'X <ids>', got 'Y 1'"),
     "missing-ordering": (parse_certificate, CERT_HEAD + "X\nmapping\n",
                          "line 8: expected 'ordering <ids>', got 'mapping'"),
     "missing-mapping": (parse_certificate, CERT_HEAD + "X\nordering 0 1\nend\n",
@@ -223,6 +229,9 @@ PARSER_MESSAGES = {
                                  "line 7: placement count -2 is negative"),
     "embedded-edges-negative": (parse_product_input, HOST + "[P]\n1\n[G]\n1 -5\n0 0 1\n",
                                 "line 7: embedded edge count -5 is negative"),
+    "crossing-bad-fields": (parse_drawing,
+                            "[graph]\n4 0\n[crossings]\n1\n0 1 2 3 x 0.5\n",
+                            "line 5: bad crossing fields '0 1 2 3 x 0.5'"),
     "crossing-count-negative": (parse_drawing, "[graph]\n2 0\n[crossings]\n-1\n",
                                 "line 4: crossing count -1 is negative"),
     # a line after a document's last record is an error, not ignored

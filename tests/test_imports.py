@@ -66,7 +66,7 @@ CLI_PATH_IMPORTS = {
     "pipeline": ["__future__", "math", "statistics", "dataclasses", ".errors", ".graphs",
                  ".sparsify", ".treedec"],
     "sparsify": ["__future__", "math", "os", "collections", "dataclasses", "fractions",
-                 "functools", ".errors", ".graphs", ".treedec"],
+                 ".errors", ".graphs", ".treedec"],
     "treedec": ["__future__", "heapq", "dataclasses", "functools", "itertools", ".errors",
                 ".graphs"],
 }

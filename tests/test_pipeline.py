@@ -553,6 +553,54 @@ class TestGkReduce:
         assert res.info["short_circuit"]
 
 
+def path3_drawing():
+    return DrawnGraph(path_graph(3), [])
+
+
+# A call that checks a drawing, and the full message of the InputError it
+# raises.  ``gk_reduce`` checks k before the drawing, at every genus, and
+# ``kplanar_reduce`` is its genus 0.
+DRAWING_MESSAGES = {
+    "edge-crossing-itself": (
+        lambda: DrawnGraph(k5(), [Crossing((0, 1), (1, 0), 0.5, 0.5)]).validate(),
+        "crossing 0 has an edge crossing itself"),
+    "duplicate-position": (
+        lambda: DrawnGraph(k5(), [Crossing((0, 3), (1, 2), 0.5, 0.5),
+                                  Crossing((0, 3), (1, 4), 0.5, 0.25)]).validate(),
+        "crossing 1: duplicate position 0.5 on edge (0, 3)"),
+    "crossings-over-k": (lambda: kplanar_reduce(k5_drawing(), 0, 5, 0),
+                         "edge (0, 3) has 1 crossings, more than k=0"),
+    "genus-negative": (lambda: gk_reduce(path3_drawing(), -1, 0, 1, 0),
+                       "genus must be non-negative"),
+    "k-negative-kplanar": (lambda: kplanar_reduce(path3_drawing(), -1, 1, 0),
+                           "k must be non-negative"),
+    "k-negative-genus-0": (lambda: gk_reduce(path3_drawing(), 0, -1, 1, 0),
+                           "k must be non-negative"),
+    "k-negative-genus-1": (lambda: gk_reduce(path3_drawing(), 1, -1, 1, 0,
+                                             planarizing_set=[0]),
+                           "k must be non-negative"),
+    "k-negative-before-crossings": (lambda: gk_reduce(k5_drawing(), 1, -1, 5, 0,
+                                                      planarizing_set=[]),
+                                    "k must be non-negative"),
+    "planarizing-vertex-outside": (lambda: gk_reduce(path3_drawing(), 1, 0, 1, 0,
+                                                     planarizing_set=[3]),
+                                   "planarizing vertex 3 is not in the augmented graph"),
+    "planarizing-vertex-removed": (
+        lambda: gk_reduce(DrawnGraph(path_graph(3).delete({1}), []), 1, 0, 1, 0,
+                          planarizing_set=[1]),
+        "planarizing vertex 1 is not in the augmented graph"),
+}
+
+
+class TestDrawingMessages:
+    @pytest.mark.parametrize("check, message", DRAWING_MESSAGES.values(),
+                             ids=DRAWING_MESSAGES.keys())
+    def test_message(self, check, message):
+        with pytest.raises(InputError) as exc:
+            check()
+        assert str(exc.value) == message
+
+
 # Each bad value of an ordering parameter and the one message that rejects it
 BAD_ORDERING_PARAMS = [
     ("k", 1, "embedding needs k >= 2"),
@@ -654,6 +702,26 @@ class TestOrderingParams:
         assert len(inputs["some"](**good).ordering) >= 2
         if "short-circuit" in inputs:
             assert inputs["short-circuit"](**good).info["short_circuit"]
+
+    @pytest.mark.parametrize("restarts, error, message", [
+        (1310720, LookupError, "the first restart seed"),
+        (1310721, InputError, "--restarts 1310721 needs a 1310721 x 8 direction "
+                              "matrix, more than the supported 5 x 2097152 entries"),
+    ])
+    def test_restarts_bound_the_direction_matrix(self, monkeypatch, restarts, error,
+                                                 message):
+        # the 5 x 5 grid at D = 20 orders its survivors in 8 capped dimensions:
+        # restarts x 8 entries may reach the default 5 x MAX_COLUMNS, and one
+        # more restart is rejected before the first restart's seed is drawn
+        import fanwidth.randomness
+
+        def first_seed(*args):
+            raise LookupError("the first restart seed")
+
+        monkeypatch.setattr(fanwidth.randomness, "stream", first_seed)
+        with pytest.raises(error) as exc:
+            planar_pipeline(grid(5), 20, 0, restarts=restarts, dims_cap=8)
+        assert str(exc.value) == message
 
     def test_the_embedding_inputs_have_no_point_or_some(self):
         assert points(False)[0] == [] and len(points(True)[0]) >= 2

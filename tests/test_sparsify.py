@@ -428,6 +428,12 @@ class TestProductSparsify:
         with pytest.raises(InputError):
             product_sparsify(host, td, placements, 1.5)
 
+    def test_rejects_duplicate_placements(self):
+        host, td, g, placements = column_in_product(4)
+        with pytest.raises(InputError) as exc:
+            product_sparsify(host, td, placements + placements[:1], 2)
+        assert str(exc.value) == "duplicate product placements"
+
     def test_rejects_out_of_range_row(self):
         host, td, g, placements = column_in_product(4)
         bad = placements[:3] + [ProductVertex(0, 9)]
