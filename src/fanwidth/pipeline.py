@@ -273,18 +273,19 @@ def _best_of_orderings(gp: Graph, survivors: list, placements: list,
                        sp: StructuredSparsifier, k, a, seed: int, restarts: int,
                        dims_cap):
     """The least-bandwidth projection order of the survivors (the first
-    such restart on a tie) and the median bandwidth over the restarts.  A
-    ``restarts x L`` direction matrix larger than the default restarts' at
-    the largest L is rejected before any restart's seed is drawn."""
+    such restart on a tie) and the median bandwidth over the restarts.  The
+    ``restarts x L`` directions and ``restarts x n`` heights of n survivors
+    may hold no more entries than the default restarts' at the largest L;
+    more restarts are rejected before any restart's seed is drawn."""
     # the one place the certificate pipeline loads the embedding (and numpy)
     from .embedding import MAX_COLUMNS, _Columns, projection_orders
     from .randomness import stream
 
-    L = _Columns(survivors, placements, sp, k, a, seed, dims_cap).L
-    if restarts * L > DEFAULT_RESTARTS * MAX_COLUMNS:
-        raise InputError(f"--restarts {restarts} needs a {restarts} x {L} direction "
-                         f"matrix, more than the supported {DEFAULT_RESTARTS} x "
-                         f"{MAX_COLUMNS} entries")
+    L, n = _Columns(survivors, placements, sp, k, a, seed, dims_cap).L, len(survivors)
+    if restarts * (L + n) > DEFAULT_RESTARTS * (MAX_COLUMNS + n):
+        raise InputError(f"--restarts {restarts} needs {restarts} x ({L} + {n}) "
+                         "direction and height entries, more than the supported "
+                         f"{DEFAULT_RESTARTS} x ({MAX_COLUMNS} + {n})")
     subs = [int(stream(seed, f"order/restart={r}").integers(0, 2**63 - 1))
             for r in range(restarts)]
     orderings = projection_orders(survivors, placements, sp, k, a, seed, subs,

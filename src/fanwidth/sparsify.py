@@ -153,17 +153,18 @@ def _cut_slab(g: Graph, task) -> tuple:
     return td.width, part
 
 
-def _cut_claimed(g: Graph, tasks: list, claim) -> tuple:
-    """Cut the tasks that ``claim()`` hands out until none is left or one
-    raises.  Returns the ``(index, width, part)`` of each task cut and the
-    ``(index, error)`` of the one that raised, or None; a task that raises
-    stops every process's claims."""
+def _cut_claimed(g: Graph, tasks: list, claims) -> tuple:
+    """Cut the tasks that the 8-byte index records of file ``claims`` hand
+    out until none is left or one raises.  Returns the ``(index, width,
+    part)`` of each task cut and the ``(index, error)`` of the one that
+    raised, or None; a raise moves ``claims`` to its end, ending all claims."""
     done = []
-    while (t := claim()) < len(tasks):
+    while record := claims.read(8):
+        t = int.from_bytes(record, "little")
         try:
             done.append((t, *_cut_slab(g, tasks[t])))
         except Exception as exc:  # sent to the parent, which raises it
-            claim(stop=True)
+            claims.seek(0, os.SEEK_END)
             return done, (t, exc)
     return done, None
 
@@ -173,29 +174,32 @@ def _cut_slabs(g: Graph, tasks: list, workers: int) -> list:
 
     This process cuts too, beside ``workers - 1`` forked children that
     inherit the graph; on one process it runs the same claim loop and fold
-    with no child.  Each process claims the next task, largest first:
-    the next index is the one token in a pipe, so a claim never waits on
-    pipe capacity, whatever the number of tasks.  A child sends what it cut,
-    or the error that stopped it, through a pipe of its own.  Every task
-    before the first that raised was cut, so that task's error is raised,
-    with its type and message, whatever the number of processes; a child
-    that exits without its results is a RuntimeError.  Every child is
+    with no child.  Each process claims the next task, largest first, by
+    reading its 8-byte index from a shared claim file: Linux moves a regular
+    file's shared offset atomically, so no index is handed out twice, and
+    none is written back, so a dead process holds no claim.  A child sends
+    what it cut, or the error that stopped it, through a pipe of its own.
+    Every task before the first that raised was cut, so that task's error is
+    raised, with its type and message, whatever the number of processes; a
+    child that exits without its results is a RuntimeError.  Every child is
     reaped before this returns or raises.
     """
-    if workers > 1:  # only a forked cut pickles results and kills children
+    import io  # loaded with the interpreter; one process claims from memory
+    claims = io.BytesIO()
+    if workers > 1:  # only a forked cut shares its claims, pickles and kills
         import pickle
         import signal
+        import tempfile
 
-    token_r, token_w = os.pipe()
-    os.write(token_w, bytes(8))
-
-    def claim(stop: bool = False) -> int:
-        t = int.from_bytes(os.read(token_r, 8), "little")
-        os.write(token_w, (len(tasks) if stop else t + 1).to_bytes(8, "little"))
-        return t
+        try:
+            claims = tempfile.TemporaryFile(buffering=0)
+        except OSError:  # no file to share the claims through: cut alone
+            workers = 1
 
     children: dict = {}  # pid -> the read end of its result pipe, until reaped
     try:
+        claims.write(b"".join(t.to_bytes(8, "little") for t in range(len(tasks))))
+        claims.seek(0)
         for _ in range(workers - 1):
             r, w = os.pipe()
             try:
@@ -210,13 +214,13 @@ def _cut_slabs(g: Graph, tasks: list, workers: int) -> list:
                     for fd in (r, *children.values()):  # read ends: the parent's
                         os.close(fd)
                     with open(w, "wb") as pipe:
-                        pickle.dump(_cut_claimed(g, tasks, claim), pipe)
+                        pickle.dump(_cut_claimed(g, tasks, claims), pipe)
                     code = 0
                 finally:
                     os._exit(code)
             os.close(w)
             children[pid] = r
-        reports = [_cut_claimed(g, tasks, claim)]
+        reports = [_cut_claimed(g, tasks, claims)]
         for pid, r in list(children.items()):
             with open(r, "rb", closefd=False) as pipe:
                 payload = pipe.read()
@@ -231,8 +235,7 @@ def _cut_slabs(g: Graph, tasks: list, workers: int) -> list:
             os.close(r)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        os.close(token_r)
-        os.close(token_w)
+        claims.close()
 
     results = [None] * len(tasks)
     failures = []

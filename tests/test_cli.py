@@ -473,23 +473,25 @@ class TestExitCodes:
                        "in position 0: invalid start byte\n")
         assert not (work / "x.txt").exists()
 
-    def test_oversized_restarts_exits_2_before_drawing_a_seed(self, work):
+    @pytest.mark.parametrize("restarts", ["9" * 20, "1310720"])
+    def test_oversized_restarts_exits_2_before_drawing_a_seed(self, work, restarts):
         # a restart seed is drawn per restart before anything is embedded, so
-        # an unchecked count runs until it is killed: a subprocess with a
-        # timeout turns that into a failure
+        # an unchecked count runs until it is killed, and 1310720 restarts of
+        # 8 directions each, within the direction matrix's own bound, took
+        # 1.5 minutes and 1.25 GB: a subprocess with a timeout turns either
+        # into a failure
         import subprocess
         import sys
 
-        restarts = "9" * 20
         out = work / "ord.txt"
         proc = subprocess.run(
             [sys.executable, "-m", "fanwidth.cli", "order", "--graph", str(work / "g.txt"),
              "--D", "20", "--dims-cap", "8", "--restarts", restarts, "--out", str(out)],
             capture_output=True, text=True, timeout=30)
         assert proc.returncode == 2
-        assert proc.stderr == (f"error: --restarts {restarts} needs a {restarts} x 8 "
-                               "direction matrix, more than the supported 5 x "
-                               f"{MAX_COLUMNS} entries\n")
+        assert proc.stderr == (f"error: --restarts {restarts} needs {restarts} x (8 + 20) "
+                               "direction and height entries, more than the supported "
+                               f"5 x ({MAX_COLUMNS} + 20)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["X", "ordering"])

@@ -704,15 +704,17 @@ class TestOrderingParams:
             assert inputs["short-circuit"](**good).info["short_circuit"]
 
     @pytest.mark.parametrize("restarts, error, message", [
-        (1310720, LookupError, "the first restart seed"),
-        (1310721, InputError, "--restarts 1310721 needs a 1310721 x 8 direction "
-                              "matrix, more than the supported 5 x 2097152 entries"),
+        (374495, LookupError, "the first restart seed"),
+        (374496, InputError, "--restarts 374496 needs 374496 x (8 + 20) direction "
+                             "and height entries, more than the supported "
+                             "5 x (2097152 + 20)"),
     ])
     def test_restarts_bound_the_direction_matrix(self, monkeypatch, restarts, error,
                                                  message):
-        # the 5 x 5 grid at D = 20 orders its survivors in 8 capped dimensions:
-        # restarts x 8 entries may reach the default 5 x MAX_COLUMNS, and one
-        # more restart is rejected before the first restart's seed is drawn
+        # the 5 x 5 grid at D = 20 orders its 20 survivors in 8 capped
+        # dimensions: restarts x (8 + 20) entries may reach the default
+        # 5 x (MAX_COLUMNS + 20), and one more restart is rejected before the
+        # first restart's seed is drawn
         import fanwidth.randomness
 
         def first_seed(*args):

@@ -402,6 +402,97 @@ class TestParallelSlabCut:
         assert sizes == sorted(sizes, reverse=True) and sum(sizes) == 16030
 
 
+# A sparsify run on two processes whose forked child SIGKILLs itself right
+# after its first successful claim; this process cuts its first slab only
+# once the child has claimed.  It prints the CLI's exit code.
+KILLED_CLAIMER = """
+import io, os, select, signal, sys, tempfile
+import fanwidth.sparsify as sparsify
+from fanwidth import grid_graph
+from fanwidth.cli import main
+from fanwidth.formats import serialize_graph
+
+parent = os.getpid()
+claimed_r, claimed_w = os.pipe()
+make_file, cut = tempfile.TemporaryFile, sparsify._cut_slab
+
+
+class Claims(io.FileIO):
+    def read(self, size):
+        record = super().read(size)
+        if record and os.getpid() != parent:
+            os.write(claimed_w, b"!")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return record
+
+
+def claim_file(**kwargs):
+    with make_file(**kwargs) as file:
+        return Claims(os.dup(file.fileno()), "r+")
+
+
+def cut_after_the_child_claims(g, task):
+    select.select([claimed_r], [], [], 60)
+    return cut(g, task)
+
+
+tempfile.TemporaryFile = claim_file
+sparsify._cut_slab = cut_after_the_child_claims
+sparsify.PARALLEL_MIN_WORK = 0
+os.sched_getaffinity = lambda pid: {0, 1}
+work = sys.argv[1]
+with open(f"{work}/g.txt", "w") as file:
+    file.write(serialize_graph(grid_graph(12, 12)[0]))
+print(main(["sparsify", "--graph", f"{work}/g.txt", "--D", "8",
+            "--out", f"{work}/x.txt"]))
+"""
+
+
+class TestClaimFile:
+    def test_a_child_killed_after_its_claim_ends_the_cut(self, tmp_path):
+        # a claim is never written back, so the dead child holds none: the
+        # cut ends with the dead worker's RuntimeError (exit 3) instead of
+        # waiting for a claim; the subprocess's timeout turns a hang into a
+        # failure
+        import pathlib
+        import subprocess
+        import sys
+
+        if not hasattr(os, "fork"):
+            pytest.skip("the platform cannot fork")
+        src = str(pathlib.Path(fanwidth.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", KILLED_CLAIMER, str(tmp_path)],
+                              capture_output=True, text=True, timeout=30,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.stdout == "3\n"
+        assert re.fullmatch(r"internal invariant failed: slab worker \d+ exited with "
+                            r"status -9 without its results\n", proc.stderr)
+        assert not (tmp_path / "x.txt").exists()
+
+    def test_without_a_claim_file_this_process_cuts_alone(self, monkeypatch):
+        import tempfile
+
+        def no_file(**kwargs):
+            raise OSError(24, "Too many open files")
+
+        def no_fork():
+            raise AssertionError("a cut without a claim file forked")
+
+        g, _ = grid_graph(12, 12)
+        tasks = slab_tasks(g, 8)
+        expected = _cut_slabs(g, tasks, 1)
+        monkeypatch.setattr(tempfile, "TemporaryFile", no_file)
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert _cut_slabs(g, tasks, 2) == expected
+
+    @pytest.mark.parametrize("side", [20, 32])
+    def test_grid_slabs_cut_alike_on_one_to_three_processes(self, side):
+        g, _ = grid_graph(side, side)
+        tasks = slab_tasks(g, 8)
+        expected = _cut_slabs(g, tasks, 1)
+        assert _cut_slabs(g, tasks, 2) == _cut_slabs(g, tasks, 3) == expected
+
+
 def small_product(D):
     host, g, placements = grid_in_product(8)
     td = minfill_decomposition(host)
