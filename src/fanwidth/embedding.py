@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InputError
 from .graphs import Graph, Layering, ProductVertex, bfs, bfs_layering, component_labels
-from .pipeline import check_ordering_params
+from .pipeline import DEFAULT_RESTARTS, check_ordering_params
 from .randomness import PCG64Batch, numbered_states, stream
 from .sparsify import StructuredSparsifier
 
@@ -42,16 +42,16 @@ _PARTITION_BLOCK = 64
 MAX_COLUMNS = 1 << 21
 
 
-def _row_geometry(rows: np.ndarray, delta: int, r_p: int, n_rows: int):
+def _row_geometry(rows: np.ndarray, delta: int, r_p: int, pad_lo: int, pad_hi: int):
     """Row cell ``b`` of each row, the cell's rows ``lo..hi`` clipped to the
-    padded path ``-N+1..2N``, and the row exit distance: the rows to the
+    padded path ``sp.pad_range()``, and the row exit distance: the rows to the
     nearer end of the cell that is not an end of the padded path."""
     b = (rows - r_p) // delta
     start = r_p + b * delta
-    lo = np.maximum(start, 1 - n_rows)
-    hi = np.minimum(start + delta - 1, 2 * n_rows)
-    below = np.where(lo > 1 - n_rows, rows - lo + 1, INF)
-    above = np.where(hi < 2 * n_rows, hi + 1 - rows, INF)
+    lo = np.maximum(start, pad_lo)
+    hi = np.minimum(start + delta - 1, pad_hi)
+    below = np.where(lo > pad_lo, rows - lo + 1, INF)
+    above = np.where(hi < pad_hi, hi + 1 - rows, INF)
     return b, lo, hi, np.minimum(below, above)
 
 
@@ -161,14 +161,13 @@ class _Columns:
     per-component stretches.  ``k`` defaults to ``max(2, ceil(log2 n))``.
     ``dims_cap`` subsamples the columns uniformly for exploratory runs;
     certified use keeps the full dimension
-    ``floor(1 + log2 n) * ceil(a k ln n)``.  The checks run on construction,
-    the parameters first (``pipeline.check_ordering_params``); ``scales``
-    draws the columns.
+    ``floor(1 + log2 n) * ceil(a k ln n)``.  Its callers check the
+    parameters (``pipeline.check_ordering_params``) first; the points and the
+    dimension are checked on construction, and ``scales`` draws the columns.
     """
 
     def __init__(self, point_ids, placements, sp: StructuredSparsifier,
                  k: int | None, a, seed: int, dims_cap: int | None):
-        check_ordering_params(k=k, a=a, dims_cap=dims_cap)
         self.ids = list(point_ids)
         self.pvs = list(placements)
         if len(self.ids) != len(self.pvs) or not self.ids:
@@ -237,6 +236,7 @@ def build_embedding(point_ids, placements, sp: StructuredSparsifier,
     """The coordinate matrix of ``_Columns`` for the surviving points of
     ``sp``'s product.  Only ``embed`` and the checks of the embedding need
     it; the pipelines order by ``projection_orders``."""
+    check_ordering_params(k=k, a=a, dims_cap=dims_cap)
     columns = _Columns(point_ids, placements, sp, k, a, seed, dims_cap)
     coords = np.empty((len(columns.ids), columns.L), dtype=np.float64)
     col = 0
@@ -303,7 +303,7 @@ class _ScaleGeometry:
         key_of = []
         for t, r_p in enumerate(r_ps):
             b_of[t], lo, hi, row_exit[t] = _row_geometry(self.rows, self.delta, r_p,
-                                                         self.sp.N)
+                                                         *self.sp.pad_range())
             _, first, cell_of = np.unique(b_of[t], return_index=True, return_inverse=True)
             cells = tuple(zip(lo[first].tolist(), hi[first].tolist()))
             for cell in cells:
@@ -429,14 +429,23 @@ def _heights(columns: _Columns, directions: np.ndarray) -> np.ndarray:
 
 
 def projection_orders(point_ids, placements, sp: StructuredSparsifier,
-                      k: int | None, a, seed: int, direction_seeds,
-                      dims_cap: int | None = None) -> list:
-    """For each of ``direction_seeds``, the order of ``project_order`` on
-    ``build_embedding(point_ids, placements, sp, k, a, seed, dims_cap)``,
-    computed from per-instance sums (``_heights``) in O(R * components +
-    instances * n) memory instead of the ``n x L`` matrix."""
+                      k: int | None, a, seed: int, restarts: int,
+                      dims_cap: int | None = None):
+    """Lazily, restart ``r``'s ``project_order`` on ``build_embedding(...)``
+    with the seed drawn from stream ``f"order/restart={r}"``, from per-instance
+    sums (``_heights``).  The ``restarts x (L + n)`` directions and heights may
+    not outnumber the default restarts' at ``MAX_COLUMNS``: more restarts are
+    rejected, like every bad input, at the call and before any restart seed."""
+    check_ordering_params(k, a, restarts, dims_cap)
     columns = _Columns(point_ids, placements, sp, k, a, seed, dims_cap)
-    directions = np.array([_direction(s, columns.L) for s in direction_seeds]
-                          ).reshape(len(direction_seeds), columns.L)
+    L, n = columns.L, len(columns.ids)
+    if restarts * (L + n) > DEFAULT_RESTARTS * (MAX_COLUMNS + n):
+        raise InputError(f"--restarts {restarts} needs {restarts} x ({L} + {n}) "
+                         "direction and height entries, more than the supported "
+                         f"{DEFAULT_RESTARTS} x ({MAX_COLUMNS} + {n})")
+    directions = np.empty((restarts, L))
+    for r in range(restarts):
+        sub = int(stream(seed, f"order/restart={r}").integers(0, 2**63 - 1))
+        directions[r] = _direction(sub, L)
     ids = np.asarray(columns.ids)
-    return [_order(ids, h) for h in _heights(columns, directions)]
+    return (_order(ids, h) for h in _heights(columns, directions))

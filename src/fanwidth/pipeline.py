@@ -273,28 +273,17 @@ def _best_of_orderings(gp: Graph, survivors: list, placements: list,
                        sp: StructuredSparsifier, k, a, seed: int, restarts: int,
                        dims_cap):
     """The least-bandwidth projection order of the survivors (the first
-    such restart on a tie) and the median bandwidth over the restarts.  The
-    ``restarts x L`` directions and ``restarts x n`` heights of n survivors
-    may hold no more entries than the default restarts' at the largest L;
-    more restarts are rejected before any restart's seed is drawn."""
+    such restart on a tie) and the median bandwidth over the restarts."""
     # the one place the certificate pipeline loads the embedding (and numpy)
-    from .embedding import MAX_COLUMNS, _Columns, projection_orders
-    from .randomness import stream
+    from .embedding import projection_orders
 
-    L, n = _Columns(survivors, placements, sp, k, a, seed, dims_cap).L, len(survivors)
-    if restarts * (L + n) > DEFAULT_RESTARTS * (MAX_COLUMNS + n):
-        raise InputError(f"--restarts {restarts} needs {restarts} x ({L} + {n}) "
-                         "direction and height entries, more than the supported "
-                         f"{DEFAULT_RESTARTS} x ({MAX_COLUMNS} + {n})")
-    subs = [int(stream(seed, f"order/restart={r}").integers(0, 2**63 - 1))
-            for r in range(restarts)]
-    orderings = projection_orders(survivors, placements, sp, k, a, seed, subs,
-                                  dims_cap)
-    results = [(bandwidth_of_ordering(gp, ordering), r, ordering)
-               for r, ordering in enumerate(orderings)]
-    results.sort(key=lambda t: (t[0], t[1]))
-    bws = sorted(t[0] for t in results)
-    return results[0][2], results[0][0], float(statistics.median(bws))
+    best, best_bw, bws = None, math.inf, []
+    for ordering in projection_orders(survivors, placements, sp, k, a, seed, restarts,
+                                      dims_cap):
+        bws.append(bandwidth_of_ordering(gp, ordering))
+        if bws[-1] < best_bw:
+            best, best_bw = ordering, bws[-1]
+    return best, best_bw, float(statistics.median(bws))
 
 
 def _compressed_rows(vertices, row_of) -> dict:

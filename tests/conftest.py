@@ -137,7 +137,8 @@ class ReferenceGeometry:
     def _row_part(self, r_p: int):
         part = self._row_parts.get(r_p)
         if part is None:
-            b, lo, hi, row_exit = _row_geometry(self.rows, self.delta, r_p, self.sp.N)
+            b, lo, hi, row_exit = _row_geometry(self.rows, self.delta, r_p,
+                                                *self.sp.pad_range())
             _, first, cell_of = np.unique(b, return_index=True, return_inverse=True)
             cells = list(zip(lo[first].tolist(), hi[first].tolist()))
             cuts = [_containing_cut(self.sp, lo_t, hi_t) for lo_t, hi_t in cells]

@@ -234,7 +234,7 @@ class TestBuildEmbedding:
         # both consumers of the one column path check their input alike
         completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
         for run in (build_embedding,
-                    lambda *args: projection_orders(*args, direction_seeds=[1])):
+                    lambda *args: projection_orders(*args, restarts=1)):
             for ids, points, k, a, message in [
                     (surv, pvs, 1, 1, "k >= 2"),
                     (surv, pvs, 2, 0, "--a 0 is not a finite positive number"),
@@ -388,7 +388,7 @@ class TestGeometryDefinition:
         with pytest.raises(RuntimeError, match="deleted by a trim cut"):
             build_embedding(*args)
         with pytest.raises(RuntimeError, match="deleted by a trim cut"):
-            projection_orders(*args, direction_seeds=[1])
+            projection_orders(*args, restarts=1)
 
 
 class TestProjectOrder:
@@ -477,6 +477,12 @@ def twins_instance():
 DIRECTION_SEEDS = [101, 7, 2**40 + 3, 0, 55]
 
 
+def restart_seeds(seed: int, restarts: int) -> list:
+    """The direction seed of each restart of ``projection_orders``."""
+    return [int(stream(seed, f"order/restart={r}").integers(0, 2**63 - 1))
+            for r in range(restarts)]
+
+
 class TestProjectionOrders:
     @settings(max_examples=40, deadline=None)
     @given(instance=product_instances(), seed=st.integers(0, 2**32),
@@ -498,9 +504,9 @@ class TestProjectionOrders:
                 for r, direction in enumerate(directions):
                     alone = embedding._heights(columns, direction[None])
                     assert np.array_equal(alone[0], h[r])
-                orders = projection_orders(ids, pvs, sp, 2, 1, seed,
-                                           DIRECTION_SEEDS, dims_cap)
-                assert orders == [project_order(emb, s) for s in DIRECTION_SEEDS]
+                orders = projection_orders(ids, pvs, sp, 2, 1, seed, 5, dims_cap)
+                assert list(orders) == [project_order(emb, s)
+                                        for s in restart_seeds(seed, 5)]
 
     def test_identical_rows_tie_and_fall_back_to_id_order(self):
         sp, ids, pvs = twins_instance()
@@ -512,9 +518,9 @@ class TestProjectionOrders:
         assert sum(len(members) for members in groups) >= 8  # not vacuous
         columns = embedding._Columns(ids, pvs, sp, 2, 1, 4, None)
         directions = np.array([embedding._direction(s, columns.L)
-                               for s in DIRECTION_SEEDS])
+                               for s in restart_seeds(4, 5)])
         h = embedding._heights(columns, directions)
-        orders = projection_orders(ids, pvs, sp, 2, 1, 4, DIRECTION_SEEDS)
+        orders = projection_orders(ids, pvs, sp, 2, 1, 4, 5)
         for heights, order in zip(h, orders):
             position = {v: t for t, v in enumerate(order)}
             for members in groups:

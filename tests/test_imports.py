@@ -1,8 +1,8 @@
-"""The production modules stay independent of the verification oracles and
-of BLAS, the modules ``import fanwidth.cli`` loads import nothing new at
-their top level, the graph representation and the breadth-first walks stay
-behind ``graphs``, a decomposition's tree is walked only by its cached
-``RootedWalk``, and ``fanwidth`` keeps its exports."""
+"""The production modules stay independent of the verification oracles, of
+BLAS and of each other's private names, the modules ``import fanwidth.cli``
+loads import nothing new at their top level, the graph representation and the
+breadth-first walks stay behind ``graphs``, a decomposition's tree is walked
+only by its cached ``RootedWalk``, and ``fanwidth`` keeps its exports."""
 
 import ast
 import importlib
@@ -47,6 +47,31 @@ def test_production_module_imports_no_oracle(name):
 
 def test_the_guard_sees_relative_imports():
     assert {"embedding", "volumes"} <= imported_modules("starmetric")
+
+
+def private_imports(source: str) -> list:
+    """The underscore names ``source`` imports from ``fanwidth`` modules,
+    top level or inside a function."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("fanwidth"))
+            for alias in node.names if alias.name.startswith("_")]
+
+
+# a module's underscore names are its own; the oracles may read them
+@pytest.mark.parametrize("name", ["graphs", "treedec", "sparsify", "embedding",
+                                  "pipeline", "randomness", "formats", "cli"])
+def test_production_module_imports_no_private_name(name):
+    assert private_imports((PACKAGE / f"{name}.py").read_text()) == []
+
+
+@pytest.mark.parametrize("added", ["from .embedding import _Columns\n",
+                                   "def f():\n    from . import _helpers\n",
+                                   "from fanwidth.pipeline import CENTER, _round_trip\n"])
+def test_the_private_guard_sees_an_added_import(added):
+    source = (PACKAGE / "graphs.py").read_text() + added
+    assert len(private_imports(source)) == 1
+    assert private_imports((PACKAGE / "starmetric.py").read_text()) == ["_embedding_shape"]
 
 
 # The modules each module on the ``import fanwidth.cli`` path imports when it

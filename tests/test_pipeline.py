@@ -27,8 +27,9 @@ from fanwidth import (
     product_pipeline,
     verify_certificate,
 )
+from fanwidth import embedding
 from fanwidth.embedding import _embedding_shape, build_embedding, projection_orders
-from fanwidth.pipeline import CENTER, sparsify_product
+from fanwidth.pipeline import CENTER, _best_of_orderings, sparsify_product
 
 from conftest import (
     column_in_product,
@@ -663,11 +664,9 @@ ORDERING_ENTRY_POINTS = {
     "build_embedding": (EMBEDDING, {
         "none": lambda **p: build_embedding(*points(False), seed=0, **p),
         "some": lambda **p: build_embedding(*points(True), seed=0, **p)}),
-    "projection_orders": (EMBEDDING, {
-        "none": lambda **p: projection_orders(*points(False), seed=0,
-                                              direction_seeds=[1], **p),
-        "some": lambda **p: projection_orders(*points(True), seed=0,
-                                              direction_seeds=[1], **p)}),
+    "projection_orders": (PIPELINE, {
+        "none": lambda **p: projection_orders(*points(False), seed=0, **p),
+        "some": lambda **p: projection_orders(*points(True), seed=0, **p)}),
 }
 
 
@@ -715,15 +714,53 @@ class TestOrderingParams:
         # dimensions: restarts x (8 + 20) entries may reach the default
         # 5 x (MAX_COLUMNS + 20), and one more restart is rejected before the
         # first restart's seed is drawn
-        import fanwidth.randomness
+        stream = embedding.stream
 
-        def first_seed(*args):
-            raise LookupError("the first restart seed")
+        def first_seed(seed, label):
+            if label.startswith("order/restart="):
+                raise LookupError("the first restart seed")
+            return stream(seed, label)
 
-        monkeypatch.setattr(fanwidth.randomness, "stream", first_seed)
+        monkeypatch.setattr(embedding, "stream", first_seed)
         with pytest.raises(error) as exc:
             planar_pipeline(grid(5), 20, 0, restarts=restarts, dims_cap=8)
         assert str(exc.value) == message
 
     def test_the_embedding_inputs_have_no_point_or_some(self):
         assert points(False)[0] == [] and len(points(True)[0]) >= 2
+
+
+class TestRestartFold:
+    """``projection_orders`` owns the columns and the restarts;
+    ``_best_of_orderings`` only folds the bandwidths of its orders."""
+
+    @pytest.mark.parametrize("run", [
+        lambda **p: planar_pipeline(grid(8), 32, 3, **p),
+        lambda **p: product_pipeline(*product_grid(8), seed=3, **p)],
+        ids=["planar_pipeline", "product_pipeline"])
+    def test_one_columns_and_one_dims_cap_draw_per_ordering(self, monkeypatch, run):
+        calls = {"columns": 0, "dims-cap": 0}
+        init, stream = embedding._Columns.__init__, embedding.stream
+
+        def counted_init(self, *args):
+            calls["columns"] += 1
+            init(self, *args)
+
+        def counted_stream(seed, label):
+            calls["dims-cap"] += label == "dims-cap"
+            return stream(seed, label)
+
+        monkeypatch.setattr(embedding._Columns, "__init__", counted_init)
+        monkeypatch.setattr(embedding, "stream", counted_stream)
+        assert len(run(k=2, a=1, restarts=3, dims_cap=4).ordering) >= 2
+        assert calls == {"columns": 1, "dims-cap": 1}
+
+    def test_first_least_bandwidth_order_and_median(self, monkeypatch):
+        gp = path_graph(6)
+        orders = [[0, 2, 4, 1, 3, 5], [0, 2, 1, 3, 5, 4], [1, 0, 2, 4, 3, 5],
+                  [0, 2, 3, 4, 5, 1]]
+        assert [bandwidth_of_ordering(gp, o) for o in orders] == [3, 2, 2, 5]
+        monkeypatch.setattr(embedding, "projection_orders",
+                            lambda *args: (list(o) for o in orders))
+        best = _best_of_orderings(gp, None, None, None, 2, 1, 0, len(orders), None)
+        assert best == (orders[1], 2, 2.5)
