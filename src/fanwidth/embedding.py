@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -27,9 +28,12 @@ from .sparsify import StructuredSparsifier
 
 INF = math.inf
 
-# Columns of a scale drawn and written together: one block's stretch draws
-# are ``_COLUMN_CHUNK x components`` (their closed-form tiles are
-# ``_COLUMN_CHUNK x 32``), and ``build_embedding`` gathers ``_COLUMN_CHUNK x n``
+# Columns of a scale drawn and summed together: one chunk's stretch draws come
+# in closed-form tiles of ``_COLUMN_CHUNK x PCG64Batch.TILE``, ``_heights``
+# takes the restarts' directions ``restarts x _COLUMN_CHUNK`` at a time and
+# builds their terms for blocks of restarts of at most ``DEFAULT_RESTARTS x
+# _COLUMN_CHUNK x PCG64Batch.TILE`` cells, and ``build_embedding`` gathers
+# ``_COLUMN_CHUNK x n``
 _COLUMN_CHUNK = 512
 
 # Partitions of a scale whose per-point keys are gathered and ranked together
@@ -192,10 +196,11 @@ class _Columns:
         """Yield ``(instances, chunks)`` per scale, in column order.
         ``instances`` lists the scale's distinct ``(bdist, jidx, components)``
         (see ``_ScaleGeometry.instances``).  ``chunks`` yields
-        ``(inst_of, alpha)`` per run of at most ``_COLUMN_CHUNK`` columns:
-        each column's index in ``instances`` and its stretch draws, one row
-        per column.  Column ``t`` is ``(1 + alpha[t, jidx]) * bdist`` of its
-        instance."""
+        ``(inst_of, alpha, count)`` per run of at most ``_COLUMN_CHUNK``
+        columns: each column's index in ``instances``, and the
+        ``PCG64Batch`` of their stretch draws, ``count`` of them per column
+        (``alpha.random(count)``, or in tiles by ``alpha.tiles(count)``).
+        Column ``t`` is ``(1 + alpha[t, jidx]) * bdist`` of its instance."""
         host = self.sp.host
         layering = bfs_layering(host, min(host.vertices()))
         hosts = np.array([pv.h for pv in self.pvs], dtype=np.int64)
@@ -215,19 +220,20 @@ class _Columns:
             else:
                 r_h, r_p = PCG64Batch(numbered_states(self.seed, head, jrs, "/offsets")
                                       ).offsets(delta)
+            alpha_states = numbered_states(self.seed, head, jrs, "/alpha")
             geometry = _ScaleGeometry(host, layering, self.sp, delta, hosts, rows)
             instances, inst_of = geometry.instances(r_h, r_p)
-            yield instances, _chunks(numbered_states(self.seed, head, jrs, "/alpha"),
-                                     inst_of, instances)
+            yield instances, _chunks(alpha_states, inst_of, instances)
+            # the next scale's geometry is built without this one's
+            del instances, inst_of
 
 
 def _chunks(alpha_states: np.ndarray, inst_of: np.ndarray, instances: list):
     components = np.array([count for _, _, count in instances])[inst_of]
     for start in range(0, len(inst_of), _COLUMN_CHUNK):
         stop = min(start + _COLUMN_CHUNK, len(inst_of))
-        alpha = PCG64Batch(alpha_states[start:stop]).random(
-            int(components[start:stop].max()))
-        yield inst_of[start:stop], alpha
+        yield (inst_of[start:stop], PCG64Batch(alpha_states[start:stop]),
+               int(components[start:stop].max()))
 
 
 def build_embedding(point_ids, placements, sp: StructuredSparsifier,
@@ -241,7 +247,8 @@ def build_embedding(point_ids, placements, sp: StructuredSparsifier,
     coords = np.empty((len(columns.ids), columns.L), dtype=np.float64)
     col = 0
     for instances, chunks in columns.scales():
-        for inst_of, alpha in chunks:
+        for inst_of, batch, count in chunks:
+            alpha = batch.random(count)
             used, local = np.unique(inst_of, return_inverse=True)
             jidx = np.stack([instances[u][1] for u in used])[local]
             block = np.take_along_axis(alpha, jidx, axis=1)
@@ -372,13 +379,79 @@ class _ScaleGeometry:
         return instances, index[part_of][pair_of]
 
 
+class _Directions:
+    """The unit directions ``_direction(seed, L)`` of many seeds, taken
+    together ``count`` columns at a time, so that no ``seeds x L`` matrix
+    is held.
+
+    Each seed's ``stream(seed, "projection")`` normals are drawn twice, in
+    ``_COLUMN_CHUNK`` blocks: first for the norm, the correctly rounded root
+    of an exact sum (``math.fsum``) with no BLAS call, and then block by
+    block as ``take`` reaches them, divided by the norm.  numpy's
+    ``standard_normal`` drawn in blocks equals one call, bit for bit.
+    Between blocks a seed's generator is parked as its PCG64 state and
+    increment, two ints, so no generator per seed is held either; after its
+    last block it is dropped."""
+
+    def __init__(self, seeds, L: int):
+        self._states, self._incs, norms = [], [], []
+        for seed in seeds:
+            self._rng = stream(seed, "projection")
+            state = self._rng.bit_generator.state["state"]
+            self._states.append(state["state"])
+            self._incs.append(state["inc"])
+            blocks = (self._rng.standard_normal(min(_COLUMN_CHUNK, L - c))
+                      for c in range(0, L, _COLUMN_CHUNK))
+            norms.append(math.sqrt(math.fsum(chain.from_iterable(
+                (r * r).tolist() for r in blocks))))
+        # a zero direction stays as it is
+        self._norms = np.array([norm if norm > 0 else 1.0 for norm in norms])[:, None]
+        self._left = L  # entries not drawn yet
+        self._block = np.empty((len(self), 0))  # drawn, and taken from ``_at`` on
+        self._at = 0
+
+    def __len__(self) -> int:
+        return len(self._norms)
+
+    def _draw(self):
+        """Each direction's next block of up to ``_COLUMN_CHUNK`` entries."""
+        self._block = np.empty((len(self), min(_COLUMN_CHUNK, self._left)))
+        self._left -= self._block.shape[1]
+        self._at = 0
+        # the last seed's generator, set to each parked state in turn
+        for r, (state, inc) in enumerate(zip(self._states, self._incs)):
+            bits = self._rng.bit_generator
+            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                          "has_uint32": 0, "uinteger": 0}
+            self._rng.standard_normal(out=self._block[r])
+            if self._left:
+                self._states[r] = bits.state["state"]["state"]
+        if not self._left:
+            self._states = self._incs = ()
+        self._block /= self._norms
+
+    def take(self, count: int) -> np.ndarray:
+        """``(len(self), count)`` array of each direction's next ``count``
+        entries."""
+        if count > self._left + self._block.shape[1] - self._at:
+            raise ValueError(f"take({count}) runs past the directions' end")
+        out = np.empty((len(self), count))
+        done = 0
+        while done < count:
+            if self._at == self._block.shape[1]:
+                self._draw()
+            step = min(count - done, self._block.shape[1] - self._at)
+            out[:, done:done + step] = self._block[:, self._at:self._at + step]
+            done += step
+            self._at += step
+        return out
+
+
 def _direction(seed: int, L: int) -> np.ndarray:
     """The random unit direction of ``seed`` in ``L`` dimensions.  Its norm
     is the correctly rounded root of an exact sum, with no BLAS call, so its
     bits do not depend on the BLAS build or thread count."""
-    r = stream(seed, "projection").standard_normal(L)
-    norm = math.sqrt(math.fsum((r * r).tolist()))
-    return r / norm if norm > 0 else r
+    return _Directions([seed], L).take(L)[0]
 
 
 def _order(ids: np.ndarray, h: np.ndarray) -> list:
@@ -396,35 +469,60 @@ def project_order(emb: Embedding, seed: int) -> list:
     return _order(np.asarray(emb.point_ids), h)
 
 
-def _heights(columns: _Columns, directions: np.ndarray) -> np.ndarray:
-    """``coords @ directions.T`` without ``coords``: row ``r`` holds
+def _restart_block(cells: int) -> int:
+    """Restarts whose terms ``_heights`` builds together when each restart
+    has ``cells`` (columns x components) of them: the default restarts' cells
+    at a full chunk and tile."""
+    return max(1, DEFAULT_RESTARTS * _COLUMN_CHUNK * PCG64Batch.TILE // cells)
+
+
+def _heights(columns: _Columns, seeds) -> np.ndarray:
+    """``coords @ directions.T`` without ``coords``, for the directions
+    ``_direction(seed, L)`` of ``seeds``: row ``r`` holds
     ``h[p] = sum_i bdist_i[p] * S_i[jidx_i[p]]`` over the instances ``i``,
     where ``S_i[j] = sum_{c in i} directions[r, c] * (1 + alpha_c[j])``.
 
     The sums run in a fixed order with no BLAS call: per chunk, columns
     sorted by instance and added along the column axis, chunk after chunk,
-    then the instances scale by scale in ``instances`` order.  Each value
-    depends only on its own direction, and points with equal
-    ``(bdist_i, jidx_i)`` in every instance get equal sums.  The directions
-    come from ``_direction``, whose norm is an exact sum, so nothing on the
-    ordering path calls BLAS and the bits do not depend on its threads.
+    then the instances scale by scale in ``instances`` order.  The component
+    axis is taken a tile at a time and the restarts in blocks
+    (``_restart_block``); neither changes a sum's order.  Each value depends
+    only on its own direction, and points with equal ``(bdist_i, jidx_i)``
+    in every instance get equal sums.  Nothing on the ordering path calls
+    BLAS, so the bits do not depend on its threads.
     """
+    directions = _Directions(seeds, columns.L)
     R = len(directions)
     h = np.zeros((R, len(columns.ids)))
-    col = 0
     for instances, chunks in columns.scales():
-        sums = [np.zeros((R, count)) for _, _, count in instances]
-        for inst_of, alpha in chunks:
+        # S_i of the scale's instances side by side, S_i[j] at offsets[i] + j
+        counts = np.array([count for _, _, count in instances])
+        offsets = np.cumsum(counts) - counts
+        sums = np.zeros((R, int(counts.sum())))
+        for inst_of, alpha, count in chunks:
             order = np.argsort(inst_of, kind="stable")
             used, starts = np.unique(inst_of[order], return_index=True)
-            alpha += 1.0
-            terms = directions[:, col + order, None] * alpha[order]
-            block = np.add.reduceat(terms, starts, axis=1)
-            for t, u in enumerate(used.tolist()):
-                sums[u] += block[:, t, :sums[u].shape[1]]
-            col += len(inst_of)
-        for (bdist, jidx, _), s in zip(instances, sums):
-            h += bdist * s[:, jidx]
+            chunk = directions.take(len(inst_of))[:, order, None]
+            k0 = 0
+            for tile in alpha.tiles(count):
+                tile += 1.0
+                tile, width = tile[order], tile.shape[1]
+                # the tile's components k0 + j that instance used[t] has
+                t, j = np.nonzero(k0 + np.arange(width) < counts[used, None])
+                cells = offsets[used[t]] + k0 + j
+                block = _restart_block(len(order) * width)
+                for r0 in range(0, R, block):
+                    summed = np.add.reduceat(chunk[r0:r0 + block] * tile, starts, axis=1)
+                    sums[r0:r0 + block, cells] += summed[:, t, j]
+                k0 += width
+        block = _restart_block(h.shape[1])
+        for (bdist, jidx, _), offset in zip(instances, offsets.tolist()):
+            for r0 in range(0, R, block):
+                s = sums[r0:r0 + block, offset + jidx]
+                s *= bdist
+                h[r0:r0 + block] += s
+        # the next scale's geometry is built without this one's
+        del instances, sums
     return h
 
 
@@ -443,9 +541,7 @@ def projection_orders(point_ids, placements, sp: StructuredSparsifier,
         raise InputError(f"--restarts {restarts} needs {restarts} x ({L} + {n}) "
                          "direction and height entries, more than the supported "
                          f"{DEFAULT_RESTARTS} x ({MAX_COLUMNS} + {n})")
-    directions = np.empty((restarts, L))
-    for r in range(restarts):
-        sub = int(stream(seed, f"order/restart={r}").integers(0, 2**63 - 1))
-        directions[r] = _direction(sub, L)
+    seeds = (int(stream(seed, f"order/restart={r}").integers(0, 2**63 - 1))
+             for r in range(restarts))
     ids = np.asarray(columns.ids)
-    return (_order(ids, h) for h in _heights(columns, directions))
+    return (_order(ids, h) for h in _heights(columns, seeds))

@@ -161,6 +161,8 @@ class PCG64Batch:
     pair ``integers(0, delta)``, ``integers(0, delta)``.
     """
 
+    TILE = _TILE
+
     def __init__(self, states: np.ndarray):
         """``states`` holds the 4 seed words of each generator, as from
         ``label_states``; numpy seeds PCG64 with ``init = v0:v1`` and
@@ -192,15 +194,20 @@ class PCG64Batch:
         return _mul128(_B_HI[:steps], _B_LO[:steps],
                        self.inc_hi[:, None], self.inc_lo[:, None])
 
+    def tiles(self, count: int):
+        """Yield ``random(count)`` in its closed-form tiles, in order: each a
+        ``(len(self), width)`` array with ``width <= _TILE``."""
+        inc_terms = self._inc_terms(min(count, _TILE))
+        for start in range(0, count, _TILE):
+            steps = min(_TILE, count - start)
+            yield (self._outputs(steps, inc_terms) >> _U64(11)) * 2.0 ** -53
+
     def random(self, count: int) -> np.ndarray:
         """``(len(self), count)`` array; row ``t`` is generator ``t``'s
         ``random(count)``: the top 53 bits of each output times 2^-53."""
         out = np.empty((len(self), count), dtype=np.float64)
-        inc_terms = self._inc_terms(min(count, _TILE))
-        for start in range(0, count, _TILE):
-            stop = min(start + _TILE, count)
-            out[:, start:stop] = self._outputs(stop - start, inc_terms) >> _U64(11)
-        out *= 2.0 ** -53
+        for start, tile in zip(range(0, count, _TILE), self.tiles(count)):
+            out[:, start:start + tile.shape[1]] = tile
         return out
 
     def offsets(self, delta: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 from collections import deque
 from unittest import mock
 
@@ -26,7 +28,8 @@ from fanwidth import (
 )
 from fanwidth import embedding
 from fanwidth.embedding import Embedding, _embedding_shape, projection_orders
-from fanwidth.randomness import stream
+from fanwidth.pipeline import DEFAULT_RESTARTS
+from fanwidth.randomness import PCG64Batch, stream
 
 from conftest import (
     ReferenceGeometry,
@@ -437,6 +440,31 @@ class TestDirection:
         assert len(outputs[0]) == 5
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("chunk", [3, 512])
+    def test_streamed_directions_equal_one_call(self, monkeypatch, chunk):
+        # the directions are drawn a column chunk at a time, twice: for the
+        # norm and as taken; both give one standard_normal(L) call's bits
+        monkeypatch.setattr(embedding, "_COLUMN_CHUNK", chunk)
+        seeds = DIRECTION_SEEDS[:3]
+        for L in (1, 511, 512, 513, 62_696):
+            want = []
+            for s in seeds:
+                r = stream(s, "projection").standard_normal(L)
+                want.append(r / math.sqrt(math.fsum((r * r).tolist())))
+            directions = embedding._Directions(seeds, L)
+            got, taken = [], 0
+            for size in itertools.cycle([1, 2, 7, 600, 3]):
+                size = min(size, L - taken)
+                got.append(directions.take(size))
+                taken += size
+                if taken == L:
+                    break
+            assert np.hstack(got).tobytes() == np.array(want).tobytes()
+            with pytest.raises(ValueError, match="past the directions' end"):
+                directions.take(1)
+            for s, row in zip(seeds, want):
+                assert embedding._direction(s, L).tobytes() == row.tobytes()
+
 
 @st.composite
 def product_instances(draw):
@@ -497,12 +525,12 @@ class TestProjectionOrders:
                 columns = embedding._Columns(ids, pvs, sp, 2, 1, seed, dims_cap)
                 directions = np.array([embedding._direction(s, emb.L)
                                        for s in DIRECTION_SEEDS])
-                h = embedding._heights(columns, directions)
+                h = embedding._heights(columns, DIRECTION_SEEDS)
                 dense = emb.coords @ directions.T
                 assert np.abs(h - dense.T).max() <= 1e-12 * np.abs(dense).max()
                 # the batch sums each direction on its own
-                for r, direction in enumerate(directions):
-                    alone = embedding._heights(columns, direction[None])
+                for r, s in enumerate(DIRECTION_SEEDS):
+                    alone = embedding._heights(columns, [s])
                     assert np.array_equal(alone[0], h[r])
                 orders = projection_orders(ids, pvs, sp, 2, 1, seed, 5, dims_cap)
                 assert list(orders) == [project_order(emb, s)
@@ -517,9 +545,7 @@ class TestProjectionOrders:
         groups = [members for members in groups.values() if len(members) > 1]
         assert sum(len(members) for members in groups) >= 8  # not vacuous
         columns = embedding._Columns(ids, pvs, sp, 2, 1, 4, None)
-        directions = np.array([embedding._direction(s, columns.L)
-                               for s in restart_seeds(4, 5)])
-        h = embedding._heights(columns, directions)
+        h = embedding._heights(columns, restart_seeds(4, 5))
         orders = projection_orders(ids, pvs, sp, 2, 1, 4, 5)
         for heights, order in zip(h, orders):
             position = {v: t for t, v in enumerate(order)}
@@ -528,6 +554,61 @@ class TestProjectionOrders:
                 places = sorted(position[ids[t]] for t in members)
                 assert places == list(range(places[0], places[0] + len(members)))
                 assert [order[t] for t in places] == sorted(ids[t] for t in members)
+
+    @pytest.mark.parametrize("chunk", [512, 7])
+    def test_restart_blocks_do_not_change_the_bits(self, monkeypatch, chunk):
+        monkeypatch.setattr(embedding, "_COLUMN_CHUNK", chunk)
+        completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
+        columns = embedding._Columns(surv, pvs, sp, None, 1, 3, None)
+        # scale 0's stretches span two tiles, the second one ragged
+        counts = [count for instances, _ in columns.scales()
+                  for _, _, count in instances]
+        assert max(counts) > PCG64Batch.TILE and len(set(counts)) > 5
+        seeds = restart_seeds(3, 5)
+        h = embedding._heights(columns, seeds)
+        for block in (1, 2, 5):
+            monkeypatch.setattr(embedding, "_restart_block", lambda cells: block)
+            assert embedding._heights(columns, seeds).tobytes() == h.tobytes()
+
+
+class TestOrderingMemory:
+    """The ordering holds a chunk of each direction and builds the terms of
+    a tile for a block of restarts at a time: no ``restarts x L``
+    directions and no ``restarts x columns x components`` terms."""
+
+    def test_heights_stay_within_the_restart_rule(self):
+        # the restart rule with 2^15 columns in place of MAX_COLUMNS admits
+        # 214 restarts here; the terms of a 100-column chunk with 64
+        # components would take 11 MB for all of them at once
+        completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
+        columns = embedding._Columns(surv, pvs, sp, None, 4, 3, None)
+        n, L = len(surv), columns.L
+        restarts = DEFAULT_RESTARTS * ((1 << 15) + n) // (L + n)
+        seeds = restart_seeds(3, restarts)
+        tracemalloc.start()
+        try:
+            embedding._heights(columns, seeds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        budget = 8 * (restarts * (L + n)
+                      + DEFAULT_RESTARTS * embedding._COLUMN_CHUNK * PCG64Batch.TILE)
+        assert restarts == 214 and budget < 2 * 10**6
+        assert peak < 3 * budget
+
+    def test_orders_hold_no_direction_matrix(self):
+        # 40 restarts in L = 12,480 dimensions: their directions alone would
+        # take 4.0 MB
+        completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
+        restarts, L = 40, embedding._Columns(surv, pvs, sp, None, 500, 3, None).L
+        tracemalloc.start()
+        try:
+            orders = list(projection_orders(surv, pvs, sp, None, 500, 3, restarts))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(orders) == restarts and L == 12_480
+        assert peak < restarts * L * 8
 
 
 def random_offsets(seed: int, delta: int, columns: int):
