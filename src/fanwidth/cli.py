@@ -5,35 +5,21 @@ Exit codes: 0 success, 1 verification failure, 2 input or usage error (one
 (an ``AssertionError`` or ``RuntimeError`` raised by an invariant check).
 All output files are canonical text written atomically, so reruns with
 identical inputs and seeds are byte-identical.
+
+Each function imports the modules it runs, so ``import fanwidth.cli`` loads
+only this module and ``errors``, and a command loads only what it runs.
 """
 
-from __future__ import annotations
-
 import argparse
-import math
 import sys
-from fractions import Fraction
 
-from . import formats
 from .errors import InputError, VerificationFailure
-from .graphs import bfs_layering
-from .oracles import DENSITY_LIMIT, exact_bandwidth, exhaustive_local_density
-from .pipeline import (
-    DEFAULT_A,
-    DEFAULT_RESTARTS,
-    check_ordering_params,
-    default_blowup_factor,
-    fan_certificate,
-    gk_reduce,
-    planar_pipeline,
-    product_pipeline,
-    sparsify_product,
-    verify_certificate,
-)
-from .sparsify import baker_sparsify
 
 
 def _parse_density(raw: str):
+    import math
+    from fractions import Fraction
+
     try:
         if "/" in raw:
             return Fraction(raw)
@@ -59,6 +45,8 @@ def _embedding_args(args):
     """Parse ``--D`` in place and check the embedding flags that ``args``
     carries (``embed`` has no ``--restarts``, the reductions no ``--k``)
     with the library's own check, before any input is read."""
+    from .pipeline import DEFAULT_RESTARTS, check_ordering_params
+
     args.D = _parse_density(args.D)
     check_ordering_params(getattr(args, "k", None), args.a,
                           getattr(args, "restarts", DEFAULT_RESTARTS), args.dims_cap)
@@ -83,6 +71,9 @@ def _params(args) -> dict:
 def _sparsify_product(path: str, D):
     """Load a product document and run ``sparsify_product`` on it; returns
     ``(g, td, sp, placed, removed)``."""
+    from . import formats
+    from .pipeline import sparsify_product
+
     host, td, _, placements, g = formats.parse_product_input(_read(path))
     return (g, *sparsify_product(host, td, g, placements, D))
 
@@ -95,6 +86,11 @@ def _report_lines(pairs) -> str:
 
 
 def cmd_sparsify(args) -> int:
+    from . import formats
+    from .graphs import bfs_layering
+    from .oracles import DENSITY_LIMIT, exhaustive_local_density
+    from .sparsify import baker_sparsify
+
     D = _parse_density(args.D)
     if args.graph:
         g = formats.parse_graph(_read(args.graph))
@@ -138,6 +134,7 @@ def cmd_sparsify(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    from . import formats
     from .embedding import build_embedding
 
     _embedding_args(args)
@@ -152,6 +149,9 @@ def cmd_embed(args) -> int:
 
 
 def _run_pipeline(args):
+    from . import formats
+    from .pipeline import planar_pipeline, product_pipeline
+
     _embedding_args(args)
     if args.graph:
         g = formats.parse_graph(_read(args.graph))
@@ -167,6 +167,8 @@ def _run_pipeline(args):
 
 
 def cmd_order(args) -> int:
+    from . import formats
+
     g, result = _run_pipeline(args)
     pairs = [
         ("ordering", " ".join(str(v) for v in result.ordering)),
@@ -181,6 +183,9 @@ def cmd_order(args) -> int:
 def _certify_and_write(args, g, result) -> int:
     """Certify ``result`` at ``--b`` (default: the smallest b it allows),
     verify the certificate against ``g`` and write it to ``--out``."""
+    from . import formats
+    from .pipeline import default_blowup_factor, fan_certificate, verify_certificate
+
     b = args.b if args.b is not None else default_blowup_factor(result)
     cert = fan_certificate(g, result.x, result.ordering, b, seed=args.seed,
                            params=_params(args))
@@ -196,6 +201,9 @@ def cmd_certify(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import formats
+    from .pipeline import verify_certificate
+
     cert = formats.parse_certificate(_read(args.cert))
     if args.graph:
         g = formats.parse_graph(_read(args.graph))
@@ -216,6 +224,9 @@ def cmd_reduce(args) -> int:
     """``reduce-gk``, and ``reduce-kplanar`` as its genus 0: both call
     ``gk_reduce``, which checks the drawing (``kplanar_reduce`` is its
     genus-0 call)."""
+    from . import formats
+    from .pipeline import gk_reduce
+
     if args.planarizing is not None and args.genus == 0:
         raise InputError("--planarizing is used only at positive --genus")
     _embedding_args(args)
@@ -242,6 +253,11 @@ _ORACLE_DEFAULTS = {"trials": 100, "seed": 0}
 
 
 def cmd_oracle(args) -> int:
+    import math
+
+    from . import formats
+    from .oracles import exact_bandwidth, exhaustive_local_density
+
     reads = _ORACLE_FLAGS[args.what]
     for name in ("graph", "product", "D", "trials", "seed"):
         if getattr(args, name) is not None and name not in reads:
@@ -354,6 +370,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_embedding_flags(sub, k=True):
     """``--seed``, ``--D`` and the flags of the embedding; ``k=False`` for the
     reductions, whose planar pipeline always uses the default k."""
+    from .pipeline import DEFAULT_A
+
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--D", type=str, required=True)
     if k:
@@ -364,6 +382,8 @@ def _add_embedding_flags(sub, k=True):
 
 def _add_common(sub, k=True):
     """The embedding flags and ``--restarts`` of the ordering."""
+    from .pipeline import DEFAULT_RESTARTS
+
     _add_embedding_flags(sub, k)
     sub.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
 

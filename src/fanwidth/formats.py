@@ -8,17 +8,33 @@ numbers.
 
 from __future__ import annotations
 
+import gc
 import os
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .errors import InputError
 from .graphs import Graph, ProductVertex
 from .pipeline import Crossing, DrawnGraph, FanCertificate
-from .treedec import TreeDecomposition
 
 # Graphs keep Python objects per vertex, so a vertex count above this is
 # rejected before anything is allocated for it.
 MAX_VERTICES = 10**7
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, then restore its previous state.
+    A parse allocates a container per vertex, edge or record and frees almost
+    none of them, so the collections those allocations set off find nothing
+    to free."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class _Lines:
@@ -175,6 +191,7 @@ def _read_graph(cur: _Lines, what: str) -> Graph:
         raise InputError(f"{what} body: {exc}")
 
 
+@_collector_paused()
 def parse_graph(text: str) -> Graph:
     cur = _Lines(text)
     g = _read_graph(cur, "graph")
@@ -209,6 +226,8 @@ def serialize_vertex_set(vs) -> str:
 
 
 def parse_decomposition(cur: _Lines) -> TreeDecomposition:
+    from .treedec import TreeDecomposition
+
     row, lineno = cur.take("bag count")
     (k,) = _counts(row, lineno, "bag count")
     bags = {}
@@ -255,6 +274,7 @@ def serialize_decomposition(td: TreeDecomposition) -> str:
 # -- product documents ---------------------------------------------------------
 
 
+@_collector_paused()
 def parse_product_input(text: str):
     """Parse a product document into (host, td-or-None, rows, placements, g).
 
@@ -413,6 +433,7 @@ def serialize_certificate(cert: FanCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_collector_paused()
 def parse_certificate(text: str) -> FanCertificate:
     cur = _Lines(text)
     row, lineno = cur.take("certificate header")

@@ -10,7 +10,6 @@ embedding.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, field
 
 from .errors import ConstraintError, InputError
@@ -22,8 +21,6 @@ from .graphs import (
     edge_spans,
     positions,
 )
-from .sparsify import StructuredSparsifier, baker_sparsify, product_sparsify
-from .treedec import TreeDecomposition, minfill_decomposition, ttree_complete
 
 CENTER = 0  # fan node id of the center; path nodes are 1..fan_size-1
 
@@ -274,6 +271,8 @@ def _best_of_orderings(gp: Graph, survivors: list, placements: list,
                        dims_cap):
     """The least-bandwidth projection order of the survivors (the first
     such restart on a tie) and the median bandwidth over the restarts."""
+    import statistics
+
     # the one place the certificate pipeline loads the embedding (and numpy)
     from .embedding import projection_orders
 
@@ -303,6 +302,9 @@ def planar_pipeline(g: Graph, D, seed: int, k: int | None = None, a=DEFAULT_A,
     (path of compressed BFS layers), with an empty structured sparsifier, so
     one embedding engine serves both this and the product pipeline.
     """
+    from .sparsify import StructuredSparsifier, baker_sparsify
+    from .treedec import minfill_decomposition, ttree_complete
+
     check_ordering_params(k, a, restarts, dims_cap)
     if g.num_vertices == 0:
         return PipelineResult(set(), [], 0, 0.0)
@@ -341,6 +343,9 @@ def sparsify_product(host: Graph, td: TreeDecomposition | None, g: Graph,
     sparsifier, each live vertex's renumbered placement (in vertex order)
     and the live vertices that lie in X.
     """
+    from .sparsify import product_sparsify
+    from .treedec import minfill_decomposition
+
     placements = list(placements)
     if len(placements) != g.n:
         raise InputError("one placement per vertex is required")

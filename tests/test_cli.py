@@ -325,7 +325,7 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise error("strip weight exceeds its bound")
 
-        monkeypatch.setattr(cli, "product_pipeline", broken)
+        monkeypatch.setattr(fanwidth.pipeline, "product_pipeline", broken)
         assert run("certify", "--product", work / "p.txt", "--D", "8",
                    "--out", work / "cert.txt") == 3
         assert capsys.readouterr().err == (
@@ -811,7 +811,7 @@ class TestProductFrontEnd:
 
 class TestLazyImports:
     """``import fanwidth`` and every command that computes no embedding or
-    metric run without loading numpy (a fifth of a ``verify`` job), and
+    metric run without loading numpy (60 ms to import on its own), and
     nothing loads a process pool: the Baker cut forks plain children."""
 
     POOL = ("multiprocessing", "concurrent.futures")

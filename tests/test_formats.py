@@ -1,7 +1,10 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fanwidth.formats
 from fanwidth import Graph, InputError, fan_certificate, path_graph
 from fanwidth.formats import (
     _Lines,
@@ -446,3 +449,44 @@ class TestBlankRowRoundTrip:
         cert2 = parse_certificate(with_blank_rows(data.draw, text))
         assert serialize_certificate(cert2) == text
         assert cert2.mapping == cert.mapping
+
+
+def documents() -> dict:
+    """A valid document for each parser that pauses the collector: the 3x3
+    grid, its certificate and the grid inside path(3) x path(3)."""
+    host, g, placements = grid_in_product(3)
+    return {
+        parse_graph: serialize_graph(g),
+        parse_certificate: serialize_certificate(fan_certificate(g, [], g.vertices(), 3)),
+        parse_product_input: serialize_product_input(host, None, 3, placements, g),
+    }
+
+
+class TestCollectorPaused:
+    """A parse runs with the cyclic garbage collector paused and leaves it
+    as it found it, whether the parse succeeds or raises."""
+
+    @pytest.mark.parametrize("parse", list(documents()), ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("valid", [True, False], ids=["valid", "invalid"])
+    def test_the_collector_is_restored(self, monkeypatch, parse, enabled, valid):
+        split = fanwidth.formats._split_ints
+        collecting = []  # the collector's state at each bulk read of records
+
+        def recording(*args):
+            collecting.append(gc.isenabled())
+            return split(*args)
+
+        monkeypatch.setattr(fanwidth.formats, "_split_ints", recording)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if valid:
+                parse(documents()[parse])
+                assert collecting and not any(collecting)
+            else:
+                with pytest.raises(InputError):
+                    parse("3 1\n0 x\n")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()

@@ -1,8 +1,9 @@
 """The production modules stay independent of the verification oracles, of
-BLAS and of each other's private names, the modules ``import fanwidth.cli``
-loads import nothing new at their top level, the graph representation and the
-breadth-first walks stay behind ``graphs``, a decomposition's tree is walked
-only by its cached ``RootedWalk``, and ``fanwidth`` keeps its exports."""
+BLAS and of each other's private names, ``import fanwidth.cli`` and each
+command load only their pinned modules, which import nothing new at their top
+level, the graph representation and the breadth-first walks stay behind
+``graphs``, a decomposition's tree is walked only by its cached
+``RootedWalk``, and ``fanwidth`` keeps its exports."""
 
 import ast
 import importlib
@@ -79,17 +80,18 @@ def test_the_private_guard_sees_an_added_import(added):
 # a new one showed as a slower process start, not as a failed test; an import
 # the CLI needs on one path only goes inside the function that needs it.
 CLI_PATH_IMPORTS = {
-    "__init__": ["importlib", ".errors", ".graphs", ".treedec", ".sparsify", ".oracles",
-                 ".pipeline"],
-    "cli": ["__future__", "argparse", "math", "sys", "fractions", ".formats", ".errors",
-            ".graphs", ".oracles", ".pipeline", ".sparsify"],
+    "__init__": ["importlib"],
+    "cli": ["argparse", "sys", ".errors"],
     "errors": [],
-    "formats": ["__future__", "os", "fractions", ".errors", ".graphs", ".pipeline",
-                ".treedec"],
+}
+
+# The same for the modules that the certificate commands load besides those.
+COMMAND_PATH_IMPORTS = {
+    "formats": ["__future__", "gc", "os", "contextlib", "fractions", ".errors", ".graphs",
+                ".pipeline"],
     "graphs": ["__future__", "math", "numbers", "dataclasses", "fractions", ".errors"],
     "oracles": ["__future__", ".errors", ".graphs"],
-    "pipeline": ["__future__", "math", "statistics", "dataclasses", ".errors", ".graphs",
-                 ".sparsify", ".treedec"],
+    "pipeline": ["__future__", "math", "dataclasses", ".errors", ".graphs"],
     "sparsify": ["__future__", "math", "os", "collections", "dataclasses", "fractions",
                  ".errors", ".graphs", ".treedec"],
     "treedec": ["__future__", "heapq", "dataclasses", "functools", "itertools", ".errors",
@@ -118,18 +120,98 @@ def import_time_imports(source: str) -> list:
     return found
 
 
-@pytest.mark.parametrize("name", sorted(CLI_PATH_IMPORTS))
+PINNED_IMPORTS = {**CLI_PATH_IMPORTS, **COMMAND_PATH_IMPORTS}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_IMPORTS))
 def test_cli_path_imports_nothing_new(name):
-    assert import_time_imports((PACKAGE / f"{name}.py").read_text()) == CLI_PATH_IMPORTS[name]
+    assert import_time_imports((PACKAGE / f"{name}.py").read_text()) == PINNED_IMPORTS[name]
+
+
+WATCHED = ("statistics", "numpy")
+
+
+def loaded_modules(script: str, *argv) -> tuple:
+    """The ``fanwidth`` modules (``__init__`` for the package) and the
+    modules of ``WATCHED`` that ``script`` has loaded when it ends, run in a
+    fresh interpreter with ``sys`` imported and ``argv`` as its arguments."""
+    script = ("import sys\n" + script
+              + "print(sorted(m for m in sys.modules if m.startswith('fanwidth')))\n"
+              + f"print([m for m in {WATCHED!r} if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", script, *map(str, argv)],
+                          capture_output=True, text=True, check=True)
+    package, watched = map(ast.literal_eval, proc.stdout.splitlines()[-2:])
+    return {m.partition(".")[2] or "__init__" for m in package}, set(watched)
+
+
+def test_the_package_import_loads_no_submodule():
+    assert loaded_modules("import fanwidth\n") == ({"__init__"}, set())
 
 
 def test_the_cli_path_is_the_pinned_modules():
-    script = ("import sys, fanwidth.cli\n"
-              "print(sorted(m for m in sys.modules if m.startswith('fanwidth')))")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          check=True)
-    loaded = {m.partition(".")[2] or "__init__" for m in ast.literal_eval(proc.stdout)}
-    assert loaded == set(CLI_PATH_IMPORTS)
+    assert loaded_modules("import fanwidth.cli\n") == (set(CLI_PATH_IMPORTS), set())
+
+
+def test_from_import_returns_the_submodule():
+    script = ("from fanwidth import formats\n"
+              "assert formats is sys.modules['fanwidth.formats']\n")
+    assert loaded_modules(script) == ({"__init__", "errors", "formats", "graphs",
+                                       "pipeline"}, set())
+
+
+# The modules each command loads besides the CLI path, and which of
+# ``WATCHED``: every command reads the ordering defaults of ``pipeline``, the
+# certificate commands read and write with ``formats``, and only the commands
+# that order load ``embedding`` and numpy.
+VERIFY_MODULES = {"formats", "graphs", "pipeline"}
+SPARSIFY_MODULES = VERIFY_MODULES | {"sparsify", "treedec", "oracles"}
+ORDER_MODULES = VERIFY_MODULES | {"sparsify", "treedec", "embedding", "randomness"}
+COMMAND_MODULES = {
+    "verify-graph": (["verify", "--graph", "g.txt", "--cert", "c.txt"],
+                     VERIFY_MODULES, set()),
+    "verify-product": (["verify", "--product", "p.txt", "--cert", "c.txt"],
+                       VERIFY_MODULES, set()),
+    "sparsify-graph": (["sparsify", "--graph", "g.txt", "--D", "8", "--out", "x.txt"],
+                       SPARSIFY_MODULES, set()),
+    "certify-graph": (["certify", "--graph", "g.txt", "--D", "8", "--out", "x.txt"],
+                      ORDER_MODULES, {"statistics", "numpy"}),
+    "certify-product": (["certify", "--product", "p.txt", "--D", "8", "--out", "x.txt"],
+                        ORDER_MODULES, {"statistics", "numpy"}),
+}
+
+
+def test_each_module_a_command_loads_is_pinned():
+    loaded = set().union(*(modules for _, modules, _ in COMMAND_MODULES.values()))
+    # the top-level imports of the numerical layers, which load numpy, are
+    # not pinned: only the commands that order load them
+    assert loaded - {"embedding", "randomness"} == set(COMMAND_PATH_IMPORTS)
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """The 5x5 grid as a graph, inside path(5) x path(5), and its fan
+    certificate at b = 5 with an empty X."""
+    from fanwidth import ProductVertex, fan_certificate, grid_graph, path_graph
+    from fanwidth.formats import (serialize_certificate, serialize_graph,
+                                  serialize_product_input)
+
+    work = tmp_path_factory.mktemp("documents")
+    g, _ = grid_graph(5, 5)
+    placements = [ProductVertex(v % 5, v // 5 + 1) for v in range(25)]
+    (work / "g.txt").write_text(serialize_graph(g))
+    (work / "p.txt").write_text(serialize_product_input(path_graph(5), None, 5,
+                                                        placements, g))
+    (work / "c.txt").write_text(serialize_certificate(fan_certificate(g, [], g.vertices(), 5)))
+    return work
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES))
+def test_each_command_loads_its_pinned_modules(documents, command):
+    argv, modules, watched = COMMAND_MODULES[command]
+    script = "import fanwidth.cli\nassert fanwidth.cli.main(sys.argv[1:]) == 0\n"
+    loaded = loaded_modules(script, *[documents / arg if arg.endswith(".txt") else arg
+                                      for arg in argv])
+    assert loaded == (set(CLI_PATH_IMPORTS) | modules, watched)
 
 
 @pytest.mark.parametrize("added", ["import operator\n", "from .embedding import Embedding\n",
@@ -137,7 +219,7 @@ def test_the_cli_path_is_the_pinned_modules():
                                    "class Late:\n    import itertools\n"])
 def test_the_import_guard_sees_an_added_import(added):
     source = (PACKAGE / "graphs.py").read_text() + added
-    assert import_time_imports(source) != CLI_PATH_IMPORTS["graphs"]
+    assert import_time_imports(source) != PINNED_IMPORTS["graphs"]
     assert import_time_imports("def f():\n    import numpy\n") == []
 
 
