@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
 from .errors import InputError
 from .graphs import Graph, Layering, ProductVertex, bfs, bfs_layering, component_labels
 from .pipeline import DEFAULT_RESTARTS, check_ordering_params
-from .randomness import PCG64Batch, numbered_states, stream
+from .randomness import PCG64Batch, label_states, set_state, stream
 from .sparsify import StructuredSparsifier
 
 INF = math.inf
@@ -214,13 +214,12 @@ class _Columns:
             # column jr takes its offsets from stream f"inst/i={i}/j={jr}/offsets"
             # and its stretches, random(components), from ".../alpha"; at
             # delta = 1 the offsets are 0 and draw nothing
-            head = f"inst/i={i}/j="
+            head = f"{self.seed}\x1finst/i={i}/j="
             if delta == 1:
                 r_h = r_p = np.zeros(len(jrs), dtype=np.int64)
             else:
-                r_h, r_p = PCG64Batch(numbered_states(self.seed, head, jrs, "/offsets")
-                                      ).offsets(delta)
-            alpha_states = numbered_states(self.seed, head, jrs, "/alpha")
+                r_h, r_p = PCG64Batch(label_states(head, jrs, "/offsets")).offsets(delta)
+            alpha_states = label_states(head, jrs, "/alpha")
             geometry = _ScaleGeometry(host, layering, self.sp, delta, hosts, rows)
             instances, inst_of = geometry.instances(r_h, r_p)
             yield instances, _chunks(alpha_states, inst_of, instances)
@@ -379,6 +378,17 @@ class _ScaleGeometry:
         return instances, index[part_of][pair_of]
 
 
+def _streams(prefix: str, items, tail: str = ""):
+    """Lazily, for each ``x`` of ``items``, one generator set to the stream
+    whose hashed text is ``f"{prefix}{x}{tail}"``, and that stream's PCG64
+    ``(state, inc)``; the texts are hashed ``_COLUMN_CHUNK`` at a time."""
+    rng, items = None, iter(items)
+    while block := list(islice(items, _COLUMN_CHUNK)):
+        for state, inc in PCG64Batch(label_states(prefix, block, tail)).rows():
+            rng = set_state(state, inc, rng)
+            yield rng, state, inc
+
+
 class _Directions:
     """The unit directions ``_direction(seed, L)`` of many seeds, taken
     together ``count`` columns at a time, so that no ``seeds x L`` matrix
@@ -389,17 +399,15 @@ class _Directions:
     of an exact sum (``math.fsum``) with no BLAS call, and then block by
     block as ``take`` reaches them, divided by the norm.  numpy's
     ``standard_normal`` drawn in blocks equals one call, bit for bit.
-    Between blocks a seed's generator is parked as its PCG64 state and
-    increment, two ints, so no generator per seed is held either; after its
-    last block it is dropped."""
+    One generator is set to each seed's PCG64 state and increment in turn
+    (``_streams``), and between blocks a seed is parked as those two ints,
+    so no generator per seed is held; after its last block it is dropped."""
 
     def __init__(self, seeds, L: int):
         self._states, self._incs, norms = [], [], []
-        for seed in seeds:
-            self._rng = stream(seed, "projection")
-            state = self._rng.bit_generator.state["state"]
-            self._states.append(state["state"])
-            self._incs.append(state["inc"])
+        for self._rng, state, inc in _streams("", seeds, "\x1fprojection"):
+            self._states.append(state)
+            self._incs.append(inc)
             blocks = (self._rng.standard_normal(min(_COLUMN_CHUNK, L - c))
                       for c in range(0, L, _COLUMN_CHUNK))
             norms.append(math.sqrt(math.fsum(chain.from_iterable(
@@ -418,14 +426,10 @@ class _Directions:
         self._block = np.empty((len(self), min(_COLUMN_CHUNK, self._left)))
         self._left -= self._block.shape[1]
         self._at = 0
-        # the last seed's generator, set to each parked state in turn
         for r, (state, inc) in enumerate(zip(self._states, self._incs)):
-            bits = self._rng.bit_generator
-            bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                          "has_uint32": 0, "uinteger": 0}
-            self._rng.standard_normal(out=self._block[r])
+            set_state(state, inc, self._rng).standard_normal(out=self._block[r])
             if self._left:
-                self._states[r] = bits.state["state"]["state"]
+                self._states[r] = self._rng.bit_generator.state["state"]["state"]
         if not self._left:
             self._states = self._incs = ()
         self._block /= self._norms
@@ -541,7 +545,7 @@ def projection_orders(point_ids, placements, sp: StructuredSparsifier,
         raise InputError(f"--restarts {restarts} needs {restarts} x ({L} + {n}) "
                          "direction and height entries, more than the supported "
                          f"{DEFAULT_RESTARTS} x ({MAX_COLUMNS} + {n})")
-    seeds = (int(stream(seed, f"order/restart={r}").integers(0, 2**63 - 1))
-             for r in range(restarts))
+    seeds = (int(rng.integers(0, 2**63 - 1))
+             for rng, _, _ in _streams(f"{seed}\x1forder/restart=", range(restarts)))
     ids = np.asarray(columns.ids)
     return (_order(ids, h) for h in _heights(columns, seeds))

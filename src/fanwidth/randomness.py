@@ -5,16 +5,16 @@ derives an independent generator from a stable string label, so results do
 not depend on scheduling or evaluation order.
 
 The generator for ``(seed, label)`` is exactly
-``np.random.default_rng(int.from_bytes(sha256(f"{seed}\\x1f{label}")[:16], "big"))``.
-``PCG64Batch`` runs many of those generators at once for the embedding's
-per-column draws: numpy's ``SeedSequence`` hash constants do not depend on
-the data, so its pool mixing and ``generate_state(4, uint64)`` run as
-``uint32`` array operations over the whole batch.  The PCG64 state after
-``c`` steps is ``A_c * s + B_c * inc`` modulo 2^128 (Brown 1994), so a tile
-of up to ``_TILE`` draws of every generator is a handful of 2-D ``uint64``
-array operations with per-process tables of ``A_c`` and ``B_c``.
-``numpy.random`` itself is imported only when a ``stream`` is made, so a
-command that draws nothing does not load it.
+``np.random.default_rng(int.from_bytes(sha256(f"{seed}\\x1f{label}")[:16], "big"))``,
+but no numpy ``SeedSequence`` is made: its hash constants do not depend on
+the data, so ``label_states`` runs its seeding of a batch of labels as
+``uint32`` array operations, ``set_state`` sets a ``Generator`` to one row,
+and ``stream`` is the batch of one.  ``PCG64Batch`` runs a batch's
+generators together: the PCG64 state after ``c`` steps is ``A_c * s + B_c *
+inc`` modulo 2^128 (Brown 1994), so a tile of up to ``_TILE`` draws of every
+generator is a handful of 2-D ``uint64`` array operations with per-process
+tables of ``A_c`` and ``B_c``.  ``numpy.random`` itself is imported only
+when a generator is set, so a command that draws nothing does not load it.
 """
 
 from __future__ import annotations
@@ -79,33 +79,14 @@ def _seed_states(words: np.ndarray) -> np.ndarray:
     return state.T.astype("<u4", order="C").view("<u8").astype(np.uint64)
 
 
-def _entropy(seed: int, label: str) -> bytes:
-    """The 16 bytes whose big-endian value seeds ``stream(seed, label)``."""
-    return hashlib.sha256(f"{seed}\x1f{label}".encode()).digest()[:16]
-
-
-def _digest_states(digests: list) -> np.ndarray:
-    """The seed states of the streams whose entropies are the first 16 bytes
-    of ``digests``, SHA-256 digests, read big-endian."""
-    words = np.frombuffer(b"".join(digests), dtype=">u4").reshape(-1, 8)
+def label_states(prefix: str, items: Iterable, tail: str = "") -> np.ndarray:
+    """The ``(len(items), 4)`` uint64 seed states of the streams whose entropy
+    is ``sha256(f"{prefix}{x}{tail}")[:16]``, big-endian, for each ``x`` of
+    ``items`` in order; ``stream(seed, x)`` has ``prefix = f"{seed}\\x1f"``."""
+    digests = b"".join(hashlib.sha256(f"{prefix}{x}{tail}".encode()).digest()
+                       for x in items)
+    words = np.frombuffer(digests, dtype=">u4").reshape(-1, 8)
     return _seed_states(words[:, _POOL - 1::-1])
-
-
-def label_states(seed: int, labels: Iterable[str]) -> np.ndarray:
-    """The ``(len(labels), 4)`` uint64 seed states of ``stream(seed, label)``
-    for each label in order."""
-    prefix = f"{seed}\x1f".encode()  # encoded once
-    return _digest_states([hashlib.sha256(prefix + label.encode()).digest()
-                           for label in labels])
-
-
-def numbered_states(seed: int, head: str, numbers: Iterable[int],
-                    tail: str = "") -> np.ndarray:
-    """``label_states(seed, [f"{head}{j}{tail}" for j in numbers])``, each
-    hashed input built by one f-string."""
-    head = f"{seed}\x1f{head}"
-    return _digest_states([hashlib.sha256(f"{head}{j}{tail}".encode()).digest()
-                           for j in numbers])
 
 
 _U64 = np.uint64
@@ -177,6 +158,12 @@ class PCG64Batch:
     def __len__(self) -> int:
         return len(self.lo)
 
+    def rows(self) -> list[tuple[int, int]]:
+        """Each generator's PCG64 ``(state, inc)``, as for ``set_state``."""
+        return [(hi << 64 | lo, inc_hi << 64 | inc_lo) for hi, lo, inc_hi, inc_lo
+                in zip(self.hi.tolist(), self.lo.tolist(), self.inc_hi.tolist(),
+                       self.inc_lo.tolist())]
+
     def _outputs(self, steps: int, inc_terms) -> np.ndarray:
         """``(len(self), steps)`` array of each generator's next 64-bit
         outputs, ``steps <= _TILE``, given ``inc_terms``, the ``B_c * inc``
@@ -226,6 +213,15 @@ class PCG64Batch:
         return (out << _U64(32) >> shift).astype(np.int64), (out >> shift).astype(np.int64)
 
 
+def set_state(state: int, inc: int, rng: np.random.Generator | None = None):
+    """``rng``, or a new PCG64 ``Generator``, set afresh to a ``PCG64Batch.rows``
+    row: PCG64 ``state`` and increment ``inc``, no buffered half output."""
+    rng = np.random.Generator(np.random.PCG64()) if rng is None else rng
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
 def stream(seed: int, label: str) -> np.random.Generator:
     """Generator for ``(seed, label)``: SHA-256 of both, fed to PCG64."""
-    return np.random.default_rng(int.from_bytes(_entropy(seed, label), "big"))
+    return set_state(*PCG64Batch(label_states(f"{seed}\x1f", [label])).rows()[0])

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -569,6 +570,62 @@ class TestProjectionOrders:
         for block in (1, 2, 5):
             monkeypatch.setattr(embedding, "_restart_block", lambda cells: block)
             assert embedding._heights(columns, seeds).tobytes() == h.tobytes()
+
+
+def numpy_stream(label: str) -> np.random.Generator:
+    """numpy's own generator for the stream whose whole hashed label, seed
+    included, is ``label``: the reference that the batch seeding matches."""
+    digest = hashlib.sha256(label.encode()).digest()
+    return np.random.default_rng(int.from_bytes(digest[:16], "big"))
+
+
+class TestRestartSeeding:
+    """The restarts' seeds and directions are seeded ``_COLUMN_CHUNK``
+    restarts at a time, with no numpy ``SeedSequence``."""
+
+    @staticmethod
+    def handed_seeds(monkeypatch, seed: int, restarts: int) -> list:
+        """The direction seeds ``projection_orders`` hands to ``_heights``."""
+        handed = []
+        monkeypatch.setattr(embedding, "_heights",
+                            lambda columns, seeds: handed.append(list(seeds)) or [])
+        completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
+        list(projection_orders(surv, pvs, sp, 2, 1, seed, restarts, dims_cap=8))
+        return handed[0]
+
+    @pytest.mark.parametrize("seed", [0, 7, -5, 2**70])
+    def test_seeds_and_directions_equal_numpy_at_scale(self, monkeypatch, seed):
+        # three blocks, the last one ragged; the CLI takes any integer
+        # --seed, so a negative one and one past 64 bits are checked too
+        restarts = 2 * embedding._COLUMN_CHUNK + 3
+        seeds = self.handed_seeds(monkeypatch, seed, restarts)
+        assert seeds == [
+            int(numpy_stream(f"{seed}\x1forder/restart={r}").integers(0, 2**63 - 1))
+            for r in range(restarts)]
+        directions = embedding._Directions(seeds, 3)
+        parked = list(zip(directions._states, directions._incs))
+        assert len(parked) == restarts
+        for s, (state, inc) in zip(seeds, parked):
+            want = numpy_stream(f"{s}\x1fprojection").bit_generator.state["state"]
+            assert {"state": state, "inc": inc} == want
+
+    def test_labels_are_hashed_in_blocks(self, monkeypatch):
+        chunk = embedding._COLUMN_CHUNK
+        restarts = 3 * chunk + 1
+        label_states, sizes = embedding.label_states, []
+
+        def recorded(prefix, items, tail=""):
+            items = list(items)
+            sizes.append((tail or prefix.rpartition("\x1f")[2], len(items)))
+            return label_states(prefix, items, tail)
+
+        monkeypatch.setattr(embedding, "label_states", recorded)
+        completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
+        orders = list(projection_orders(surv, pvs, sp, 2, 1, 3, restarts, dims_cap=8))
+        assert len(orders) == restarts
+        assert max(size for _, size in sizes) <= chunk
+        for kind in ("order/restart=", "\x1fprojection"):
+            assert [size for k, size in sizes if k == kind] == [chunk] * 3 + [1]
 
 
 class TestOrderingMemory:

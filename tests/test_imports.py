@@ -1,9 +1,9 @@
 """The production modules stay independent of the verification oracles, of
-BLAS and of each other's private names, ``import fanwidth.cli`` and each
-command load only their pinned modules, which import nothing new at their top
-level, the graph representation and the breadth-first walks stay behind
-``graphs``, a decomposition's tree is walked only by its cached
-``RootedWalk``, and ``fanwidth`` keeps its exports."""
+BLAS, of numpy's seeding and of each other's private names, ``import
+fanwidth.cli`` and each command load only their pinned modules, which import
+nothing new at their top level, the graph representation and the
+breadth-first walks stay behind ``graphs``, a decomposition's tree is walked
+only by its cached ``RootedWalk``, and ``fanwidth`` keeps its exports."""
 
 import ast
 import importlib
@@ -246,6 +246,34 @@ def test_production_module_calls_no_blas(name):
 
 def test_the_blas_guard_sees_the_matmul_in_starmetric():
     assert blas_uses("starmetric")
+
+
+NUMPY_SEEDERS = {"default_rng", "SeedSequence"}
+
+
+def numpy_seedings(source: str) -> list:
+    """Lines of ``source`` that call, name or import numpy's ``default_rng``
+    or ``SeedSequence``.  ``randomness.label_states`` seeds every generator,
+    and numpy's own seeding is only its test reference."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if {getattr(node, field, None) for field in ("id", "attr", "name")}
+            & NUMPY_SEEDERS]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PACKAGE.glob("*.py")))
+def test_no_module_seeds_through_numpy(name):
+    assert numpy_seedings((PACKAGE / f"{name}.py").read_text()) == []
+
+
+@pytest.mark.parametrize("added", [
+    "rng = np.random.default_rng(3)\n",
+    "def f(x):\n    return np.random.SeedSequence(x).generate_state(4)\n",
+    "from numpy.random import default_rng as make\n"])
+def test_the_seeding_guard_sees_an_added_call(added):
+    source = (PACKAGE / "randomness.py").read_text() + added
+    assert len(numpy_seedings(source)) == 1
+    test_source = (pathlib.Path(__file__).parent / "test_randomness.py").read_text()
+    assert numpy_seedings(test_source)
 
 
 def adjacency_reads(name: str) -> list:

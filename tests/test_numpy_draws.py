@@ -1,24 +1,26 @@
 """Pinned first values of the numpy draws that the output bytes rest on.
 
 Every certificate, ordering and embedding is a function of a few numpy
-algorithms: ``SeedSequence`` seeding of PCG64 (``randomness.stream``, and its
-batch form ``label_states``), ``Generator.standard_normal`` (the projection
-directions), ``Generator.random`` (the stretches, which ``PCG64Batch.random``
+algorithms: ``SeedSequence`` seeding of PCG64 (which
+``randomness.label_states`` reimplements, with numpy's own as its
+reference), ``Generator.standard_normal`` (the projection directions),
+``Generator.random`` (the stretches, which ``PCG64Batch.random``
 reproduces), ``Generator.integers(0, 2**63 - 1)`` (the restart seeds),
 ``Generator.integers(0, delta)`` (the block offsets, which
 ``PCG64Batch.offsets`` reproduces) and ``Generator.choice(..., replace=False)``
 (``--dims-cap``).  A numpy release that changed one of them would change the
-bytes; these tests name the draw that changed.  Each draw test starts from a
-pinned PCG64 state, not from a seed, so a change in seeding fails only
-``test_seed_sequence_state``.  Floats are pinned as ``float.hex`` bits.  The
-values were recorded on numpy 2.4.6.
+bytes (a changed ``SeedSequence`` would instead no longer match
+``label_states``); these tests name the draw that changed.  Each draw test starts from a pinned PCG64 state, not
+from a seed, so a change in seeding fails only ``test_seed_sequence_state``.
+Floats are pinned as ``float.hex`` bits.  The values were recorded on numpy
+2.4.6.
 """
 
 import numpy as np
 import pytest
 
 # The entropies of three streams the program draws from, as
-# ``int.from_bytes(randomness._entropy(seed, label), "big")``, and the PCG64
+# ``int.from_bytes(sha256(f"{seed}\x1f{label}")[:16], "big")``, and the PCG64
 # state and increment ``np.random.default_rng(entropy)`` starts from.
 STREAMS = {
     (3, "projection"): (

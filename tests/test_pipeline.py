@@ -713,15 +713,15 @@ class TestOrderingParams:
         # the 5 x 5 grid at D = 20 orders its 20 survivors in 8 capped
         # dimensions: restarts x (8 + 20) entries may reach the default
         # 5 x (MAX_COLUMNS + 20), and one more restart is rejected before the
-        # first restart's seed is drawn
-        stream = embedding.stream
+        # first restart's label is hashed
+        label_states = embedding.label_states
 
-        def first_seed(seed, label):
-            if label.startswith("order/restart="):
+        def first_seed(prefix, items, tail=""):
+            if prefix.endswith("order/restart="):
                 raise LookupError("the first restart seed")
-            return stream(seed, label)
+            return label_states(prefix, items, tail)
 
-        monkeypatch.setattr(embedding, "stream", first_seed)
+        monkeypatch.setattr(embedding, "label_states", first_seed)
         with pytest.raises(error) as exc:
             planar_pipeline(grid(5), 20, 0, restarts=restarts, dims_cap=8)
         assert str(exc.value) == message

@@ -13,7 +13,6 @@ from fanwidth.randomness import (
     PCG64Batch,
     _seed_states,
     label_states,
-    numbered_states,
     stream,
 )
 
@@ -64,7 +63,7 @@ def test_stream_matches_default_rng(seed, labels, k, i):
 @settings(max_examples=40, deadline=None)
 @given(seed=SEEDS, labels=LABELS, count=st.integers(1, 200), i=st.integers(0, 23))
 def test_batch_matches_stream(seed, labels, count, i):
-    assert_batch_matches(lambda: PCG64Batch(label_states(seed, labels)),
+    assert_batch_matches(lambda: PCG64Batch(label_states(f"{seed}\x1f", labels)),
                          lambda: [stream(seed, label) for label in labels],
                          count, 1 << i)
 
@@ -72,7 +71,7 @@ def test_batch_matches_stream(seed, labels, count, i):
 @settings(max_examples=10, deadline=None)
 @given(seed=SEEDS, labels=LABELS)
 def test_offsets_match_stream_at_every_block_size(seed, labels):
-    states = label_states(seed, labels)
+    states = label_states(f"{seed}\x1f", labels)
     for i in range(24):
         r_h, r_p = PCG64Batch(states).offsets(1 << i)
         for t, label in enumerate(labels):
@@ -83,18 +82,18 @@ def test_offsets_match_stream_at_every_block_size(seed, labels):
 def test_batch_equals_one_at_a_time():
     labels = [f"inst/i={i}/j={j}/{use}" for i in range(4) for j in range(1, 40)
               for use in ("offsets", "alpha")]
-    batch = PCG64Batch(label_states(17, labels)).random(5)
+    batch = PCG64Batch(label_states("17\x1f", labels)).random(5)
     single = [stream(17, label).random(5) for label in labels]
     assert len(batch) == len(labels)
     assert all(np.array_equal(x, y) for x, y in zip(batch, single))
-    assert label_states(17, []).shape == (0, 4)
-    assert len(PCG64Batch(label_states(17, []))) == 0
+    assert label_states("17\x1f", []).shape == (0, 4)
+    assert len(PCG64Batch(label_states("17\x1f", []))) == 0
 
 
 @pytest.mark.parametrize("delta", [0, 3, 6, 2**31 + 2**30, 2**32])
 def test_offsets_reject_other_block_sizes(delta):
     with pytest.raises(ValueError, match="power of two"):
-        PCG64Batch(label_states(1, ["x"])).offsets(delta)
+        PCG64Batch(label_states("1\x1f", ["x"])).offsets(delta)
 
 
 @pytest.mark.parametrize("bits", [0, 1, 33, 96, 128])
@@ -185,7 +184,7 @@ class TestClosedFormMatchesStepping:
     def test_every_count_up_to_400(self):
         # counts 1..400 cross the tile edges at every multiple of _TILE; the
         # draw after them shows that the state moved exactly count steps
-        states = label_states(9, [f"tile/{t}" for t in range(6)])
+        states = label_states("9\x1f", [f"tile/{t}" for t in range(6)])
         want = SteppingBatch(states).random(401)
         assert 400 > 12 * _TILE
         for count in range(1, 401):
@@ -211,15 +210,20 @@ class TestClosedFormMatchesStepping:
         # each row of a ragged table reads its own count from a wide draw
         labels = [f"inst/i=4/j={j}/alpha" for j in range(1, 70)]
         counts = [(7 * j) % 75 + 1 for j in range(len(labels))]
-        wide = PCG64Batch(label_states(5, labels)).random(max(counts))
+        wide = PCG64Batch(label_states("5\x1f", labels)).random(max(counts))
         for row, (label, count) in enumerate(zip(labels, counts)):
-            alone = SteppingBatch(label_states(5, [label])).random(count)[0]
+            alone = SteppingBatch(label_states("5\x1f", [label])).random(count)[0]
             assert np.array_equal(wide[row, :count], alone)
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=SEEDS, head=st.text(), tail=st.text(),
-       numbers=st.lists(st.integers(-10**6, 10**12), max_size=5))
-def test_numbered_states_equal_label_states(seed, head, tail, numbers):
-    want = label_states(seed, [f"{head}{j}{tail}" for j in numbers])
-    assert np.array_equal(numbered_states(seed, head, numbers, tail), want)
+@given(prefix=st.text(), tail=st.text(),
+       items=st.lists(st.one_of(st.integers(-10**6, 2**70), st.text()), max_size=5))
+def test_label_states_hash_prefix_item_and_tail(prefix, tail, items):
+    # each row is SeedSequence's state for the entropy of f"{prefix}{x}{tail}"
+    states = label_states(prefix, items, tail)
+    assert states.shape == (len(items), 4)
+    for row, x in zip(states, items):
+        digest = hashlib.sha256(f"{prefix}{x}{tail}".encode()).digest()
+        want = np.random.SeedSequence(int.from_bytes(digest[:16], "big"))
+        assert np.array_equal(row, want.generate_state(4, np.uint64))

@@ -98,8 +98,7 @@ def test_traced_certify_verifies(tmp_path):
     _, g, _ = grid_in_product(4)
     assert verify_certificate(g, parse_certificate(cert.read_text())) == []
     traced = result["spans"]
-    for name in ("pipeline.product_pipeline", "randomness.stream"):
-        assert traced.get(name, {}).get("calls", 0) >= 1, name
+    assert traced.get("pipeline.product_pipeline", {}).get("calls", 0) >= 1
     assert traced["embedding.DecompInstance"]["calls"] == host_partitions()[1]
 
 
