@@ -194,13 +194,14 @@ class _Columns:
 
     def scales(self):
         """Yield ``(instances, chunks)`` per scale, in column order.
-        ``instances`` lists the scale's distinct ``(bdist, jidx, components)``
-        (see ``_ScaleGeometry.instances``).  ``chunks`` yields
+        ``instances`` is the scale's ``_Instances`` (see
+        ``_ScaleGeometry.instances``).  ``chunks`` yields
         ``(inst_of, alpha, count)`` per run of at most ``_COLUMN_CHUNK``
         columns: each column's index in ``instances``, and the
         ``PCG64Batch`` of their stretch draws, ``count`` of them per column
         (``alpha.random(count)``, or in tiles by ``alpha.tiles(count)``).
-        Column ``t`` is ``(1 + alpha[t, jidx]) * bdist`` of its instance."""
+        Column ``t`` is ``(1 + alpha[t, jidx[i]]) * bdist(i)`` of its
+        instance ``i``."""
         host = self.sp.host
         layering = bfs_layering(host, min(host.vertices()))
         hosts = np.array([pv.h for pv in self.pvs], dtype=np.int64)
@@ -227,8 +228,8 @@ class _Columns:
             del instances, inst_of
 
 
-def _chunks(alpha_states: np.ndarray, inst_of: np.ndarray, instances: list):
-    components = np.array([count for _, _, count in instances])[inst_of]
+def _chunks(alpha_states: np.ndarray, inst_of: np.ndarray, instances: _Instances):
+    components = instances.counts[inst_of]
     for start in range(0, len(inst_of), _COLUMN_CHUNK):
         stop = min(start + _COLUMN_CHUNK, len(inst_of))
         yield (inst_of[start:stop], PCG64Batch(alpha_states[start:stop]),
@@ -247,16 +248,36 @@ def build_embedding(point_ids, placements, sp: StructuredSparsifier,
     col = 0
     for instances, chunks in columns.scales():
         for inst_of, batch, count in chunks:
-            alpha = batch.random(count)
-            used, local = np.unique(inst_of, return_inverse=True)
-            jidx = np.stack([instances[u][1] for u in used])[local]
-            block = np.take_along_axis(alpha, jidx, axis=1)
+            block = np.take_along_axis(batch.random(count), instances.jidx[inst_of], axis=1)
             block += 1.0
-            block *= np.stack([instances[u][0] for u in used])[local]
+            block *= instances.bdist(inst_of)
             coords[:, col:col + len(inst_of)] = block.T
             col += len(inst_of)
     return Embedding(columns.ids, columns.pvs, coords, columns.k, a, seed,
                      columns.L_full, columns.capped)
+
+
+@dataclass
+class _Instances:
+    """The distinct partitions of one scale's points, in tables shared by
+    all of them.  Instance ``i`` has row part ``row[i]``, a row of
+    ``row_exit``, and host partition ``host[i]``, a row of ``host_exit``;
+    ``jidx[i]`` is the index of each point's trimmed component among its
+    ``counts[i]`` trimmed components, in the smallest unsigned type that
+    holds every index of the scale."""
+
+    row_exit: np.ndarray
+    host_exit: np.ndarray
+    row: np.ndarray
+    host: np.ndarray
+    counts: np.ndarray
+    jidx: np.ndarray
+
+    def bdist(self, i) -> np.ndarray:
+        """Each point's boundary distance in instance ``i``, or one row per
+        instance for an array ``i``: the cheaper of exiting its block
+        component through the rows or through the host."""
+        return np.minimum(self.row_exit[self.row[i]], self.host_exit[self.host[i]])
 
 
 class _ScaleGeometry:
@@ -322,14 +343,11 @@ class _ScaleGeometry:
 
     def instances(self, r_h: np.ndarray, r_p: np.ndarray):
         """``(instances, inst_of)`` of the columns with offsets ``r_h``,
-        ``r_p``: ``instances`` lists ``(bdist, jidx, components)`` per
-        partition, in first-encounter order over the sorted distinct
-        offsets, and ``inst_of`` is each column's index in it.  ``bdist`` is
-        each point's boundary distance (the cheaper of exiting its block
-        component through the rows or through the host), and ``jidx`` the
-        index of its trimmed component among the instance's ``components``
-        trimmed components, in sorted ``(a, b, jroot)`` order; ``jroot`` is
-        the least host id of the component."""
+        ``r_p``: ``instances`` is the ``_Instances`` of their partitions, in
+        first-encounter order over the sorted distinct offsets, and
+        ``inst_of`` is each column's index in it.  Trimmed components are
+        indexed in sorted ``(a, b, jroot)`` order; ``jroot`` is the least
+        host id of the component."""
         delta, hosts = self.delta, self.hosts
         pairs, pair_of = np.unique(r_h * delta + r_p, return_inverse=True)
         pair_h, pair_p = np.divmod(pairs, delta)
@@ -349,10 +367,11 @@ class _ScaleGeometry:
                    for r in pair_h[lead[key_lead]].tolist()]
         block = np.array([inst.block[hosts] for inst in decomps])
         host_exit = np.array([inst.exit[hosts] for inst in decomps])
-        instances = []
+        row = rp_of[lead]
+        jidx, counts = [], []
         for start in range(0, len(lead), _PARTITION_BLOCK):
             k = key_of[start:start + _PARTITION_BLOCK]
-            t = rp_of[lead[start:start + _PARTITION_BLOCK]]
+            t = row[start:start + _PARTITION_BLOCK]
             # the trim labels of each distinct (host partition, cut) pair
             pair_cut, labels_of = np.unique(k[:, None] * len(cuts) + cut_of[t],
                                             return_inverse=True)
@@ -371,10 +390,12 @@ class _ScaleGeometry:
             ordered = np.take_along_axis(order, by_key, axis=1)
             ranks = np.zeros(order.shape, dtype=np.int64)
             np.cumsum(ordered[:, 1:] != ordered[:, :-1], axis=1, out=ranks[:, 1:])
-            jidx = np.empty_like(ranks)
-            np.put_along_axis(jidx, by_key, ranks, axis=1)
-            bdist = np.minimum(row_exit[t], host_exit[k])
-            instances += zip(bdist, jidx, (ranks[:, -1] + 1).tolist())
+            jidx.append(np.empty(ranks.shape, np.min_scalar_type(int(ranks[:, -1].max()))))
+            np.put_along_axis(jidx[-1], by_key, ranks, axis=1)
+            counts.append(ranks[:, -1] + 1)
+        # the blocks' index types widen to the largest one
+        instances = _Instances(row_exit, host_exit, row, key_of, np.concatenate(counts),
+                               np.concatenate(jidx))
         return instances, index[part_of][pair_of]
 
 
@@ -500,7 +521,7 @@ def _heights(columns: _Columns, seeds) -> np.ndarray:
     h = np.zeros((R, len(columns.ids)))
     for instances, chunks in columns.scales():
         # S_i of the scale's instances side by side, S_i[j] at offsets[i] + j
-        counts = np.array([count for _, _, count in instances])
+        counts = instances.counts
         offsets = np.cumsum(counts) - counts
         sums = np.zeros((R, int(counts.sum())))
         for inst_of, alpha, count in chunks:
@@ -520,11 +541,15 @@ def _heights(columns: _Columns, seeds) -> np.ndarray:
                     sums[r0:r0 + block, cells] += summed[:, t, j]
                 k0 += width
         block = _restart_block(h.shape[1])
-        for (bdist, jidx, _), offset in zip(instances, offsets.tolist()):
-            for r0 in range(0, R, block):
-                s = sums[r0:r0 + block, offset + jidx]
-                s *= bdist
-                h[r0:r0 + block] += s
+        for start in range(0, len(offsets), _PARTITION_BLOCK):
+            part = slice(start, start + _PARTITION_BLOCK)
+            # the offsets are int64, so the narrow jidx widens before it is added
+            cells = offsets[part, None] + instances.jidx[part]
+            for cell, bdist in zip(cells, instances.bdist(part)):
+                for r0 in range(0, R, block):
+                    s = sums[r0:r0 + block, cell]
+                    s *= bdist
+                    h[r0:r0 + block] += s
         # the next scale's geometry is built without this one's
         del instances, sums
     return h

@@ -77,7 +77,8 @@ class Graph:
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges())
+        # each live edge is in the live adjacency of both its ends
+        return sum(map(len, self._adj)) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether ``u`` and ``v`` are live and adjacent; False for any

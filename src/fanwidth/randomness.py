@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import hashlib
 from collections.abc import Iterable
+from itertools import islice
 
 import numpy as np
 
 _M32 = 0xFFFFFFFF
 _POOL = 4  # SeedSequence's pool size in uint32 words; a 128-bit entropy fills it
+# Labels that ``label_states`` hashes and seeds together
+_LABEL_BLOCK = 2048
 
 
 def _hash_constants(init: int, mult: int, count: int) -> list[int]:
@@ -82,11 +85,15 @@ def _seed_states(words: np.ndarray) -> np.ndarray:
 def label_states(prefix: str, items: Iterable, tail: str = "") -> np.ndarray:
     """The ``(len(items), 4)`` uint64 seed states of the streams whose entropy
     is ``sha256(f"{prefix}{x}{tail}")[:16]``, big-endian, for each ``x`` of
-    ``items`` in order; ``stream(seed, x)`` has ``prefix = f"{seed}\\x1f"``."""
-    digests = b"".join(hashlib.sha256(f"{prefix}{x}{tail}".encode()).digest()
-                       for x in items)
-    words = np.frombuffer(digests, dtype=">u4").reshape(-1, 8)
-    return _seed_states(words[:, _POOL - 1::-1])
+    ``items`` in order; ``stream(seed, x)`` has ``prefix = f"{seed}\\x1f"``.
+    The items are hashed and seeded ``_LABEL_BLOCK`` at a time."""
+    items, blocks = iter(items), [np.empty((0, 4), dtype=np.uint64)]
+    while block := list(islice(items, _LABEL_BLOCK)):
+        digests = b"".join(hashlib.sha256(f"{prefix}{x}{tail}".encode()).digest()
+                           for x in block)
+        words = np.frombuffer(digests, dtype=">u4").reshape(-1, 8)
+        blocks.append(_seed_states(words[:, _POOL - 1::-1]))
+    return np.concatenate(blocks)
 
 
 _U64 = np.uint64

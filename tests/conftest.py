@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -29,6 +30,17 @@ def no_child_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def traced_peak(fn):
+    """``(fn(), peak)``: what ``fn`` returns, and the most memory that
+    ``tracemalloc`` saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_connected_graph(n: int, p: float, seed: int) -> Graph:

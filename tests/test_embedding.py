@@ -42,6 +42,7 @@ from conftest import (
     point_arrays,
     random_connected_graph,
     scale_geometry,
+    traced_peak,
 )
 
 INF = math.inf
@@ -563,7 +564,7 @@ class TestProjectionOrders:
         columns = embedding._Columns(surv, pvs, sp, None, 1, 3, None)
         # scale 0's stretches span two tiles, the second one ragged
         counts = [count for instances, _ in columns.scales()
-                  for _, _, count in instances]
+                  for count in instances.counts.tolist()]
         assert max(counts) > PCG64Batch.TILE and len(set(counts)) > 5
         seeds = restart_seeds(3, 5)
         h = embedding._heights(columns, seeds)
@@ -642,12 +643,7 @@ class TestOrderingMemory:
         n, L = len(surv), columns.L
         restarts = DEFAULT_RESTARTS * ((1 << 15) + n) // (L + n)
         seeds = restart_seeds(3, restarts)
-        tracemalloc.start()
-        try:
-            embedding._heights(columns, seeds)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: embedding._heights(columns, seeds))
         budget = 8 * (restarts * (L + n)
                       + DEFAULT_RESTARTS * embedding._COLUMN_CHUNK * PCG64Batch.TILE)
         assert restarts == 214 and budget < 2 * 10**6
@@ -658,14 +654,52 @@ class TestOrderingMemory:
         # take 4.0 MB
         completed, sp, surv, pvs, sm = sparsified_instance(8, 8)
         restarts, L = 40, embedding._Columns(surv, pvs, sp, None, 500, 3, None).L
-        tracemalloc.start()
-        try:
-            orders = list(projection_orders(surv, pvs, sp, None, 500, 3, restarts))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        orders, peak = traced_peak(
+            lambda: list(projection_orders(surv, pvs, sp, None, 500, 3, restarts)))
         assert len(orders) == restarts and L == 12_480
         assert peak < restarts * L * 8
+
+    def test_instances_share_the_scale_tables(self, monkeypatch):
+        # at the last scale of the certified a = 193, 721 instances share
+        # 64 row parts and 16 host partitions: the instances keep less than
+        # 8 bytes per point each, where a float64 bdist and an int64 jidx
+        # per instance would keep 16
+        completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
+        original, kept = embedding._ScaleGeometry.instances, []
+
+        def traced(geometry, r_h, r_p):
+            before = tracemalloc.get_traced_memory()[0]
+            out = original(geometry, r_h, r_p)
+            kept.append((len(out[0].counts), tracemalloc.get_traced_memory()[0] - before))
+            return out
+
+        monkeypatch.setattr(embedding._ScaleGeometry, "instances", traced)
+        columns = embedding._Columns(surv, pvs, sp, None, 193, 3, None)
+        traced_peak(lambda: list(columns.scales()))
+        count, size = kept[-1]
+        assert count > 700
+        assert size < 8 * len(surv) * count
+
+    def test_narrow_indices_give_the_wide_sums(self, monkeypatch):
+        # the components of a scale's instances run past 255 in ``sums``
+        # while each instance's indices fit uint8; the heights equal those of
+        # the same instances with int64 indices, bit for bit
+        completed, sp, surv, pvs, sm = sparsified_instance(16, 16)
+        columns = embedding._Columns(surv, pvs, sp, None, 8, 3, None)
+        seeds = restart_seeds(3, 5)
+        narrow = [instances for instances, _ in columns.scales()
+                  if instances.jidx.dtype == np.uint8 and instances.counts.sum() > 256]
+        assert len(narrow) >= 3
+        h = embedding._heights(columns, seeds)
+        original = embedding._ScaleGeometry.instances
+
+        def widened(geometry, r_h, r_p):
+            out, inst_of = original(geometry, r_h, r_p)
+            out.jidx = out.jidx.astype(np.int64)
+            return out, inst_of
+
+        monkeypatch.setattr(embedding._ScaleGeometry, "instances", widened)
+        assert embedding._heights(columns, seeds).tobytes() == h.tobytes()
 
 
 def random_offsets(seed: int, delta: int, columns: int):
@@ -689,13 +723,16 @@ def assert_instances_match_reference(sp, pvs, delta, r_h, r_p) -> int:
         return 0
     got, got_of = embedding._ScaleGeometry(*args).instances(r_h, r_p)
     assert got_of.tolist() == want_of.tolist()
-    assert len(got) == len(want)
-    for (bdist, jidx, count), (want_bdist, want_jidx, want_count) in zip(got, want):
-        assert bdist.dtype == want_bdist.dtype and jidx.dtype == want_jidx.dtype
-        assert np.array_equal(bdist, want_bdist)
-        assert np.array_equal(jidx, want_jidx)
-        assert count == want_count
-    return len(got)
+    assert len(got.counts) == len(want)
+    for i, (want_bdist, want_jidx, want_count) in enumerate(want):
+        bdist = got.bdist(i)
+        assert bdist.dtype == want_bdist.dtype == np.float64
+        assert bdist.tobytes() == want_bdist.tobytes()
+        # indices are kept in the narrowest unsigned type of the scale
+        assert np.array_equal(got.jidx[i], want_jidx)
+        assert got.counts[i] == want_count
+    assert got.jidx.dtype == np.min_scalar_type(int(got.counts.max()) - 1)
+    return len(want)
 
 
 class TestBatchedGeometryMatchesReference:

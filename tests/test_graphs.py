@@ -366,6 +366,14 @@ class TestMaskedViews:
         assert gp.removed == {1}
         assert gp.edges() == []
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 500), gone=st.sets(st.integers(0, 11)),
+           labels=st.lists(st.integers(0, 2), min_size=12, max_size=12))
+    def test_num_edges_counts_the_live_edges(self, seed, gone, labels):
+        g = random_graph(12, 0.4, seed)
+        for h in (g, g.delete(gone), g.within(labels), g.delete(gone).within(labels)):
+            assert h.num_edges == len(h.edges())
+
     def test_has_edge_outside_the_graph(self):
         g = path_graph(3)
         assert [g.has_edge(u, 1) for u in (-3, -1, 0, 2, 3, 5)] == [

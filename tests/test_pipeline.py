@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 
 import pytest
 from hypothesis import Phase, find, given, settings
@@ -37,6 +36,7 @@ from conftest import (
     reference_round_trip,
     reference_verify_certificate,
     stacked_triangulation,
+    traced_peak,
 )
 
 
@@ -431,12 +431,8 @@ class TestProductPipeline:
         # the n x L float64 matrix would take 12 MB here; the orderings come
         # from per-instance sums, so the whole run allocates less than that
         host, g, placements = grid_in_product(12)
-        tracemalloc.start()
-        try:
-            res = product_pipeline(host, None, g, placements, D=32, seed=3, a=100)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        res, peak = traced_peak(
+            lambda: product_pipeline(host, None, g, placements, D=32, seed=3, a=100))
         n = len(res.ordering)
         scales, reps = _embedding_shape(n, max(2, math.ceil(math.log2(n))), 100)
         assert n * scales * reps * 8 > 10**7

@@ -5,10 +5,11 @@ import hashlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanwidth.randomness import (
+    _LABEL_BLOCK,
     _TILE,
     PCG64Batch,
     _seed_states,
@@ -219,6 +220,8 @@ class TestClosedFormMatchesStepping:
 @settings(max_examples=30, deadline=None)
 @given(prefix=st.text(), tail=st.text(),
        items=st.lists(st.one_of(st.integers(-10**6, 2**70), st.text()), max_size=5))
+# two full blocks and a ragged third, so block edges fall inside the items
+@example(prefix="7\x1finst/i=3/j=", tail="/alpha", items=range(1, 2 * _LABEL_BLOCK + 4))
 def test_label_states_hash_prefix_item_and_tail(prefix, tail, items):
     # each row is SeedSequence's state for the entropy of f"{prefix}{x}{tail}"
     states = label_states(prefix, items, tail)
